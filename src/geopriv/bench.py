@@ -15,10 +15,12 @@ grid reuses the same underlying draws (common random numbers).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -347,18 +349,15 @@ def run_verify(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool]:
     return sorted(rows, key=_row_key), all(r.passed for r in reports)
 
 
-_HEADER = "task,mechanism,n,budget,k,metric,mean,p25,p75,trials"
-
-
 def render_csv(rows: list[ResultRow]) -> str:
-    lines = [_HEADER]
-    for r in sorted(rows, key=_row_key):
-        k = "" if r.k is None else str(r.k)
-        lines.append(
-            f"{r.task},{r.mechanism},{r.n},{r.budget!r},{k},{r.metric},"
-            f"{r.mean!r},{r.p25!r},{r.p75!r},{r.trials}"
-        )
-    return "\n".join(lines) + "\n"
+    """One header line and one line per row; a None ``k`` is an empty field,
+    floats are written in round-trip form, and fields holding commas (verify
+    check names) are quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(f.name for f in fields(ResultRow))
+    writer.writerows(astuple(r) for r in sorted(rows, key=_row_key))
+    return buf.getvalue()
 
 
 def _float_list(text: str) -> list[float]:
@@ -370,24 +369,25 @@ def _int_list(text: str) -> list[int]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rho-grid", type=_float_list, default=None, help="comma-separated CGP rates")
-    common.add_argument("--eps-grid", type=_float_list, default=None, help="comma-separated GP rates (default: matched from rho)")
-    common.add_argument("--n-grid", type=_int_list, default=None, help="comma-separated tuple sizes")
-    common.add_argument("--k-grid", type=_int_list, default=None, help="comma-separated neighbour counts")
-    common.add_argument("--trials", type=int, default=25)
-    common.add_argument("--collections", type=int, default=50)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--delta", type=float, default=1e-10)
-    common.add_argument("--input", default="synthetic", help="dataset path, 'synthetic' or 'synthetic-walk'")
+    # Defaults live in ExperimentConfig only: an absent flag adds nothing to the namespace.
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--rho-grid", type=_float_list, help="comma-separated CGP rates")
+    common.add_argument("--eps-grid", type=_float_list, help="comma-separated GP rates (default: matched from rho)")
+    common.add_argument("--n-grid", type=_int_list, help="comma-separated tuple sizes")
+    common.add_argument("--k-grid", type=_int_list, help="comma-separated neighbour counts")
+    common.add_argument("--trials", type=int)
+    common.add_argument("--collections", type=int)
+    common.add_argument("--seed", type=int)
+    common.add_argument("--delta", type=float)
+    common.add_argument("--input", help="dataset path, 'synthetic' or 'synthetic-walk'")
     common.add_argument("--zero-noise", action="store_true", help="run mechanisms with the degenerate zero-noise stream")
-    common.add_argument("--extent", type=float, default=10_000.0, help="synthetic square side, meters")
-    common.add_argument("--beta", type=float, default=0.05, help="failure probability for the hull pipeline")
-    common.add_argument("--min-eps-dist", type=float, default=10.0, help="eps*Delta floor for GP budget matching")
+    common.add_argument("--extent", type=float, help="synthetic square side, meters")
+    common.add_argument("--beta", type=float, help="failure probability for the hull pipeline")
+    common.add_argument("--min-eps-dist", type=float, help="eps*Delta floor for GP budget matching")
     common.add_argument("--baseline-true-locations", action="store_true", help="score baseline kNN with true instead of released locations")
-    common.add_argument("--samples", type=int, default=10**6, help="Monte Carlo draws for verify")
-    common.add_argument("--out", default=None, help="output file (default stdout)")
-    common.add_argument("--format", dest="fmt", choices=["csv"], default="csv")
+    common.add_argument("--samples", type=int, help="Monte Carlo draws for verify")
+    common.add_argument("--out", help="output file (default stdout)")
+    common.add_argument("--format", dest="fmt", choices=["csv"])
 
     ap = argparse.ArgumentParser(prog="geopriv", description="Geo-privacy mechanism benchmarks")
     sub = ap.add_subparsers(dest="task", required=True)
@@ -397,30 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig(task=args.task)
-    if args.rho_grid is not None or args.eps_grid is not None:
-        cfg.rho_grid = args.rho_grid
-        cfg.eps_grid = args.eps_grid
-        cfg.__post_init__()
-    if args.n_grid is not None:
-        cfg.n_grid = args.n_grid
-    if args.k_grid is not None:
-        cfg.k_grid = args.k_grid
-    cfg.trials = args.trials
-    cfg.collections = args.collections
-    cfg.seed = args.seed
-    cfg.delta = args.delta
-    cfg.input = args.input
-    cfg.zero_noise = args.zero_noise
-    cfg.extent = args.extent
-    cfg.beta = args.beta
-    cfg.min_eps_dist = args.min_eps_dist
-    cfg.baseline_true_locations = args.baseline_true_locations
-    cfg.samples = args.samples
-    cfg.out = args.out
-    cfg.fmt = args.fmt
-    cfg.__post_init__()
-    return cfg
+    return ExperimentConfig(**vars(args))
 
 
 _RUNNERS = {"identity": run_identity, "knn": run_knn, "hull": run_hull}

@@ -5,9 +5,28 @@ max-per-point and the flattened l2 tuple metrics), a below-threshold sparse
 vector scan for Lipschitz queries, private (k-)nearest-neighbour selection
 built on it, and the private convex hull pipeline.
 
+Each GP/CGP pair (``identity_gp_inf``/``identity_cgp_inf``,
+``kpnn_gp``/``kpnn``, ``private_convex_hull_gp``/``private_convex_hull``)
+shares one implementation.  The two differ only by a calibration, ``_GP``
+or ``_CGP``: how a budget becomes noise, how a selection round's budget
+share becomes the GP rate of its scan, the bounding-circle noise, and the
+auto anchor count.  The flattened-l2 identity releases keep their own
+noise expressions.
+
 Every mechanism takes an explicit RandomStream and, optionally, a
-BudgetLedger to audit its internal splits.  Indices crossing the API are
-1-based (see geometry module).
+BudgetLedger that audits its internal splits.  Each part is charged before
+the scan or draw that spends it, so an aborted scan leaves its budget on
+record.  The labels are:
+
+- identity releases: ``points`` (max metric) or ``tuple`` (l2 metric)
+- ``svt``: ``svt_threshold``, ``svt_queries``; ``pnn``: ``pnn_threshold``
+  and then the ``svt`` labels
+- ``kpnn``, ``kpnn_gp``: ``round_1`` .. ``round_k``
+- ``pch_anchors``: ``centre``, ``radius``, ``probe_1`` .. ``probe_k``
+- ``private_convex_hull``, ``private_convex_hull_gp``: the anchor labels,
+  then ``release_1`` .. ``release_k``
+
+Indices crossing the API are 1-based (see geometry module).
 """
 
 from __future__ import annotations
@@ -114,7 +133,79 @@ class HullResult:
 
 
 # ---------------------------------------------------------------------------
+# calibrations: the only place where GP and CGP differ
+
+
+@dataclass(frozen=True)
+class _Calibration:
+    """How a budget (eps for GP, rho for CGP) becomes noise.
+
+    ``point_noise(dim, budget, count, rng, size)`` perturbs one of ``count``
+    releases sharing ``budget``; ``round_rate(share)`` is the GP rate of a
+    selection scan charged ``share``.  The circle rules take the circle
+    budget ``b0``, of which the centre gets 2/3 and the radius 1/3.
+    ``auto_k(radius, budget, n, beta)`` is the unclamped anchor count.
+    """
+
+    unit: str
+    point_noise: Callable[..., np.ndarray]
+    round_rate: Callable[[float], float]
+    centre_noise: Callable[[float, RandomStream], np.ndarray]
+    radius_slack: Callable[[float, float], float]
+    radius_noise: Callable[[float, RandomStream], float]
+    auto_k: Callable[[float, float, int, float], float]
+
+
+# The samplers are looked up at call time, so rebinding a module attribute
+# (as a tracer does) reaches them.
+_GP = _Calibration(
+    unit="eps",
+    point_noise=lambda dim, budget, count, rng, size=None: sample_planar_laplace(
+        dim, budget / count, rng, size=size
+    ),
+    round_rate=lambda share: share,
+    centre_noise=lambda b0, rng: sample_planar_laplace(2, (2.0 * b0 / 3.0) / math.sqrt(2.0), rng),
+    radius_slack=lambda b0, beta: (3.0 / b0) * math.log(2.0 / beta),
+    radius_noise=lambda b0, rng: sample_laplace(3.0 / b0, rng),
+    auto_k=lambda radius, budget, n, beta: math.sqrt(radius * budget / math.log(n / beta)),
+)
+
+_CGP = _Calibration(
+    unit="rho",
+    point_noise=lambda dim, budget, count, rng, size=None: sample_gaussian_vec(
+        dim, math.sqrt(count / (2.0 * budget)), rng, size=size
+    ),
+    round_rate=lambda share: math.sqrt(2.0 * share),
+    centre_noise=lambda b0, rng: sample_gaussian_vec(2, math.sqrt(3.0 / (2.0 * b0)), rng),
+    radius_slack=lambda b0, beta: math.sqrt(3.0 * math.log(2.0 / beta) / b0),
+    radius_noise=lambda b0, rng: float(sample_gaussian_vec(1, math.sqrt(3.0 / (2.0 * b0)), rng)[0]),
+    auto_k=lambda radius, budget, n, beta: (
+        radius * math.sqrt(budget) / math.log(n / beta)
+    ) ** (2.0 / 3.0),
+)
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
+def _charge(ledger: BudgetLedger | None, label: str, amount: float) -> None:
+    if ledger is not None:
+        ledger.charge(label, amount)
+
+
+# ---------------------------------------------------------------------------
 # identity queries
+
+
+def _identity_inf(
+    cal: _Calibration, x: PointTuple, budget: float, rng: RandomStream, ledger: BudgetLedger | None
+) -> PointTuple:
+    _check_positive(cal.unit, budget)
+    n = len(x)
+    _charge(ledger, "points", budget)
+    return PointTuple(x.points + cal.point_noise(x.dim, budget, n, rng, size=n))
 
 
 def identity_gp_inf(
@@ -125,13 +216,7 @@ def identity_gp_inf(
     Each point independently gets planar-Laplace noise at rate eps/n; the
     guarantee follows from basic composition over the n points.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    n = len(x)
-    noise = sample_planar_laplace(x.dim, eps / n, rng, size=n)
-    if ledger is not None:
-        ledger.charge("points", eps)
-    return PointTuple(x.points + noise)
+    return _identity_inf(_GP, x, eps, rng, ledger)
 
 
 def identity_cgp_inf(
@@ -142,14 +227,7 @@ def identity_cgp_inf(
     Each coordinate of each point gets Gaussian noise with standard deviation
     sqrt(n / (2 rho)): each point is released at rho/n and the rates add.
     """
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    n = len(x)
-    sigma = math.sqrt(n / (2.0 * rho))
-    noise = sample_gaussian_vec(x.dim, sigma, rng, size=n)
-    if ledger is not None:
-        ledger.charge("points", rho)
-    return PointTuple(x.points + noise)
+    return _identity_inf(_CGP, x, rho, rng, ledger)
 
 
 def identity_gp_l2(
@@ -157,11 +235,9 @@ def identity_gp_l2(
 ) -> PointTuple:
     """Release the whole tuple under eps-GP w.r.t. the flattened l2 metric:
     a single (n*d)-dimensional planar-Laplace draw at rate eps."""
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _check_positive("eps", eps)
+    _charge(ledger, "tuple", eps)
     flat = sample_planar_laplace(x.n * x.dim, eps, rng)
-    if ledger is not None:
-        ledger.charge("tuple", eps)
     return PointTuple(x.points + flat.reshape(x.n, x.dim))
 
 
@@ -170,12 +246,10 @@ def identity_cgp_l2(
 ) -> PointTuple:
     """Release the whole tuple under rho-CGP w.r.t. the flattened l2 metric:
     per-coordinate Gaussian noise with standard deviation 1/sqrt(2 rho)."""
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    _check_positive("rho", rho)
+    _charge(ledger, "tuple", rho)
     sigma = 1.0 / math.sqrt(2.0 * rho)
     noise = sample_gaussian_vec(x.dim, sigma, rng, size=x.n)
-    if ledger is not None:
-        ledger.charge("tuple", rho)
     return PointTuple(x.points + noise)
 
 
@@ -202,17 +276,14 @@ def svt(
     the outcome reports a budget-safe non-halt; privacy is unaffected either
     way, only the caller's utility is.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if not lipschitz > 0:
-        raise ValueError(f"lipschitz must be positive, got {lipschitz}")
+    _check_positive("eps", eps)
+    _check_positive("lipschitz", lipschitz)
     if max_steps < 1:
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
 
+    _charge(ledger, "svt_threshold", eps / 2.0)
+    _charge(ledger, "svt_queries", eps / 2.0)
     gate = threshold + sample_laplace(2.0 * lipschitz / eps, rng)
-    if ledger is not None:
-        ledger.charge("svt_threshold", eps / 2.0)
-        ledger.charge("svt_queries", eps / 2.0)
 
     noise_scale = 4.0 * lipschitz / eps
     zero = rng.zero_noise
@@ -261,8 +332,7 @@ def pnn_detailed(
     """
     if params is None:
         params = PnnParams()
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _check_positive("eps", eps)
     idx = _validate_indices(indices, x.n)
     q = np.asarray(query_point, dtype=np.float64)
     if q.shape != (x.dim,):
@@ -270,9 +340,8 @@ def pnn_detailed(
     dists = np.linalg.norm(x.points[np.asarray(idx, dtype=np.intp) - 1] - q, axis=1)
     m = len(idx)
 
+    _charge(ledger, "pnn_threshold", eps / 3.0)
     gate = float(dists.min()) + sample_laplace(3.0 / eps, rng) + params.threshold_slack
-    if ledger is not None:
-        ledger.charge("pnn_threshold", eps / 3.0)
 
     def cycling():
         step = 0
@@ -311,18 +380,27 @@ def pnn(
     return pnn_detailed(x, query_point, indices, eps, rng, params, ledger)[0]
 
 
-def _kpnn_rounds(
+def _kpnn(
+    cal: _Calibration,
     x: PointTuple,
     query_point,
     k: int,
-    eps_round: float,
+    budget: float,
     rng: RandomStream,
-    params: PnnParams,
+    params: PnnParams | None,
+    ledger: BudgetLedger | None,
 ) -> list[int]:
+    _check_positive(cal.unit, budget)
+    if not 1 <= k <= x.n:
+        raise ValueError(f"k must be in 1..{x.n}, got {k}")
+    share = budget / k
+    rate = cal.round_rate(share)
+    scan = params or _LONG_SCAN
     remaining = list(range(1, x.n + 1))
     chosen: list[int] = []
-    for _ in range(k):
-        t = pnn(x, query_point, remaining, eps_round, rng, params=params)
+    for j in range(1, k + 1):
+        _charge(ledger, f"round_{j}", share)
+        t = pnn(x, query_point, remaining, rate, rng, params=scan)
         chosen.append(t)
         remaining.remove(t)
     return chosen
@@ -344,16 +422,7 @@ def kpnn(
     every round; the k rates add to rho.  Returns the 1-based indices in
     discovery order.
     """
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    if not 1 <= k <= x.n:
-        raise ValueError(f"k must be in 1..{x.n}, got {k}")
-    eps_round = math.sqrt(2.0 * rho / k)
-    out = _kpnn_rounds(x, query_point, k, eps_round, rng, params or _LONG_SCAN)
-    if ledger is not None:
-        for j in range(1, k + 1):
-            ledger.charge(f"round_{j}", rho / k)
-    return out
+    return _kpnn(_CGP, x, query_point, k, rho, rng, params, ledger)
 
 
 def kpnn_gp(
@@ -367,26 +436,50 @@ def kpnn_gp(
 ) -> list[int]:
     """k private nearest neighbours under eps-GP (basic composition, eps/k
     per round)."""
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if not 1 <= k <= x.n:
-        raise ValueError(f"k must be in 1..{x.n}, got {k}")
-    out = _kpnn_rounds(x, query_point, k, eps / k, rng, params or _LONG_SCAN)
-    if ledger is not None:
-        for j in range(1, k + 1):
-            ledger.charge(f"round_{j}", eps / k)
-    return out
+    return _kpnn(_GP, x, query_point, k, eps, rng, params, ledger)
 
 
 # ---------------------------------------------------------------------------
 # private convex hull
 
 
-def _clamp_anchor_count(raw: float, clamp: tuple[int, int]) -> int:
-    lo, hi = clamp
-    if not math.isfinite(raw):
-        return lo
-    return min(max(int(round(raw)), lo), hi)
+def _anchors(
+    cal: _Calibration,
+    x: PointTuple,
+    params: PchParams,
+    rng: RandomStream,
+    ledger: BudgetLedger | None,
+    pnn_params: PnnParams | None,
+) -> tuple[list[int], PchInfo]:
+    # params.rho is the stage budget in the calibration's unit (eps for GP).
+    if x.dim != 2:
+        raise ValueError(f"the convex hull pipeline is 2-D only, got dim {x.dim}")
+    n = len(x)
+    b0 = params.rho / 20.0
+
+    _charge(ledger, "centre", 2.0 * b0 / 3.0)
+    c_priv = center(x) + cal.centre_noise(b0, rng)
+    _charge(ledger, "radius", b0 / 3.0)
+    r_priv = max_radius(x, c_priv) + cal.radius_slack(b0, params.beta) + cal.radius_noise(b0, rng)
+
+    if params.k == "auto":
+        raw = cal.auto_k(max(r_priv, 0.0), params.rho, n, params.beta)
+        lo, hi = params.k_clamp
+        k = min(max(int(round(raw)), lo), hi) if math.isfinite(raw) else lo
+    else:
+        k = int(params.k)
+
+    share = (params.rho - b0) / k
+    rate = cal.round_rate(share)
+    every = list(range(1, n + 1))
+    scan = pnn_params or _LONG_SCAN
+    anchors: list[int] = []
+    for j in range(k):
+        theta = 2.0 * math.pi * j / k
+        probe = c_priv + r_priv * np.array([math.cos(theta), math.sin(theta)])
+        _charge(ledger, f"probe_{j + 1}", share)
+        anchors.append(pnn(x, probe, every, rate, rng, params=scan))
+    return anchors, PchInfo(c_priv, float(r_priv), k, share)
 
 
 def pch_anchors_detailed(
@@ -411,39 +504,7 @@ def pch_anchors_detailed(
     ``k = round((radius * sqrt(rho) / log(n/beta)) ** (2/3))`` clamped to
     ``k_clamp``.
     """
-    if x.dim != 2:
-        raise ValueError(f"the convex hull pipeline is 2-D only, got dim {x.dim}")
-    n = len(x)
-    rho0 = params.rho / 20.0
-    sigma0 = math.sqrt(3.0 / (2.0 * rho0))
-
-    c_priv = center(x) + sample_gaussian_vec(2, sigma0, rng)
-    if ledger is not None:
-        ledger.charge("centre", 2.0 * rho0 / 3.0)
-
-    slack = math.sqrt(3.0 * math.log(2.0 / params.beta) / rho0)
-    r_priv = max_radius(x, c_priv) + slack + float(sample_gaussian_vec(1, sigma0, rng)[0])
-    if ledger is not None:
-        ledger.charge("radius", rho0 / 3.0)
-
-    if params.k == "auto":
-        raw = (max(r_priv, 0.0) * math.sqrt(params.rho) / math.log(n / params.beta)) ** (2.0 / 3.0)
-        k = _clamp_anchor_count(raw, params.k_clamp)
-    else:
-        k = int(params.k)
-
-    rho1 = (params.rho - rho0) / k
-    eps_probe = math.sqrt(2.0 * rho1)
-    every = list(range(1, n + 1))
-    scan = pnn_params or _LONG_SCAN
-    anchors: list[int] = []
-    for j in range(k):
-        theta = 2.0 * math.pi * j / k
-        probe = c_priv + r_priv * np.array([math.cos(theta), math.sin(theta)])
-        anchors.append(pnn(x, probe, every, eps_probe, rng, params=scan))
-        if ledger is not None:
-            ledger.charge(f"probe_{j + 1}", rho1)
-    return anchors, PchInfo(c_priv, float(r_priv), k, rho1)
+    return _anchors(_CGP, x, params, rng, ledger, pnn_params)
 
 
 def pch_anchors(
@@ -456,6 +517,29 @@ def pch_anchors(
     """Anchor indices (1-based, one per circle probe) of the private convex
     hull selection stage; rho-CGP."""
     return pch_anchors_detailed(x, params, rng, ledger, pnn_params)[0]
+
+
+def _hull(
+    cal: _Calibration,
+    x: PointTuple,
+    budget: float,
+    beta: float,
+    rng: RandomStream,
+    k: int | str,
+    k_clamp: tuple[int, int],
+    ledger: BudgetLedger | None,
+    pnn_params: PnnParams | None,
+) -> HullResult:
+    _check_positive(cal.unit, budget)
+    if not 0 < beta < 1:
+        raise ValueError(f"beta must be in (0, 1), got {beta}")
+    params = PchParams(rho=budget / 2.0, beta=beta / 2.0, k=k, k_clamp=k_clamp)
+    anchors, info = _anchors(cal, x, params, rng, ledger, pnn_params)
+    released = np.empty((info.k, 2))
+    for j, a in enumerate(anchors):
+        _charge(ledger, f"release_{j + 1}", budget / (2.0 * info.k))
+        released[j] = x.points[a - 1] + cal.point_noise(2, budget / 2.0, info.k, rng)
+    return HullResult(anchors, released, info)
 
 
 def private_convex_hull(
@@ -476,75 +560,7 @@ def private_convex_hull(
     hull of the returned points is computed by the caller as
     post-processing.
     """
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    if not 0 < beta < 1:
-        raise ValueError(f"beta must be in (0, 1), got {beta}")
-    params = PchParams(rho=rho / 2.0, beta=beta / 2.0, k=k, k_clamp=k_clamp)
-    anchors, info = pch_anchors_detailed(x, params, rng, pnn_params=pnn_params)
-    if ledger is not None:
-        ledger.charge("anchor_selection", rho / 2.0)
-    sigma = math.sqrt(info.k / rho)
-    released = np.empty((info.k, 2))
-    for j, a in enumerate(anchors):
-        released[j] = x.points[a - 1] + sample_gaussian_vec(2, sigma, rng)
-        if ledger is not None:
-            ledger.charge(f"release_{j + 1}", rho / (2.0 * info.k))
-    return HullResult(anchors, released, info)
-
-
-def _pch_anchors_gp_detailed(
-    x: PointTuple,
-    eps_stage: float,
-    beta_stage: float,
-    k: int | str,
-    k_clamp: tuple[int, int],
-    rng: RandomStream,
-    ledger: BudgetLedger | None,
-    pnn_params: PnnParams | None,
-) -> tuple[list[int], PchInfo]:
-    """Anchor selection under pure GP with basic composition.
-
-    Mirrors the Gaussian variant: eps_stage/20 buys the bounding circle
-    (planar-Laplace centre noise at rate (2/3) eps0 / sqrt(2) for the
-    sqrt(2)-Lipschitz centre, Laplace(3/eps0) radius noise inflated by
-    (3/eps0) log(2/beta)), and the rest splits evenly over the k probes.
-    The auto anchor count balances the linear-in-k selection noise against
-    the coverage gap: ``k = round(sqrt(radius * eps / log(n/beta)))``.
-    """
-    if x.dim != 2:
-        raise ValueError(f"the convex hull pipeline is 2-D only, got dim {x.dim}")
-    n = len(x)
-    eps0 = eps_stage / 20.0
-
-    c_priv = center(x) + sample_planar_laplace(2, (2.0 * eps0 / 3.0) / math.sqrt(2.0), rng)
-    if ledger is not None:
-        ledger.charge("centre", 2.0 * eps0 / 3.0)
-
-    slack = (3.0 / eps0) * math.log(2.0 / beta_stage)
-    r_priv = max_radius(x, c_priv) + slack + sample_laplace(3.0 / eps0, rng)
-    if ledger is not None:
-        ledger.charge("radius", eps0 / 3.0)
-
-    if k == "auto":
-        raw = math.sqrt(max(r_priv, 0.0) * eps_stage / math.log(n / beta_stage))
-        kk = _clamp_anchor_count(raw, k_clamp)
-    else:
-        kk = int(k)
-        if kk < 3:
-            raise ValueError(f"explicit k must be at least 3, got {k}")
-
-    eps1 = (eps_stage - eps0) / kk
-    every = list(range(1, n + 1))
-    scan = pnn_params or _LONG_SCAN
-    anchors: list[int] = []
-    for j in range(kk):
-        theta = 2.0 * math.pi * j / kk
-        probe = c_priv + r_priv * np.array([math.cos(theta), math.sin(theta)])
-        anchors.append(pnn(x, probe, every, eps1, rng, params=scan))
-        if ledger is not None:
-            ledger.charge(f"probe_{j + 1}", eps1)
-    return anchors, PchInfo(c_priv, float(r_priv), kk, eps1)
+    return _hull(_CGP, x, rho, beta, rng, k, k_clamp, ledger, pnn_params)
 
 
 def private_convex_hull_gp(
@@ -561,20 +577,12 @@ def private_convex_hull_gp(
 
     Half the budget selects anchors with the pure-GP anchor stage, the other
     half releases each anchor with planar-Laplace noise at rate eps/(2k).
+
+    The anchor stage mirrors pch_anchors: eps0 = eps/40 buys the bounding
+    circle, with planar-Laplace centre noise and Laplace(3/eps0) radius noise
+    inflated by (3/eps0) log(2/beta).  Its auto anchor count balances the
+    linear-in-k selection noise against the coverage gap:
+    ``k = round(sqrt(radius * eps / log(n/beta)))`` at the stage's eps and
+    beta, clamped to ``k_clamp``.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if not 0 < beta < 1:
-        raise ValueError(f"beta must be in (0, 1), got {beta}")
-    anchors, info = _pch_anchors_gp_detailed(
-        x, eps / 2.0, beta / 2.0, k, k_clamp, rng, None, pnn_params
-    )
-    if ledger is not None:
-        ledger.charge("anchor_selection", eps / 2.0)
-    rate = (eps / 2.0) / info.k
-    released = np.empty((info.k, 2))
-    for j, a in enumerate(anchors):
-        released[j] = x.points[a - 1] + sample_planar_laplace(2, rate, rng)
-        if ledger is not None:
-            ledger.charge(f"release_{j + 1}", eps / (2.0 * info.k))
-    return HullResult(anchors, released, info)
+    return _hull(_GP, x, eps, beta, rng, k, k_clamp, ledger, pnn_params)

@@ -1,4 +1,6 @@
+import csv
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,8 +8,10 @@ import pytest
 from geopriv.bench import (
     ExperimentConfig,
     ResultRow,
+    _build_parser,
     _collections,
     _sampled,
+    config_from_args,
     main,
     render_csv,
     run_hull,
@@ -48,6 +52,28 @@ class TestConfig:
             ExperimentConfig(rho_grid=[0.1, 0.2], eps_grid=[1.0])
         with pytest.raises(ValueError):
             ExperimentConfig(fmt="json")
+
+    def test_cli_defaults_come_from_the_config(self):
+        for task in ("identity", "knn", "hull", "verify"):
+            assert config_from_args(_build_parser().parse_args([task])) == ExperimentConfig(task=task)
+
+    def test_every_flag_lands_in_its_field(self):
+        argv = (
+            "knn --rho-grid 0.1,0.2 --eps-grid 1,2 --n-grid 5,6 --k-grid 2 --trials 4 "
+            "--collections 3 --seed 9 --delta 1e-6 --input synthetic-walk --zero-noise "
+            "--extent 50 --beta 0.2 --min-eps-dist 3 --baseline-true-locations "
+            "--samples 77 --out o.csv --format csv"
+        ).split()
+        cfg = config_from_args(_build_parser().parse_args(argv))
+        assert cfg == ExperimentConfig(
+            task="knn", rho_grid=[0.1, 0.2], eps_grid=[1.0, 2.0], n_grid=[5, 6], k_grid=[2],
+            trials=4, collections=3, seed=9, delta=1e-6, input="synthetic-walk",
+            zero_noise=True, extent=50.0, beta=0.2, min_eps_dist=3.0,
+            baseline_true_locations=True, samples=77, out="o.csv", fmt="csv",
+        )
+        # every field but fmt (csv is its only value) moved off its default
+        default = ExperimentConfig()
+        assert [f.name for f in fields(cfg) if getattr(cfg, f.name) == getattr(default, f.name)] == ["fmt"]
 
     def test_eps_only_grid(self):
         cfg = small_cfg(rho_grid=None, eps_grid=[1.0])
@@ -204,6 +230,9 @@ class TestCli:
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
         assert out.read_text().startswith(HEADER)
+        # check names such as planar_laplace_mean(d=2,eps=1) hold commas
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert len(rows) == 28 and all(len(r) == 10 for r in rows)
 
     def test_knn_and_hull_subcommands(self, tmp_path):
         for task in ("knn", "hull"):

@@ -261,6 +261,16 @@ class TestKpnn:
         kpnn_gp(x, [0.0, 0.0], 4, 1.3, RandomStream(28), ledger=ledger)
         ledger.close()
 
+    @pytest.mark.parametrize("mech, budget", [(kpnn, CgpBudget(0.9)), (kpnn_gp, GpBudget(0.9))])
+    def test_abort_leaves_the_started_round_charged(self, mech, budget):
+        # a scan that cannot accept aborts in round 1, after its charge
+        x = uniform_tuple(26, 20)
+        ledger = BudgetLedger(budget)
+        params = PnnParams(threshold_slack=-1e9, max_cycles=1)
+        with pytest.raises(NonHaltError):
+            mech(x, [0.0, 0.0], 4, 0.9, RandomStream(27), params=params, ledger=ledger)
+        assert ledger.entries == [("round_1", 0.9 / 4)]
+
     def test_gp_variant_per_rank_error_bound(self):
         # per-round budget eps/k: each rank's excess stays within
         # (15 k / eps) L + (3 sqrt(2) k / eps) sqrt(L), L = log((4n+2)/beta)
@@ -363,17 +373,24 @@ class TestPrivateConvexHull:
                 continue
             assert directed_excess(true_hull, anchor_hull) <= 1e-9 * 1000
 
+    @staticmethod
+    def assert_ledger_labels_and_close(ledger, k):
+        expect = ["centre", "radius"] + [f"probe_{j}" for j in range(1, k + 1)]
+        expect += [f"release_{j}" for j in range(1, k + 1)]
+        assert [label for label, _ in ledger.entries] == expect
+        ledger.close()
+
     def test_ledger_closes_to_total(self):
         x = uniform_tuple(38, 60)
         ledger = BudgetLedger(CgpBudget(0.6))
         private_convex_hull(x, 0.6, 0.05, RandomStream(39), k=6, ledger=ledger)
-        ledger.close()
+        self.assert_ledger_labels_and_close(ledger, 6)
 
     def test_gp_variant_ledger_closes(self):
         x = uniform_tuple(40, 60)
         ledger = BudgetLedger(GpBudget(0.4))
         private_convex_hull_gp(x, 0.4, 0.05, RandomStream(41), k=6, ledger=ledger)
-        ledger.close()
+        self.assert_ledger_labels_and_close(ledger, 6)
 
     def test_gp_variant_zero_noise_anchors_match_gaussian_variant(self):
         a = private_convex_hull(DIAMOND, 1.0, 0.05, RandomStream(0, zero_noise=True), k=4)
