@@ -6,10 +6,15 @@ per (task, mechanism, n, budget, k, metric) cell with mean and quartiles
 over collections x trials.  ``verify`` runs the statistical check battery
 and exits nonzero on any failure.
 
+The three sweeps are one driver, :func:`run_sweep`, over a task table: each
+entry names its mechanisms, its metrics and a scorer that rates one output
+against the trial's reference (the true tuple, k nearest or hull).
+
 Everything is deterministic under a fixed seed: data, query points and each
 mechanism invocation draw from disjoint stream ids derived from the config.
-Budgets are excluded from the mechanism stream key, so sweeping the budget
-grid reuses the same underlying draws (common random numbers).
+A mechanism's stream id is keyed by its position in the task table, the
+(n, k) cell, the collection and the trial, but not by the budget, so every
+budget of the grid shares the same draws (common random numbers).
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import io
 import math
 import sys
 import warnings
+from collections.abc import Callable
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
@@ -68,9 +74,10 @@ class ExperimentConfig:
     baseline_true_locations: bool = False
     samples: int = 10**6
     out: str | None = None
-    fmt: str = "csv"
 
     def __post_init__(self):
+        if self.task not in (*_TASKS, "verify"):
+            raise ValueError(f"task must be one of {', '.join(_TASKS)} or verify, got {self.task!r}")
         if self.rho_grid is None and self.eps_grid is None:
             self.rho_grid = [1e-4, 1e-3, 1e-2]
         for name in ("rho_grid", "eps_grid", "n_grid", "k_grid"):
@@ -84,8 +91,6 @@ class ExperimentConfig:
         if self.rho_grid is not None and self.eps_grid is not None:
             if len(self.rho_grid) != len(self.eps_grid):
                 raise ValueError("rho_grid and eps_grid must have equal lengths when both given")
-        if self.fmt != "csv":
-            raise ValueError(f"unsupported output format {self.fmt!r}")
 
 
 @dataclass(frozen=True)
@@ -118,14 +123,14 @@ def _budget_pairs(cfg: ExperimentConfig) -> list[tuple[float, float, float]]:
     return out
 
 
-def _stream(cfg: ExperimentConfig, base: int, offset: int, noisy: bool = False) -> RandomStream:
-    zero = cfg.zero_noise if noisy else False
-    return RandomStream(cfg.seed, base + offset, zero_noise=zero)
+def _stream(cfg: ExperimentConfig, base: int, offset: int) -> RandomStream:
+    return RandomStream(cfg.seed, base + offset)
 
 
 def _mech_stream(cfg: ExperimentConfig, cell: int, mech: int, coll: int, trial: int) -> RandomStream:
+    """The only stream ``--zero-noise`` silences: data and query draws stay noisy."""
     offset = ((cell * 8 + mech) * cfg.collections + coll) * cfg.trials + trial
-    return _stream(cfg, _MECH_BASE, offset, noisy=True)
+    return RandomStream(cfg.seed, _MECH_BASE + offset, zero_noise=cfg.zero_noise)
 
 
 def _synthetic_collection(cfg: ExperimentConfig, index: int) -> PointTuple:
@@ -168,134 +173,126 @@ def _sampled(cfg: ExperimentConfig, colls: list[PointTuple], n_index: int, n: in
 
 def _aggregate(task, mechanism, n, budget, k, metric, values) -> ResultRow:
     arr = np.asarray(values, dtype=np.float64)
-    return ResultRow(
-        task,
-        mechanism,
-        int(n),
-        float(budget),
-        k,
-        metric,
-        float(arr.mean()),
-        float(np.percentile(arr, 25)),
-        float(np.percentile(arr, 75)),
-        int(arr.size),
-    )
+    p25, p75 = (float(np.percentile(arr, q)) for q in (25, 75))
+    return ResultRow(task, mechanism, int(n), float(budget), k, metric, float(arr.mean()), p25, p75, int(arr.size))
 
 
 def _row_key(r: ResultRow):
     return (r.task, r.mechanism, r.n, r.budget, -1 if r.k is None else r.k, r.metric)
 
 
-def run_identity(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Whole-tuple release: max single-point error and l2 error for the GP
-    and CGP baselines, the GP budget matched from rho."""
-    colls = _collections(cfg)
-    rows = []
-    for ni, n in enumerate(cfg.n_grid):
-        data = _sampled(cfg, colls, ni, n)
-        for budget, rho, eps in _budget_pairs(cfg):
-            vals = {m: {"max_point_err": [], "l2_err": []} for m in ("gp_basic", "cgp_basic")}
-            for ci, x in enumerate(data):
-                for t in range(cfg.trials):
-                    y = identity_gp_inf(x, eps, _mech_stream(cfg, ni, 0, ci, t))
-                    vals["gp_basic"]["max_point_err"].append(dist_inf(y, x))
-                    vals["gp_basic"]["l2_err"].append(dist_2(y, x))
-                    z = identity_cgp_inf(x, rho, _mech_stream(cfg, ni, 1, ci, t))
-                    vals["cgp_basic"]["max_point_err"].append(dist_inf(z, x))
-                    vals["cgp_basic"]["l2_err"].append(dist_2(z, x))
-            for mech, metrics in vals.items():
-                for metric, v in metrics.items():
-                    rows.append(_aggregate("identity", mech, n, budget, None, metric, v))
-    return sorted(rows, key=_row_key)
+@dataclass
+class _Trial:
+    """What one trial's mechanisms release from and are scored against."""
+
+    x: PointTuple
+    rho: float
+    eps: float
+    k: int | None
+    true_hull: np.ndarray | None
+    query: np.ndarray | None = None
+    true_sum: float = 0.0  # sum of the k true nearest distances to ``query``
 
 
-def _baseline_knn_distance(released: PointTuple, x: PointTuple, p, k: int, true_locations: bool) -> float:
-    d_priv = np.linalg.norm(released.points - p, axis=1)
-    sel = np.argsort(d_priv, kind="stable")[:k]
-    if true_locations:
-        return float(np.linalg.norm(x.points[sel] - p, axis=1).sum())
-    return float(d_priv[sel].sum())
+@dataclass(frozen=True)
+class _Task:
+    """One sweep.  ``mechanisms`` maps each name, in stream-id order, to
+    ``(cfg, trial, rng) -> output``; ``score(trial, output)`` gives one value
+    per name in ``metrics``.  The lambdas look mechanisms up at call time."""
+
+    mechanisms: dict
+    metrics: tuple[str, ...]
+    score: Callable
 
 
-def run_knn(cfg: ExperimentConfig) -> list[ResultRow]:
-    """k-nearest-neighbour utility: the sum of output-neighbour distances to
-    the query point, normalized by the true nearest neighbours' sum
-    (``norm_sum_dist``), plus the per-rank mean excess (``mean_rank_excess``).
+def _knn_baseline(cfg: ExperimentConfig, t: _Trial, released: PointTuple) -> np.ndarray:
+    """The k points nearest the query by released location, at the locations
+    they are scored on: released, or true with ``baseline_true_locations``."""
+    sel = np.argsort(np.linalg.norm(released.points - t.query, axis=1), kind="stable")[: t.k]
+    return (t.x if cfg.baseline_true_locations else released).points[sel]
 
-    Baselines release the whole tuple and post-process; distances for them
-    use the released locations unless ``baseline_true_locations`` is set.
+
+def _knn_score(t: _Trial, reported: np.ndarray) -> tuple[float, float]:
+    s = float(np.linalg.norm(reported - t.query, axis=1).sum())
+    return s / t.true_sum, (s - t.true_sum) / t.k
+
+
+_TASKS = {
+    # Whole-tuple release: max single-point error and l2 error.
+    "identity": _Task(
+        {
+            "gp_basic": lambda cfg, t, rng: identity_gp_inf(t.x, t.eps, rng),
+            "cgp_basic": lambda cfg, t, rng: identity_cgp_inf(t.x, t.rho, rng),
+        },
+        ("max_point_err", "l2_err"),
+        lambda t, y: (dist_inf(y, t.x), dist_2(y, t.x)),
+    ),
+    # k nearest neighbours of a query point: the reported points' distance sum
+    # over the true k nearest's, and the per-rank mean excess.
+    "knn": _Task(
+        {
+            "gp_basic": lambda cfg, t, rng: _knn_baseline(cfg, t, identity_gp_inf(t.x, t.eps, rng)),
+            "cgp_basic": lambda cfg, t, rng: _knn_baseline(cfg, t, identity_cgp_inf(t.x, t.rho, rng)),
+            "gp_pnn": lambda cfg, t, rng: t.x.points[np.asarray(kpnn_gp(t.x, t.query, t.k, t.eps, rng)) - 1],
+            "cgp_pnn": lambda cfg, t, rng: t.x.points[np.asarray(kpnn(t.x, t.query, t.k, t.rho, rng)) - 1],
+        },
+        ("norm_sum_dist", "mean_rank_excess"),
+        _knn_score,
+    ),
+    # Convex hull: Jaccard similarity to the true hull (higher is better).
+    "hull": _Task(
+        {
+            "gp_basic": lambda cfg, t, rng: identity_gp_inf(t.x, t.eps, rng),
+            "cgp_basic": lambda cfg, t, rng: identity_cgp_inf(t.x, t.rho, rng),
+            "gp_pch": lambda cfg, t, rng: private_convex_hull_gp(t.x, t.eps, cfg.beta, rng),
+            "cgp_pch": lambda cfg, t, rng: private_convex_hull(t.x, t.rho, cfg.beta, rng),
+        },
+        ("jaccard",),
+        lambda t, out: (jaccard(convex_hull(out.points), t.true_hull),),
+    ),
+}
+
+
+def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
+    """Run every mechanism of ``cfg.task`` on each (n, k, budget, collection,
+    trial) cell and aggregate each metric over collections x trials.
+
+    knn also sweeps ``k_grid`` (skipping k > n) and draws one query point per
+    (collection, trial); a trial whose true k nearest all sit on the query is
+    skipped.  The GP budget is matched from rho unless ``eps_grid`` is given.
     """
+    task = _TASKS[cfg.task]
     colls = _collections(cfg)
-    pool = query_point_pool(colls)
-    mechs = ("gp_basic", "cgp_basic", "gp_pnn", "cgp_pnn")
+    knn = cfg.task == "knn"
+    pool = query_point_pool(colls) if knn else None
+    k_grid = cfg.k_grid if knn else [None]
     rows = []
     for ni, n in enumerate(cfg.n_grid):
         data = _sampled(cfg, colls, ni, n)
-        for ki, k in enumerate(cfg.k_grid):
-            if k > n:
+        hulls = [convex_hull(x.points) for x in data] if cfg.task == "hull" else [None] * len(data)
+        for ki, k in enumerate(k_grid):
+            if knn and k > n:
                 warnings.warn(f"skipping k={k} > n={n}")
                 continue
-            cell = ni * len(cfg.k_grid) + ki
+            cell = ni * len(k_grid) + ki
             for budget, rho, eps in _budget_pairs(cfg):
-                vals = {m: {"norm_sum_dist": [], "mean_rank_excess": []} for m in mechs}
+                vals = {(m, metric): [] for m in task.mechanisms for metric in task.metrics}
                 for ci, x in enumerate(data):
                     for t in range(cfg.trials):
-                        qgen = _stream(cfg, _QUERY_BASE, ci * 100_000 + t).generator
-                        p = pool[int(qgen.integers(len(pool)))]
-                        d_true = np.linalg.norm(x.points - p, axis=1)
-                        true_sum = float(np.sort(d_true, kind="stable")[:k].sum())
-                        if true_sum <= 0.0:
-                            continue
-                        sums = {}
-                        y = identity_gp_inf(x, eps, _mech_stream(cfg, cell, 0, ci, t))
-                        sums["gp_basic"] = _baseline_knn_distance(
-                            y, x, p, k, cfg.baseline_true_locations
-                        )
-                        z = identity_cgp_inf(x, rho, _mech_stream(cfg, cell, 1, ci, t))
-                        sums["cgp_basic"] = _baseline_knn_distance(
-                            z, x, p, k, cfg.baseline_true_locations
-                        )
-                        idx = kpnn_gp(x, p, k, eps, _mech_stream(cfg, cell, 2, ci, t))
-                        sums["gp_pnn"] = float(
-                            np.linalg.norm(x.points[np.asarray(idx) - 1] - p, axis=1).sum()
-                        )
-                        idx = kpnn(x, p, k, rho, _mech_stream(cfg, cell, 3, ci, t))
-                        sums["cgp_pnn"] = float(
-                            np.linalg.norm(x.points[np.asarray(idx) - 1] - p, axis=1).sum()
-                        )
-                        for m in mechs:
-                            vals[m]["norm_sum_dist"].append(sums[m] / true_sum)
-                            vals[m]["mean_rank_excess"].append((sums[m] - true_sum) / k)
-                for m in mechs:
-                    for metric, v in vals[m].items():
-                        rows.append(_aggregate("knn", m, n, budget, k, metric, v))
-    return sorted(rows, key=_row_key)
-
-
-def run_hull(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Convex hull utility: Jaccard similarity between the hull of each
-    mechanism's released points and the true hull (higher is better)."""
-    colls = _collections(cfg)
-    mechs = ("gp_basic", "cgp_basic", "gp_pch", "cgp_pch")
-    rows = []
-    for ni, n in enumerate(cfg.n_grid):
-        data = _sampled(cfg, colls, ni, n)
-        true_hulls = [convex_hull(x.points) for x in data]
-        for budget, rho, eps in _budget_pairs(cfg):
-            vals = {m: [] for m in mechs}
-            for ci, x in enumerate(data):
-                ht = true_hulls[ci]
-                for t in range(cfg.trials):
-                    y = identity_gp_inf(x, eps, _mech_stream(cfg, ni, 0, ci, t))
-                    vals["gp_basic"].append(jaccard(convex_hull(y.points), ht))
-                    z = identity_cgp_inf(x, rho, _mech_stream(cfg, ni, 1, ci, t))
-                    vals["cgp_basic"].append(jaccard(convex_hull(z.points), ht))
-                    g = private_convex_hull_gp(x, eps, cfg.beta, _mech_stream(cfg, ni, 2, ci, t))
-                    vals["gp_pch"].append(jaccard(convex_hull(g.points), ht))
-                    c = private_convex_hull(x, rho, cfg.beta, _mech_stream(cfg, ni, 3, ci, t))
-                    vals["cgp_pch"].append(jaccard(convex_hull(c.points), ht))
-            for m in mechs:
-                rows.append(_aggregate("hull", m, n, budget, None, "jaccard", vals[m]))
+                        trial = _Trial(x, rho, eps, k, hulls[ci])
+                        if knn:
+                            qgen = _stream(cfg, _QUERY_BASE, ci * 100_000 + t).generator
+                            trial.query = pool[int(qgen.integers(len(pool)))]
+                            d_true = np.linalg.norm(x.points - trial.query, axis=1)
+                            trial.true_sum = float(np.sort(d_true, kind="stable")[:k].sum())
+                            if trial.true_sum <= 0.0:
+                                continue
+                        for mi, (m, release) in enumerate(task.mechanisms.items()):
+                            out = release(cfg, trial, _mech_stream(cfg, cell, mi, ci, t))
+                            for metric, v in zip(task.metrics, task.score(trial, out)):
+                                vals[m, metric].append(v)
+                for (m, metric), v in vals.items():
+                    rows.append(_aggregate(cfg.task, m, n, budget, k, metric, v))
     return sorted(rows, key=_row_key)
 
 
@@ -387,11 +384,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--baseline-true-locations", action="store_true", help="score baseline kNN with true instead of released locations")
     common.add_argument("--samples", type=int, help="Monte Carlo draws for verify")
     common.add_argument("--out", help="output file (default stdout)")
-    common.add_argument("--format", dest="fmt", choices=["csv"])
 
     ap = argparse.ArgumentParser(prog="geopriv", description="Geo-privacy mechanism benchmarks")
     sub = ap.add_subparsers(dest="task", required=True)
-    for task in ("identity", "knn", "hull", "verify"):
+    for task in (*_TASKS, "verify"):
         sub.add_parser(task, parents=[common])
     return ap
 
@@ -400,16 +396,13 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**vars(args))
 
 
-_RUNNERS = {"identity": run_identity, "knn": run_knn, "hull": run_hull}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     cfg = config_from_args(args)
     if cfg.task == "verify":
         rows, ok = run_verify(cfg)
     else:
-        rows, ok = _RUNNERS[cfg.task](cfg), True
+        rows, ok = run_sweep(cfg), True
     text = render_csv(rows)
     if cfg.out:
         Path(cfg.out).write_text(text, encoding="utf-8")

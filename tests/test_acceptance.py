@@ -20,7 +20,7 @@ from geopriv.accounting import (
     gp_to_cgp,
     matched_gp_budget,
 )
-from geopriv.bench import ExperimentConfig, main, run_hull, run_identity, run_knn
+from geopriv.bench import ExperimentConfig, main, run_sweep
 from geopriv.geometry import PointTuple, center, dist_inf, max_radius, min_dist
 from geopriv.hull import convex_hull, directed_excess, point_polygon_distance
 from geopriv.mechanisms import (
@@ -272,7 +272,7 @@ def test_criterion_6_scaling_trends():
     cfg = ExperimentConfig(
         task="identity", rho_grid=[0.005, 0.01, 0.02], n_grid=[n], trials=25, collections=4, seed=0
     )
-    rows = run_identity(cfg)
+    rows = run_sweep(cfg)
     d = {(r.mechanism, r.budget, r.metric): r.mean for r in rows}
     ratio = d[("gp_basic", 0.01, "max_point_err")] / d[("cgp_basic", 0.01, "max_point_err")]
     ratio_ok = math.sqrt(n) / 4 <= ratio <= 4 * math.sqrt(n)
@@ -284,7 +284,7 @@ def test_criterion_6_scaling_trends():
     cfg = ExperimentConfig(
         task="knn", rho_grid=[0.01], n_grid=[n], k_grid=[16, 64], trials=25, collections=4, seed=0
     )
-    kd = {(r.mechanism, r.k, r.metric): r.mean for r in run_knn(cfg)}
+    kd = {(r.mechanism, r.k, r.metric): r.mean for r in run_sweep(cfg)}
     cgp_growth = kd[("cgp_pnn", 64, "mean_rank_excess")] / kd[("cgp_pnn", 16, "mean_rank_excess")]
     gp_growth = kd[("gp_pnn", 64, "mean_rank_excess")] / kd[("gp_pnn", 16, "mean_rank_excess")]
     knn_ok = cgp_growth < 3.0 and gp_growth > cgp_growth
@@ -292,7 +292,7 @@ def test_criterion_6_scaling_trends():
     cfg = ExperimentConfig(
         task="hull", rho_grid=[5e-4], n_grid=[4096], trials=25, collections=4, seed=0
     )
-    hd = {r.mechanism: r.mean for r in run_hull(cfg)}
+    hd = {r.mechanism: r.mean for r in run_sweep(cfg)}
     hull_ok = all(
         hd[pch] > hd[base]
         for pch in ("gp_pch", "cgp_pch")

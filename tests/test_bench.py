@@ -14,9 +14,7 @@ from geopriv.bench import (
     config_from_args,
     main,
     render_csv,
-    run_hull,
-    run_identity,
-    run_knn,
+    run_sweep,
     run_verify,
 )
 from geopriv.hull import convex_hull, jaccard
@@ -50,8 +48,8 @@ class TestConfig:
             ExperimentConfig(n_grid=[])
         with pytest.raises(ValueError):
             ExperimentConfig(rho_grid=[0.1, 0.2], eps_grid=[1.0])
-        with pytest.raises(ValueError):
-            ExperimentConfig(fmt="json")
+        with pytest.raises(ValueError, match="task"):
+            ExperimentConfig(task="bogus")
 
     def test_cli_defaults_come_from_the_config(self):
         for task in ("identity", "knn", "hull", "verify"):
@@ -62,32 +60,32 @@ class TestConfig:
             "knn --rho-grid 0.1,0.2 --eps-grid 1,2 --n-grid 5,6 --k-grid 2 --trials 4 "
             "--collections 3 --seed 9 --delta 1e-6 --input synthetic-walk --zero-noise "
             "--extent 50 --beta 0.2 --min-eps-dist 3 --baseline-true-locations "
-            "--samples 77 --out o.csv --format csv"
+            "--samples 77 --out o.csv"
         ).split()
         cfg = config_from_args(_build_parser().parse_args(argv))
         assert cfg == ExperimentConfig(
             task="knn", rho_grid=[0.1, 0.2], eps_grid=[1.0, 2.0], n_grid=[5, 6], k_grid=[2],
             trials=4, collections=3, seed=9, delta=1e-6, input="synthetic-walk",
             zero_noise=True, extent=50.0, beta=0.2, min_eps_dist=3.0,
-            baseline_true_locations=True, samples=77, out="o.csv", fmt="csv",
+            baseline_true_locations=True, samples=77, out="o.csv",
         )
-        # every field but fmt (csv is its only value) moved off its default
+        # no field is left at its default
         default = ExperimentConfig()
-        assert [f.name for f in fields(cfg) if getattr(cfg, f.name) == getattr(default, f.name)] == ["fmt"]
+        assert [f.name for f in fields(cfg) if getattr(cfg, f.name) == getattr(default, f.name)] == []
 
     def test_eps_only_grid(self):
         cfg = small_cfg(rho_grid=None, eps_grid=[1.0])
-        rows = run_identity(cfg)
+        rows = run_sweep(cfg)
         assert {r.budget for r in rows} == {1.0}
 
 
 class TestZeroNoiseModes:
     def test_identity_errors_are_zero(self):
-        rows = run_identity(small_cfg(task="identity", zero_noise=True))
+        rows = run_sweep(small_cfg(task="identity", zero_noise=True))
         assert all(r.mean == 0.0 and r.p25 == 0.0 and r.p75 == 0.0 for r in rows)
 
     def test_knn_normalized_error_is_one(self):
-        rows = run_knn(small_cfg(task="knn", zero_noise=True))
+        rows = run_sweep(small_cfg(task="knn", zero_noise=True))
         norm = [r for r in rows if r.metric == "norm_sum_dist"]
         excess = [r for r in rows if r.metric == "mean_rank_excess"]
         assert norm and all(r.mean == 1.0 for r in norm)
@@ -96,7 +94,7 @@ class TestZeroNoiseModes:
     def test_hull_baselines_one_and_pch_matches_noiseless_pipeline(self):
         cfg = small_cfg(task="hull", n_grid=[48], trials=2, collections=2)
         cfg.zero_noise = True
-        rows = run_hull(cfg)
+        rows = run_sweep(cfg)
         by_mech = {r.mechanism: r for r in rows}
         assert by_mech["gp_basic"].mean == 1.0
         assert by_mech["cgp_basic"].mean == 1.0
@@ -126,7 +124,7 @@ class TestZeroNoiseModes:
 
 class TestRowsAndRendering:
     def test_schema_and_sorting(self):
-        rows = run_identity(small_cfg(rho_grid=[0.02, 0.01]))
+        rows = run_sweep(small_cfg(rho_grid=[0.02, 0.01]))
         keys = [(r.task, r.mechanism, r.n, r.budget, -1 if r.k is None else r.k, r.metric) for r in rows]
         assert keys == sorted(keys)
         assert all(r.p25 <= r.p75 for r in rows)
@@ -143,7 +141,7 @@ class TestRowsAndRendering:
     def test_missing_dataset_falls_back_to_synthetic(self):
         cfg = small_cfg(input="/nonexistent/trace/dir")
         with pytest.warns(UserWarning, match="falling back"):
-            rows = run_identity(cfg)
+            rows = run_sweep(cfg)
         assert rows
 
 
@@ -160,7 +158,7 @@ class TestTrendExamples:
             collections=6,
             seed=1,
         )
-        d = {(r.mechanism, r.k, r.metric): r.mean for r in run_knn(cfg)}
+        d = {(r.mechanism, r.k, r.metric): r.mean for r in run_sweep(cfg)}
         assert d[("cgp_pnn", 96, "mean_rank_excess")] < d[("gp_pnn", 96, "mean_rank_excess")]
         flat = d[("cgp_basic", 96, "norm_sum_dist")] / d[("cgp_basic", 16, "norm_sum_dist")]
         assert abs(flat - 1.0) < 0.15
@@ -175,7 +173,7 @@ class TestTrendExamples:
             collections=4,
             seed=3,
         )
-        d = {(r.mechanism, r.n): r.mean for r in run_hull(cfg)}
+        d = {(r.mechanism, r.n): r.mean for r in run_sweep(cfg)}
         for base in ("gp_basic", "cgp_basic"):
             assert d[(base, 8192)] < d[(base, 2048)]
         for pch in ("gp_pch", "cgp_pch"):
@@ -191,7 +189,7 @@ class TestTrendExamples:
             seed=2,
             extent=10_000.0,
         )
-        rows = run_hull(cfg)
+        rows = run_sweep(cfg)
         for mech in ("gp_basic", "cgp_basic", "gp_pch", "cgp_pch"):
             vals = [r.mean for r in rows if r.mechanism == mech]
             assert len(vals) == 2 and vals[0] <= vals[1]
@@ -256,5 +254,5 @@ class TestCli:
             assert body[0] == HEADER and len(body) > 1
 
     def test_walk_input_mode(self):
-        rows = run_identity(small_cfg(input="synthetic-walk"))
+        rows = run_sweep(small_cfg(input="synthetic-walk"))
         assert rows
