@@ -100,45 +100,19 @@ def sample_gaussian_vec(dim: int, sigma: float, rng: RandomStream, size: int | N
     return sigma * rng.generator.standard_normal((size, dim))
 
 
-def _gamma_unit(shape: float, gen: np.random.Generator, size: int) -> np.ndarray:
-    """Gamma(shape) draws at unit scale via Marsaglia-Tsang rejection."""
-    if shape < 1.0:
-        # boost trick: Gamma(a) = Gamma(a+1) * U^(1/a)
-        g = _gamma_unit(shape + 1.0, gen, size)
-        u = gen.random(size)
-        return g * u ** (1.0 / shape)
-    d = shape - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(size)
-    todo = np.arange(size)
-    while todo.size:
-        x = gen.standard_normal(todo.size)
-        v = (1.0 + c * x) ** 3
-        u = gen.random(todo.size)
-        pos = v > 0
-        logv = np.log(np.where(pos, v, 1.0))
-        accept = pos & (
-            (u < 1.0 - 0.0331 * x**4)
-            | (np.log(u) < 0.5 * x**2 + d * (1.0 - v + logv))
-        )
-        out[todo[accept]] = d * v[accept]
-        todo = todo[~accept]
-    return out
-
-
 def sample_gen_gamma(params: GenGammaParams, rng: RandomStream, size: int | None = None):
     """Draw from the generalized gamma distribution given by ``params``.
 
     Uses the identity that ``(R/scale)**power`` is Gamma(shape/power)
-    distributed, with the Gamma variate produced by Marsaglia-Tsang
-    rejection sampling.
+    distributed, with the Gamma variate drawn by numpy's
+    ``Generator.standard_gamma``.
     """
     if not isinstance(params, GenGammaParams):
         params = GenGammaParams(*params)
     if rng.zero_noise:
         return 0.0 if size is None else np.zeros(size)
     n = 1 if size is None else int(size)
-    t = _gamma_unit(params.shape / params.power, rng.generator, n)
+    t = rng.generator.standard_gamma(params.shape / params.power, n)
     r = params.scale * t ** (1.0 / params.power)
     return float(r[0]) if size is None else r
 
