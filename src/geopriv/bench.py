@@ -173,8 +173,18 @@ def _sampled(cfg: ExperimentConfig, colls: list[PointTuple], n_index: int, n: in
 
 def _aggregate(task, mechanism, n, budget, k, metric, values) -> ResultRow:
     arr = np.asarray(values, dtype=np.float64)
-    p25, p75 = (float(np.percentile(arr, q)) for q in (25, 75))
-    return ResultRow(task, mechanism, int(n), float(budget), k, metric, float(arr.mean()), p25, p75, int(arr.size))
+    return ResultRow(
+        task,
+        mechanism,
+        int(n),
+        float(budget),
+        k,
+        metric,
+        float(arr.mean()),
+        float(np.percentile(arr, 25)),
+        float(np.percentile(arr, 75)),
+        int(arr.size),
+    )
 
 
 def _row_key(r: ResultRow):
@@ -198,7 +208,8 @@ class _Trial:
 class _Task:
     """One sweep.  ``mechanisms`` maps each name, in stream-id order, to
     ``(cfg, trial, rng) -> output``; ``score(trial, output)`` gives one value
-    per name in ``metrics``.  The lambdas look mechanisms up at call time."""
+    per name in ``metrics``.  The lambdas look mechanisms up at call time, so
+    rebinding a module attribute (as a tracer does) reaches every call."""
 
     mechanisms: dict
     metrics: tuple[str, ...]

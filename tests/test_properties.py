@@ -1,7 +1,8 @@
-"""Property tests: for both the GP and the CGP calibration, every composite
-mechanism's ledger closes over random tuple sizes, neighbour counts, budgets
-and failure probabilities, including n = 1, k = n, duplicate points and
-Mercator-scale coordinates."""
+"""Property tests over random tuple sizes, neighbour counts, budgets and
+failure probabilities, including n = 1, k = n, duplicate points and
+Mercator-scale coordinates: for both the GP and the CGP calibration, every
+composite mechanism's ledger closes, and the zero-noise k nearest
+neighbours are exactly the brute-force ones."""
 
 from types import SimpleNamespace
 
@@ -22,6 +23,7 @@ from geopriv.mechanisms import (
     private_convex_hull_gp,
 )
 from geopriv.noise import RandomStream
+from helpers import brute_knn
 
 Q = [500.0, 500.0]
 
@@ -77,3 +79,12 @@ def test_ledger_closes(name, case):
     ledger = BudgetLedger(budget_type(case.budget))
     mech(case, RandomStream(case.seed), ledger)
     ledger.close()
+
+
+@pytest.mark.parametrize("select", [kpnn, kpnn_gp])
+@settings(max_examples=50, deadline=None, database=None)
+@given(case=cases())
+def test_zero_noise_knn_is_brute_force(select, case):
+    # ties, duplicates included, resolve to the lowest index
+    got = select(case.x, Q, case.k, case.budget, RandomStream(case.seed, zero_noise=True))
+    assert list(got) == brute_knn(case.x.points, Q, case.k)
