@@ -87,15 +87,23 @@ def max_radius(x: PointTuple, q) -> float:
     return float(np.linalg.norm(x.points - q, axis=1).max())
 
 
-def _validate_indices(indices: Iterable[int] | None, n: int) -> list[int]:
+def _validate_indices(indices: Iterable[int] | None, n: int) -> np.ndarray:
+    """The 1-based index subset as an ``intp`` array, range-checked at once.
+
+    Accepts any iterable of integers (lists, ``range``, numpy integer
+    scalars) or an integer ndarray; None means every index ``1..n``.
+    """
     if indices is None:
-        return list(range(1, n + 1))
-    idx = [int(i) for i in indices]
-    if not idx:
+        return np.arange(1, n + 1)
+    if isinstance(indices, np.ndarray):
+        idx = indices.astype(np.intp).reshape(-1)
+    else:
+        idx = np.fromiter(indices, dtype=np.intp)
+    if idx.size == 0:
         raise ValueError("index subset must be nonempty")
-    for i in idx:
-        if not 1 <= i <= n:
-            raise ValueError(f"index {i} outside the valid range 1..{n}")
+    bad = (idx < 1) | (idx > n)
+    if bad.any():
+        raise ValueError(f"index {idx[bad.argmax()]} outside the valid range 1..{n}")
     return idx
 
 
@@ -109,10 +117,9 @@ def min_dist(x: PointTuple, q, indices: Iterable[int] | None = None) -> tuple[in
     if q.shape != (x.dim,):
         raise ValueError(f"query point must have shape ({x.dim},), got {q.shape}")
     idx = _validate_indices(indices, x.n)
-    sub = x.points[np.asarray(idx, dtype=np.intp) - 1]
-    d = np.linalg.norm(sub - q, axis=1)
+    d = np.linalg.norm(x.points[idx - 1] - q, axis=1)
     pos = int(np.argmin(d))
-    return idx[pos], float(d[pos])
+    return int(idx[pos]), float(d[pos])
 
 
 def diameter(x: PointTuple) -> float:

@@ -13,6 +13,17 @@ share becomes the GP rate of its scan, the bounding-circle noise, and the
 auto anchor count.  The flattened-l2 identity releases keep their own
 noise expressions.
 
+Every sparse vector scan (``svt``, ``pnn``, each round of ``kpnn`` and
+``kpnn_gp``, each probe of the anchor stage) runs through one array scan,
+``_scan``.  It takes the queries in blocks of up to 256, makes one
+Laplace draw of the block's size per block, compares the whole block with
+the gate at once and halts at the first value below it.  The blocks are
+the ones a query-by-query scan would draw, so the draw stream, and every
+output at a fixed seed, is that of such a scan.  The nearest-neighbour
+mechanisms compute the query distances once per query point, as one
+array; a ``kpnn`` round scans the distances of the indices not yet chosen,
+in ascending index order, and an anchor probe scans all n.
+
 Every mechanism takes an explicit RandomStream and, optionally, a
 BudgetLedger that audits its internal splits.  Each part is charged before
 the scan or draw that spends it, so an aborted scan leaves its budget on
@@ -33,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable
 
 import numpy as np
@@ -256,6 +268,60 @@ def identity_cgp_l2(
 # ---------------------------------------------------------------------------
 # sparse vector technique
 
+# Queries per Laplace draw of the scan; the block sizes fix the draw stream.
+_BLOCK = 256
+
+
+def _scan(
+    block: Callable[[int, int], np.ndarray],
+    gate: float,
+    scale: float,
+    max_steps: int,
+    rng: RandomStream,
+) -> SvtOutcome:
+    """The one below-threshold scan loop behind ``svt`` and ``pnn``.
+
+    ``block(done, size)`` returns the values of queries ``done + 1`` ..
+    ``done + size``, fewer only when the query stream runs out.  Each block
+    of ``min(256, max_steps - done)`` queries gets one Laplace(scale) draw
+    of that size (none under zero noise), is compared with the gate at once
+    as ``value + noise <= gate``, and the first hit halts the scan.
+    """
+    done = 0
+    while done < max_steps:
+        size = min(_BLOCK, max_steps - done)
+        values = block(done, size)
+        if len(values) == 0:
+            break
+        if not rng.zero_noise:
+            values = values + rng.generator.laplace(0.0, scale, size=size)[: len(values)]
+        hits = np.flatnonzero(values <= gate)
+        if hits.size:
+            steps = done + int(hits[0]) + 1
+            return SvtOutcome(True, steps, steps)
+        done += len(values)
+    return SvtOutcome(False, done, None)
+
+
+def _cycle(values: np.ndarray) -> Callable[[int, int], np.ndarray]:
+    """Scan blocks that cycle through ``values`` from its first entry."""
+    return lambda done, size: values.take(np.arange(done, done + size), mode="wrap")
+
+
+def _svt(
+    block: Callable[[int, int], np.ndarray],
+    eps: float,
+    threshold: float,
+    lipschitz: float,
+    max_steps: int,
+    rng: RandomStream,
+    ledger: BudgetLedger | None,
+) -> SvtOutcome:
+    _charge(ledger, "svt_threshold", eps / 2.0)
+    _charge(ledger, "svt_queries", eps / 2.0)
+    gate = threshold + sample_laplace(2.0 * lipschitz / eps, rng)
+    return _scan(block, gate, 4.0 * lipschitz / eps, max_steps, rng)
+
 
 def svt(
     x: PointTuple,
@@ -275,42 +341,61 @@ def svt(
     If no query accepts within ``max_steps`` (or the query stream runs out)
     the outcome reports a budget-safe non-halt; privacy is unaffected either
     way, only the caller's utility is.
+
+    The queries are evaluated a block at a time, up to 256 of them, and fed
+    to the same array scan as ``pnn``: one block of V draws per block of
+    queries, so the draw stream is that of a query-by-query scan.  A query
+    after the accepted one in its block may be evaluated; its value is not
+    used.
     """
     _check_positive("eps", eps)
     _check_positive("lipschitz", lipschitz)
     if max_steps < 1:
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
+    stream = iter(queries)
 
-    _charge(ledger, "svt_threshold", eps / 2.0)
-    _charge(ledger, "svt_queries", eps / 2.0)
-    gate = threshold + sample_laplace(2.0 * lipschitz / eps, rng)
+    def block(done, size):
+        return np.fromiter((q(x) for q in islice(stream, size)), dtype=np.float64)
 
-    noise_scale = 4.0 * lipschitz / eps
-    zero = rng.zero_noise
-    buf = np.empty(0)
-    pos = 0
-    steps = 0
-    for query in queries:
-        if steps == max_steps:
-            break
-        steps += 1
-        if zero:
-            v = 0.0
-        else:
-            if pos == len(buf):
-                buf = rng.generator.laplace(
-                    0.0, noise_scale, size=min(256, max_steps - steps + 1)
-                )
-                pos = 0
-            v = buf[pos]
-            pos += 1
-        if query(x) + v <= gate:
-            return SvtOutcome(True, steps, steps)
-    return SvtOutcome(False, steps, None)
+    return _svt(block, eps, threshold, lipschitz, max_steps, rng, ledger)
 
 
 # ---------------------------------------------------------------------------
 # private nearest neighbours
+
+
+def _query_dists(x: PointTuple, query_point, idx: np.ndarray | None = None) -> np.ndarray:
+    """Distances from the query point to the points at 1-based ``idx`` (all
+    points when None)."""
+    q = np.asarray(query_point, dtype=np.float64)
+    if q.shape != (x.dim,):
+        raise ValueError(f"query point must have shape ({x.dim},), got {q.shape}")
+    pts = x.points if idx is None else x.points[idx - 1]
+    return np.linalg.norm(pts - q, axis=1)
+
+
+def _pnn_scan(
+    dists: np.ndarray,
+    eps: float,
+    rng: RandomStream,
+    params: PnnParams,
+    ledger: BudgetLedger | None,
+) -> SvtOutcome:
+    """Private nearest-neighbour scan over candidate distances; the outcome's
+    ``steps - 1`` modulo ``len(dists)`` is the accepted position."""
+    _check_positive("eps", eps)
+    m = len(dists)
+    _charge(ledger, "pnn_threshold", eps / 3.0)
+    gate = float(dists.min()) + sample_laplace(3.0 / eps, rng) + params.threshold_slack
+    outcome = _svt(
+        _cycle(dists), 2.0 * eps / 3.0, gate, 1.0, params.max_cycles * m, rng, ledger
+    )
+    if not outcome.halted:
+        raise NonHaltError(
+            f"nearest-neighbour scan did not accept within {params.max_cycles} cycles "
+            f"over {m} candidates"
+        )
+    return outcome
 
 
 def pnn_detailed(
@@ -329,42 +414,17 @@ def pnn_detailed(
     (remaining two thirds, noise scales 3/eps and 6/eps) cycling through the
     candidate distances until one accepts.  Returns the accepted 1-based
     index and the SvtOutcome; eps-GP overall.
+
+    The distances are computed once, as one array, and scanned by the same
+    array scan as ``svt`` in blocks of up to 256 steps with one Laplace draw
+    per block, so the draws are those of a step-by-step scan.
     """
     if params is None:
         params = PnnParams()
-    _check_positive("eps", eps)
     idx = _validate_indices(indices, x.n)
-    q = np.asarray(query_point, dtype=np.float64)
-    if q.shape != (x.dim,):
-        raise ValueError(f"query point must have shape ({x.dim},), got {q.shape}")
-    dists = np.linalg.norm(x.points[np.asarray(idx, dtype=np.intp) - 1] - q, axis=1)
-    m = len(idx)
-
-    _charge(ledger, "pnn_threshold", eps / 3.0)
-    gate = float(dists.min()) + sample_laplace(3.0 / eps, rng) + params.threshold_slack
-
-    def cycling():
-        step = 0
-        while True:
-            yield (lambda _x, i=step % m: float(dists[i]))
-            step += 1
-
-    outcome = svt(
-        x,
-        2.0 * eps / 3.0,
-        gate,
-        1.0,
-        cycling(),
-        params.max_cycles * m,
-        rng,
-        ledger=ledger,
-    )
-    if not outcome.halted:
-        raise NonHaltError(
-            f"nearest-neighbour scan did not accept within {params.max_cycles} cycles "
-            f"over {m} candidates"
-        )
-    return idx[(outcome.steps - 1) % m], outcome
+    dists = _query_dists(x, query_point, idx)
+    outcome = _pnn_scan(dists, eps, rng, params, ledger)
+    return int(idx[(outcome.steps - 1) % len(idx)]), outcome
 
 
 def pnn(
@@ -376,7 +436,13 @@ def pnn(
     params: PnnParams | None = None,
     ledger: BudgetLedger | None = None,
 ) -> int:
-    """Private nearest neighbour in the given 1-based index subset; eps-GP."""
+    """Private nearest neighbour in the given 1-based index subset; eps-GP.
+
+    The subset may be any iterable of integers or an integer array; it is
+    validated once, its distances are computed once as one array, and the
+    scan cycles them in blocks of up to 256 steps with one Laplace draw per
+    block (see ``pnn_detailed``).  Returns a Python int.
+    """
     return pnn_detailed(x, query_point, indices, eps, rng, params, ledger)[0]
 
 
@@ -396,13 +462,16 @@ def _kpnn(
     share = budget / k
     rate = cal.round_rate(share)
     scan = params or _LONG_SCAN
-    remaining = list(range(1, x.n + 1))
+    dists = _query_dists(x, query_point)
+    remaining = np.ones(x.n, dtype=bool)
     chosen: list[int] = []
     for j in range(1, k + 1):
         _charge(ledger, f"round_{j}", share)
-        t = pnn(x, query_point, remaining, rate, rng, params=scan)
-        chosen.append(t)
-        remaining.remove(t)
+        left = np.flatnonzero(remaining)
+        outcome = _pnn_scan(dists[left], rate, rng, scan, None)
+        t = int(left[(outcome.steps - 1) % len(left)])
+        chosen.append(t + 1)
+        remaining[t] = False
     return chosen
 
 
@@ -471,14 +540,14 @@ def _anchors(
 
     share = (params.rho - b0) / k
     rate = cal.round_rate(share)
-    every = list(range(1, n + 1))
     scan = pnn_params or _LONG_SCAN
     anchors: list[int] = []
     for j in range(k):
         theta = 2.0 * math.pi * j / k
         probe = c_priv + r_priv * np.array([math.cos(theta), math.sin(theta)])
         _charge(ledger, f"probe_{j + 1}", share)
-        anchors.append(pnn(x, probe, every, rate, rng, params=scan))
+        outcome = _pnn_scan(_query_dists(x, probe), rate, rng, scan, None)
+        anchors.append((outcome.steps - 1) % n + 1)
     return anchors, PchInfo(c_priv, float(r_priv), k, share)
 
 

@@ -45,5 +45,23 @@ def brute_first_below(values, threshold: float, max_steps: int):
     return None
 
 
+def stepwise_scan(values, gate: float, scale: float, max_steps: int, gen: np.random.Generator):
+    """Query-by-query below-threshold scan: whenever its block of Laplace
+    draws is used up it draws the next, of min(256, steps left) values.
+    Stops at ``max_steps`` or when ``values`` runs out; returns
+    (halted, steps)."""
+    buf, pos, steps = np.empty(0), 0, 0
+    for v in values:
+        if steps == max_steps:
+            break
+        steps += 1
+        if pos == len(buf):
+            buf, pos = gen.laplace(0.0, scale, size=min(256, max_steps - steps + 1)), 0
+        if v + buf[pos] <= gate:
+            return True, steps
+        pos += 1
+    return False, steps
+
+
 def random_tuple(gen: np.random.Generator, n: int, dim: int = 2, scale: float = 1.0) -> np.ndarray:
     return gen.random((n, dim)) * scale

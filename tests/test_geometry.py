@@ -5,6 +5,7 @@ import pytest
 
 from geopriv.geometry import (
     PointTuple,
+    _validate_indices,
     center,
     diameter,
     dist_1,
@@ -142,6 +143,32 @@ class TestMinDist:
             min_dist(x, [0.0, 0.0], [0])
         with pytest.raises(ValueError):
             min_dist(x, [0.0, 0.0], [2])
+
+    def test_index_subset_kinds(self):
+        x = PointTuple([[4.0], [1.0], [7.0], [1.0]])
+        kinds = [
+            [2, 3, 4],
+            range(2, 5),
+            np.array([2, 3, 4]),
+            np.array([2, 3, 4], dtype=np.int32),
+            [np.int64(2), np.int64(3), np.int64(4)],
+        ]
+        for kind in kinds:
+            idx = _validate_indices(kind, 4)
+            assert idx.dtype == np.intp and idx.tolist() == [2, 3, 4]
+            got = min_dist(x, [0.0], kind)
+            assert got == (2, 1.0) and type(got[0]) is int
+        assert _validate_indices(None, 3).tolist() == [1, 2, 3]
+
+    def test_index_messages(self):
+        with pytest.raises(ValueError, match="must be nonempty"):
+            _validate_indices(np.array([], dtype=np.int64), 3)
+        with pytest.raises(ValueError, match="must be nonempty"):
+            _validate_indices(range(1, 1), 3)
+        with pytest.raises(ValueError, match=r"^index 0 outside the valid range 1\.\.3$"):
+            _validate_indices([1, 0, 5], 3)
+        with pytest.raises(ValueError, match=r"^index 5 outside the valid range 1\.\.3$"):
+            _validate_indices(np.array([2, 5, 0]), 3)
 
 
 class TestDiameter:

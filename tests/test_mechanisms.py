@@ -215,6 +215,14 @@ class TestPnn:
         with pytest.raises(ValueError):
             pnn(uniform_tuple(0, 3), [0.0, 0.0], [], 1.0, ZERO)
 
+    def test_index_kinds_give_the_same_python_int(self):
+        x = uniform_tuple(13, 50)
+        kinds = [list(range(5, 30)), range(5, 30), np.arange(5, 30), [np.int64(i) for i in range(5, 30)]]
+        got = [pnn(x, [500.0, 500.0], kind, 0.05, RandomStream(14, 3)) for kind in kinds]
+        assert all(type(t) is int for t in got) and len(set(got)) == 1
+        with pytest.raises(ValueError, match="index 51 outside the valid range 1..50"):
+            pnn(x, [500.0, 500.0], np.array([3, 51]), 1.0, ZERO)
+
 
 class TestKpnn:
     def test_zero_noise_exact_rank_order(self):

@@ -1,9 +1,14 @@
 """Property tests over random tuple sizes, neighbour counts, budgets and
-failure probabilities, including n = 1, k = n, duplicate points and
-Mercator-scale coordinates: for both the GP and the CGP calibration, every
-composite mechanism's ledger closes, and the zero-noise k nearest
-neighbours are exactly the brute-force ones."""
+failure probabilities, including n = 1, k = n, duplicate or collinear
+points and Mercator-scale coordinates: for both the GP and the CGP
+calibration, every composite mechanism's ledger closes, and under zero
+noise the k nearest neighbours and every hull anchor are exactly the
+brute-force ones.  The sparse vector scan is checked against a brute-force
+first-below search under zero noise, and against a query-by-query scan on
+seeded streams: same outcome, same draws."""
 
+import math
+from itertools import cycle, islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,15 +20,19 @@ from geopriv.accounting import BudgetLedger, CgpBudget, GpBudget
 from geopriv.geometry import PointTuple
 from geopriv.mechanisms import (
     PchParams,
+    SvtOutcome,
+    _cycle,
+    _scan,
     kpnn,
     kpnn_gp,
     pch_anchors_detailed,
     pnn,
     private_convex_hull,
     private_convex_hull_gp,
+    svt,
 )
-from geopriv.noise import RandomStream
-from helpers import brute_knn
+from geopriv.noise import RandomStream, sample_laplace
+from helpers import brute_first_below, brute_knn, stepwise_scan
 
 Q = [500.0, 500.0]
 
@@ -59,6 +68,8 @@ def cases(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     points = np.random.default_rng(seed).random((n, 2)) * 1000.0
     if draw(st.booleans()):
+        points[:, 1] = 0.5 * points[:, 0]  # collinear
+    if draw(st.booleans()):
         points[n // 2 :] = points[0]  # duplicates
     points += draw(st.sampled_from([0.0, 1e7]))  # Mercator-scale offset
     return SimpleNamespace(
@@ -88,3 +99,98 @@ def test_zero_noise_knn_is_brute_force(select, case):
     # ties, duplicates included, resolve to the lowest index
     got = select(case.x, Q, case.k, case.budget, RandomStream(case.seed, zero_noise=True))
     assert list(got) == brute_knn(case.x.points, Q, case.k)
+
+
+def _hull_stage(release):
+    def run(c, rng):
+        out = release(c.x, c.budget, c.beta, rng, k=c.hull_k, k_clamp=(3, 24))
+        # zero noise releases the anchors themselves
+        assert np.array_equal(out.points, c.x.points[np.array(out.anchors) - 1])
+        return out.anchors, out.info
+
+    return run
+
+
+ANCHOR_STAGES = {
+    "pch_anchors_detailed": lambda c, rng: pch_anchors_detailed(
+        c.x, PchParams(rho=c.budget, beta=c.beta, k=c.hull_k, k_clamp=(3, 24)), rng
+    ),
+    "private_convex_hull": _hull_stage(private_convex_hull),
+    "private_convex_hull_gp": _hull_stage(private_convex_hull_gp),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANCHOR_STAGES))
+@settings(max_examples=50, deadline=None, database=None)
+@given(case=cases())
+def test_zero_noise_anchors_are_per_probe_argmins(name, case):
+    anchors, info = ANCHOR_STAGES[name](case, RandomStream(case.seed, zero_noise=True))
+    assert len(anchors) == info.k
+    for j, a in enumerate(anchors):
+        theta = 2.0 * math.pi * j / info.k
+        probe = info.center + info.radius * np.array([math.cos(theta), math.sin(theta)])
+        assert [a] == brute_knn(case.x.points, probe, 1)
+
+
+# max_steps around the 256-draw block edges as well as anywhere
+STEP_CAPS = st.one_of(st.integers(1, 1100), st.sampled_from([255, 256, 257, 511, 512, 513, 769]))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    values=st.lists(st.integers(0, 6), min_size=1, max_size=300),
+    gate=st.integers(-1, 6),
+    max_steps=STEP_CAPS,
+)
+def test_zero_noise_scan_is_the_first_value_below(values, gate, max_steps):
+    # small integers put values exactly at the gate; gate -1 never halts
+    m = len(values)
+    first = brute_first_below([values[i % m] for i in range(max_steps)], gate, max_steps)
+    expect = SvtOutcome(True, first, first) if first else SvtOutcome(False, max_steps, None)
+    zero = RandomStream(0, zero_noise=True)
+    assert _scan(_cycle(np.array(values, dtype=float)), float(gate), 1.0, max_steps, zero) == expect
+    queries = (lambda _x, v=v: v for v in cycle(values))
+    assert svt(PointTuple([[0.0, 0.0]]), 1.0, float(gate), 1.0, queries, max_steps, zero) == expect
+
+
+@pytest.mark.parametrize("path", ["halt", "cap", "exhausted"])
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    m=st.integers(1, 700),
+    extra=st.integers(0, 900),
+    hit=st.integers(0, 10**6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_svt_draws_like_the_array_scan(path, m, extra, hit, seed):
+    # values sit 100 above the threshold 0 and noise scales are 2 and 4, so
+    # only a value planted at -100 accepts
+    values = 100.0 + np.random.default_rng(seed).random(m)
+    if path == "exhausted":
+        max_steps = m + 1 + extra
+        seq = list(values)
+        block = lambda done, size: values[done : done + size]  # noqa: E731
+    else:
+        max_steps = 1 + extra
+        if path == "halt":
+            values[hit % min(m, max_steps)] = -100.0
+        seq = list(islice(cycle(values), max_steps))
+        block = _cycle(values)
+
+    ref = RandomStream(seed, 1)
+    halted, steps = stepwise_scan(seq, 0.0 + sample_laplace(2.0, ref), 4.0, max_steps, ref.generator)
+    expect = SvtOutcome(halted, steps, steps if halted else None)
+
+    public = RandomStream(seed, 1)
+    queries = (lambda _x, v=v: v for v in (seq if path == "exhausted" else cycle(values)))
+    assert svt(PointTuple([[0.0, 0.0]]), 1.0, 0.0, 1.0, queries, max_steps, public) == expect
+
+    array = RandomStream(seed, 1)
+    assert _scan(block, 0.0 + sample_laplace(2.0, array), 4.0, max_steps, array) == expect
+
+    draws = {s.generator.random() for s in (ref, public, array)}
+    assert len(draws) == 1
+    assert (halted, steps) == {
+        "halt": (True, hit % min(m, max_steps) + 1),
+        "cap": (False, max_steps),
+        "exhausted": (False, m),
+    }[path]
