@@ -1,22 +1,20 @@
-"""Layer timings of the geopriv scan stack and of the knn/hull CLI sweeps.
+"""Layer timings of the geopriv scan stack.
 
     python benchmarks/layers.py                        # this checkout, JSON to stdout
     python benchmarks/layers.py --src OTHER/src        # another checkout's source
     python benchmarks/layers.py --compare PARENT_ROOT --out BENCH.json [--tier1]
 
 Each layer is timed with stdlib ``timeit``: ``autorange`` picks the call
-count, and the best of ``--repeat`` runs is reported in milliseconds per
-call.  Every call starts from a fresh ``RandomStream``, so each run repeats
-the same work.  The layers are ``kpnn``/``kpnn_gp`` at k in {16, 64}, n = 2000
+count, and the best of 5 runs is reported in milliseconds per call.
+Every call starts from a fresh ``RandomStream``, so each run repeats the
+same work.  The layers are ``kpnn``/``kpnn_gp`` at k in {16, 64}, n = 2000
 and two budgets, ``pnn`` over every index and ``pch_anchors_detailed`` at
-n in {1k, 4k, 16k, 64k} (uniform points on a 10 km square), and the
-``knn``/``hull`` CLI sweeps at the argv of ``perfbench/run.py``, in process.
-The sweep entries carry the sha256 of their CSV, so two checkouts can be
-shown to write the same bytes.
+n in {1k, 4k, 16k, 64k} (uniform points on a 10 km square).  End-to-end
+sweep times and CSV hashes are ``perfbench/run.py``'s to measure.
 
-``--compare`` runs the harness on a parent checkout and on this one in
-alternating subprocesses, keeps each layer's best time over the rounds, and
-writes both sides with their ratio, the numpy version and the core count.
+``--compare`` runs the harness on a parent checkout and on this one in two
+alternating subprocess rounds, keeps each layer's best time over the rounds,
+and writes both sides with their ratio, the numpy version and the core count.
 ``--tier1`` adds the wall time of each side's tier-1 suite.  The module is
 not a test file, so the test suite does not collect it.
 """
@@ -24,18 +22,13 @@ not a test file, so the test suite does not collect it.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import hashlib
-import io
 import json
 import os
 import platform
 import subprocess
 import sys
-import tempfile
 import time
 import timeit
-import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,20 +41,18 @@ KNN_RHO = (5e-4, 1e-2)
 PNN_EPS = 0.01  # about the GP rate of one kpnn round at rho 5e-4, k 16
 HULL_RHO = 5e-4  # the anchor stage of a hull release gets rho/2 and beta/2
 HULL_BETA = 0.05
-SWEEPS = {
-    "knn": "knn --rho-grid 5e-4,1e-2 --n-grid 2000 --k-grid 16,64 --trials 6 --collections 2",
-    "hull": "hull --rho-grid 5e-4 --n-grid 4096 --trials 8 --collections 4",
-}
+REPEAT = 5  # timeit runs per layer; the best is kept
+ROUNDS = 2  # alternating subprocess rounds per side with --compare
 
 
-def _best_ms(fn, repeat: int) -> float:
+def _best_ms(fn) -> float:
     timer = timeit.Timer(fn)
     number, _ = timer.autorange()
-    return min(timer.repeat(repeat=repeat, number=number)) / number * 1e3
+    return min(timer.repeat(repeat=REPEAT, number=number)) / number * 1e3
 
 
-def measure(repeat: int) -> dict:
-    """Time every layer and sweep of the geopriv importable now."""
+def measure() -> dict:
+    """Time every layer of the geopriv importable now, in ms per call."""
     import numpy as np
 
     from geopriv import bench
@@ -80,43 +71,26 @@ def measure(repeat: int) -> dict:
         eps = matched_gp_budget(rho, bench.ExperimentConfig.delta, bench.ExperimentConfig.min_eps_dist)
         for k in KNN_K:
             layers[f"kpnn k={k} n={KNN_N} rho={rho:g}"] = _best_ms(
-                lambda: kpnn(x, q, k, rho, RandomStream(1)), repeat
+                lambda: kpnn(x, q, k, rho, RandomStream(1))
             )
             layers[f"kpnn_gp k={k} n={KNN_N} eps={eps:.4g}"] = _best_ms(
-                lambda: kpnn_gp(x, q, k, eps, RandomStream(1)), repeat
+                lambda: kpnn_gp(x, q, k, eps, RandomStream(1))
             )
     stage = PchParams(rho=HULL_RHO / 2.0, beta=HULL_BETA / 2.0)
     for n in SCAN_N:
         x = uniform(n)
         every = range(1, n + 1)
         layers[f"pnn n={n} eps={PNN_EPS:g}"] = _best_ms(
-            lambda: pnn(x, q, every, PNN_EPS, RandomStream(2)), repeat
+            lambda: pnn(x, q, every, PNN_EPS, RandomStream(2))
         )
         layers[f"pch_anchors_detailed n={n} rho={stage.rho:g}"] = _best_ms(
-            lambda: pch_anchors_detailed(x, stage, RandomStream(3)), repeat
+            lambda: pch_anchors_detailed(x, stage, RandomStream(3))
         )
-
-    sweeps = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, argv in SWEEPS.items():
-            out = Path(tmp) / f"{name}.csv"
-            args = [*argv.split(), "--seed", "0", "--out", str(out)]
-
-            def sweep():
-                with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
-                    warnings.simplefilter("ignore")
-                    if bench.main(args) != 0:
-                        raise RuntimeError(f"sweep {name} failed")
-
-            sweep()  # warm-up, and the CSV the hash is taken of
-            digest = hashlib.sha256(out.read_bytes()).hexdigest()
-            best = min(timeit.repeat(sweep, repeat=repeat, number=1))
-            sweeps[f"{name} sweep"] = {"s": best, "csv_sha256": digest, "argv": argv}
-    return {"layers_ms": layers, "sweeps": sweeps}
+    return layers
 
 
-def _run_side(root: Path, repeat: int) -> dict:
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--src", str(root / "src"), "--repeat", str(repeat)]
+def _run_side(root: Path) -> dict:
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--src", str(root / "src")]
     done = subprocess.run(cmd, check=True, capture_output=True, text=True)
     return json.loads(done.stdout)
 
@@ -132,41 +106,32 @@ def _tier1_s(root: Path) -> float:
 
 
 def _merge_best(runs: list[dict]) -> dict:
-    best = runs[0]
-    for run in runs[1:]:
-        for key, ms in run["layers_ms"].items():
-            best["layers_ms"][key] = min(best["layers_ms"][key], ms)
-        for key, entry in run["sweeps"].items():
-            if entry["csv_sha256"] != best["sweeps"][key]["csv_sha256"]:
-                raise RuntimeError(f"{key} wrote different CSV bytes across runs")
-            best["sweeps"][key]["s"] = min(best["sweeps"][key]["s"], entry["s"])
-    return best
+    return {key: min(run[key] for run in runs) for key in runs[0]}
 
 
-def compare(parent: Path, rounds: int, repeat: int, tier1: bool) -> dict:
+def compare(parent: Path, tier1: bool) -> dict:
     """Before/after timings of a parent checkout and this one."""
     import numpy as np
 
     runs = {"before": [], "after": []}
-    for r in range(rounds):
+    for r in range(ROUNDS):
         order = [("before", parent), ("after", ROOT)]
         for side, root in order if r % 2 == 0 else order[::-1]:
-            runs[side].append(_run_side(root, repeat))
+            runs[side].append(_run_side(root))
     before, after = _merge_best(runs["before"]), _merge_best(runs["after"])
-    ratio = {key: after["layers_ms"][key] / ms for key, ms in before["layers_ms"].items()}
-    ratio.update({key: after["sweeps"][key]["s"] / e["s"] for key, e in before["sweeps"].items()})
+    ratio = {key: after[key] / ms for key, ms in before.items()}
     result = {
         "harness": "benchmarks/layers.py --compare",
-        "method": f"timeit best of {repeat} runs (autorange call count), best over {rounds} "
-                  "alternating subprocess rounds per side; ms per call, sweeps in s",
+        "method": f"timeit best of {REPEAT} runs (autorange call count), best over {ROUNDS} "
+                  "alternating subprocess rounds per side; ms per call",
         "env": {
             "cores": os.cpu_count(),
             "cpu": platform.processor() or platform.machine(),
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
-        "before": before,
-        "after": after,
+        "before_ms": before,
+        "after_ms": after,
         "after_over_before": ratio,
     }
     if tier1:
@@ -177,17 +142,15 @@ def compare(parent: Path, rounds: int, repeat: int, tier1: bool) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="geopriv source to time")
-    parser.add_argument("--repeat", type=int, default=5, help="timeit runs per layer (best is kept)")
     parser.add_argument("--compare", type=Path, metavar="PARENT_ROOT", help="checkout to time against")
-    parser.add_argument("--rounds", type=int, default=2, help="alternating rounds per side with --compare")
     parser.add_argument("--tier1", action="store_true", help="also time each side's tier-1 suite")
     parser.add_argument("--out", type=Path, help="write the JSON here instead of stdout")
     args = parser.parse_args(argv)
     if args.compare is not None:
-        result = compare(args.compare.resolve(), args.rounds, args.repeat, args.tier1)
+        result = compare(args.compare.resolve(), args.tier1)
     else:
         sys.path.insert(0, str(args.src.resolve()))
-        result = measure(args.repeat)
+        result = measure()
     text = json.dumps(result, indent=2) + "\n"
     if args.out is None:
         sys.stdout.write(text)

@@ -90,15 +90,16 @@ def max_radius(x: PointTuple, q) -> float:
 def _validate_indices(indices: Iterable[int] | None, n: int) -> np.ndarray:
     """The 1-based index subset as an ``intp`` array, range-checked at once.
 
-    Accepts any iterable of integers (lists, ``range``, numpy integer
-    scalars) or an integer ndarray; None means every index ``1..n``.
+    Accepts any iterable of integers: lists, ``range``, numpy integer
+    scalars, 1-D integer ndarrays.  None means every index ``1..n``.
     """
     if indices is None:
         return np.arange(1, n + 1)
-    if isinstance(indices, np.ndarray):
-        idx = indices.astype(np.intp).reshape(-1)
-    else:
+    try:
         idx = np.fromiter(indices, dtype=np.intp)
+    except OverflowError:
+        # Only a value past the intp range overflows; it is past n too.
+        raise ValueError(f"an index overflows intp, outside the valid range 1..{n}") from None
     if idx.size == 0:
         raise ValueError("index subset must be nonempty")
     bad = (idx < 1) | (idx > n)

@@ -344,9 +344,10 @@ def svt(
 
     The queries are evaluated a block at a time, up to 256 of them, and fed
     to the same array scan as ``pnn``: one block of V draws per block of
-    queries, so the draw stream is that of a query-by-query scan.  A query
-    after the accepted one in its block may be evaluated; its value is not
-    used.
+    queries, so the draw stream is that of a query-by-query scan.  The
+    queries after the accepted one in its block are evaluated too; their
+    values are not used, but an exception one of them raises propagates.
+    Queries past that block are never evaluated.
     """
     _check_positive("eps", eps)
     _check_positive("lipschitz", lipschitz)

@@ -169,6 +169,13 @@ class TestMinDist:
             _validate_indices([1, 0, 5], 3)
         with pytest.raises(ValueError, match=r"^index 5 outside the valid range 1\.\.3$"):
             _validate_indices(np.array([2, 5, 0]), 3)
+        for huge in ([1, 2**70], [1, -(2**70)], np.array([1, 2**63 + 5], dtype=np.uint64)):
+            with pytest.raises(ValueError, match=r"outside the valid range 1\.\.3$"):
+                _validate_indices(huge, 3)
+
+    def test_two_dimensional_subset_rejected(self):
+        with pytest.raises(ValueError):
+            _validate_indices(np.array([[1, 2], [2, 3]]), 3)
 
 
 class TestDiameter:

@@ -141,6 +141,28 @@ class TestSvt:
         out = svt(x, 1.0, 2.0, 1.0, value_queries([5, 6]), 10, ZERO)
         assert not out.halted and out.steps == 2
 
+    def test_queries_evaluate_a_block_at_a_time(self):
+        x = PointTuple([[0.0, 0.0]])
+        seen = []
+
+        def query(j):
+            def g(_x):
+                seen.append(j)
+                if j == 7:
+                    raise RuntimeError("query 7")
+                return 1.0 if j == 2 else 5.0
+            return g
+
+        # The block of 256 is evaluated whole: query 7, after the accepted
+        # query 2, still runs and its exception propagates.
+        with pytest.raises(RuntimeError, match="query 7"):
+            svt(x, 1.0, 2.0, 1.0, (query(j) for j in range(1, 1000)), 1000, ZERO)
+        assert seen == list(range(1, 8))
+        # Within the cap of 3 the block is queries 1..3, so query 7 never runs.
+        seen.clear()
+        out = svt(x, 1.0, 2.0, 1.0, (query(j) for j in range(1, 1000)), 3, ZERO)
+        assert out.halted and out.index == 2 and seen == [1, 2, 3]
+
     def test_huge_gap_halts_immediately(self):
         x = PointTuple([[0.0, 0.0]])
         hits = 0
