@@ -172,8 +172,6 @@ class TestMinDist:
         for huge in ([1, 2**70], [1, -(2**70)], np.array([1, 2**63 + 5], dtype=np.uint64)):
             with pytest.raises(ValueError, match=r"outside the valid range 1\.\.3$"):
                 _validate_indices(huge, 3)
-
-    def test_two_dimensional_subset_rejected(self):
         with pytest.raises(ValueError):
             _validate_indices(np.array([[1, 2], [2, 3]]), 3)
 
