@@ -7,10 +7,17 @@
 Each layer is timed with stdlib ``timeit``: ``autorange`` picks the call
 count, and the best of 5 runs is reported in milliseconds per call.
 Every call starts from a fresh ``RandomStream``, so each run repeats the
-same work.  The layers are ``kpnn``/``kpnn_gp`` at k in {16, 64}, n = 2000
-and two budgets, ``pnn`` over every index and ``pch_anchors_detailed`` at
-n in {1k, 4k, 16k, 64k} (uniform points on a 10 km square).  End-to-end
-sweep times and CSV hashes are ``perfbench/run.py``'s to measure.
+same work.  The layers, on uniform points on a 10 km square:
+
+- ``kpnn``/``kpnn_gp`` at k in {16, 64}, n = 2000 and two budgets;
+- ``pnn`` over every index and ``pch_anchors_detailed`` at n in
+  {1k, 4k, 16k, 64k};
+- ``convex_hull`` at n in {1k, 4k, 16k, 64k} of the uniform tuple and of
+  its CGP- and GP-noisy releases at the hull sweep's budget (rho 5e-4);
+- at n = 4096, ``jaccard`` of a noisy release's hull against the true
+  hull, and ``private_convex_hull``/``private_convex_hull_gp``.
+
+End-to-end sweep times and CSV hashes are ``perfbench/run.py``'s to measure.
 
 ``--compare`` runs the harness on a parent checkout and on this one in two
 alternating subprocess rounds, keeps each layer's best time over the rounds,
@@ -39,8 +46,9 @@ KNN_N = 2000
 KNN_K = (16, 64)
 KNN_RHO = (5e-4, 1e-2)
 PNN_EPS = 0.01  # about the GP rate of one kpnn round at rho 5e-4, k 16
-HULL_RHO = 5e-4  # the anchor stage of a hull release gets rho/2 and beta/2
+HULL_RHO = 5e-4  # the hull sweep's budget; its anchor stage gets rho/2 and beta/2
 HULL_BETA = 0.05
+HULL_N = 4096
 REPEAT = 5  # timeit runs per layer; the best is kept
 ROUNDS = 2  # alternating subprocess rounds per side with --compare
 
@@ -58,7 +66,18 @@ def measure() -> dict:
     from geopriv import bench
     from geopriv.accounting import matched_gp_budget
     from geopriv.geometry import PointTuple
-    from geopriv.mechanisms import PchParams, kpnn, kpnn_gp, pch_anchors_detailed, pnn
+    from geopriv.hull import convex_hull, jaccard
+    from geopriv.mechanisms import (
+        PchParams,
+        identity_cgp_inf,
+        identity_gp_inf,
+        kpnn,
+        kpnn_gp,
+        pch_anchors_detailed,
+        pnn,
+        private_convex_hull,
+        private_convex_hull_gp,
+    )
     from geopriv.noise import RandomStream
 
     def uniform(n):
@@ -86,6 +105,26 @@ def measure() -> dict:
         layers[f"pch_anchors_detailed n={n} rho={stage.rho:g}"] = _best_ms(
             lambda: pch_anchors_detailed(x, stage, RandomStream(3))
         )
+    hull_eps = matched_gp_budget(HULL_RHO, bench.ExperimentConfig.delta, bench.ExperimentConfig.min_eps_dist)
+    for n in SCAN_N:
+        x = uniform(n)
+        tuples = {
+            "uniform": x,
+            "cgp_noisy": identity_cgp_inf(x, HULL_RHO, RandomStream(4)),
+            "gp_noisy": identity_gp_inf(x, hull_eps, RandomStream(4)),
+        }
+        for kind, y in tuples.items():
+            layers[f"convex_hull {kind} n={n}"] = _best_ms(lambda: convex_hull(y.points))
+    x = uniform(HULL_N)
+    true_hull = convex_hull(x.points)
+    noisy_hull = convex_hull(identity_cgp_inf(x, HULL_RHO, RandomStream(4)).points)
+    layers[f"jaccard cgp_noisy n={HULL_N}"] = _best_ms(lambda: jaccard(noisy_hull, true_hull))
+    layers[f"private_convex_hull n={HULL_N} rho={HULL_RHO:g}"] = _best_ms(
+        lambda: private_convex_hull(x, HULL_RHO, HULL_BETA, RandomStream(5))
+    )
+    layers[f"private_convex_hull_gp n={HULL_N} eps={hull_eps:.4g}"] = _best_ms(
+        lambda: private_convex_hull_gp(x, hull_eps, HULL_BETA, RandomStream(5))
+    )
     return layers
 
 

@@ -8,6 +8,7 @@ they line up with the usual mathematical convention for tuples indexed by
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable
 
 import numpy as np
@@ -87,14 +88,28 @@ def max_radius(x: PointTuple, q) -> float:
     return float(np.linalg.norm(x.points - q, axis=1).max())
 
 
+def _as_index(i) -> int:
+    try:
+        return operator.index(i)
+    except TypeError:
+        raise ValueError(f"index {i!r} is not an integer") from None
+
+
 def _validate_indices(indices: Iterable[int] | None, n: int) -> np.ndarray:
     """The 1-based index subset as an ``intp`` array, range-checked at once.
 
     Accepts any iterable of integers: lists, ``range``, numpy integer
-    scalars, 1-D integer ndarrays.  None means every index ``1..n``.
+    scalars, 1-D integer ndarrays.  None means every index ``1..n``.  A
+    non-integer index, such as 1.5 or 2.0, raises ValueError rather than
+    being truncated to another subset.
     """
     if indices is None:
         return np.arange(1, n + 1)
+    if isinstance(indices, np.ndarray):
+        if indices.dtype.kind not in "iu":
+            raise ValueError(f"index subset must hold integers, got dtype {indices.dtype}")
+    elif not isinstance(indices, range):
+        indices = map(_as_index, indices)
     try:
         idx = np.fromiter(indices, dtype=np.intp)
     except OverflowError:

@@ -57,12 +57,51 @@ def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+# The prefilter runs from this many points on; below it the chain is cheap.
+_FILTER_MIN_N = 32
+# Dropped points lie inside the extreme polygon by more than this many
+# orientation tolerances (as a cross product) against every edge.
+_FILTER_MARGIN = 4.0
+_FILTER_ANGLES = 2.0 * np.pi * np.arange(16) / 16
+_FILTER_DIRS = np.column_stack([np.cos(_FILTER_ANGLES), np.sin(_FILTER_ANGLES)])
+
+
+def _drop_interior(pts: np.ndarray, margin: float) -> np.ndarray:
+    """Akl-Toussaint filter: ``pts`` without those strictly inside the
+    polygon of extreme points by more than ``margin`` against every edge."""
+    ext = pts[np.argmax(_FILTER_DIRS @ pts.T, axis=1)]  # counter-clockwise
+    ext = ext[np.any(ext != np.roll(ext, 1, axis=0), axis=1)]
+    if len(ext) < 3:
+        return pts
+    x, y = pts[:, 0], pts[:, 1]
+    inside = np.ones(len(pts), dtype=bool)
+    for (ox, oy), (ex, ey) in zip(ext, np.roll(ext, -1, axis=0) - ext):
+        inside &= ex * (y - oy) - ey * (x - ox) > margin
+    return pts[~inside]
+
+
 def convex_hull(points) -> ConvexPolygon:
-    """Convex hull by Andrew's monotone chain.
+    """Convex hull by Andrew's monotone chain behind an Akl-Toussaint filter.
 
     Collinear points are dropped (orientation tolerance ORIENT_EPS relative
     to the bounding-box scale); inputs whose hull has fewer than 3 vertices
     come back flagged degenerate.
+
+    From ``_FILTER_MIN_N`` points on, an Akl-Toussaint filter runs first.
+    The extreme points in 16 evenly spaced directions span a convex polygon
+    inside the hull, and every point inside it by more than
+    ``_FILTER_MARGIN`` tolerances (as a cross product) against each of its
+    edges is dropped.  A dropped point is strictly inside the hull, while
+    every point on or within a few tolerances of a hull edge survives, so
+    the chain still sees every tolerance-collinear point it drops, and the
+    tolerance itself comes from the full input.  On noisy data one point is
+    often the extreme in several adjacent directions: the repeats are
+    collapsed first, because a zero-length edge gives every point a cross
+    product of 0 and nothing would be dropped.  With fewer than 3 distinct
+    extremes the filter is skipped.  Below a span of a few centimetres the
+    tolerance, whose scale is floored at 1, is coarse beside the point
+    spacing; there the chain's output depends on interior points, and the
+    filter can change which near-collinear points it keeps.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -72,10 +111,12 @@ def convex_hull(points) -> ConvexPolygon:
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
 
+    tol = ORIENT_EPS * _bbox_scale(pts) ** 2
+    if len(pts) >= _FILTER_MIN_N:
+        pts = _drop_interior(pts, _FILTER_MARGIN * tol)
     pts = np.unique(pts, axis=0)  # also sorts lexicographically
     if len(pts) == 1:
         return ConvexPolygon(pts, degenerate=True)
-    tol = ORIENT_EPS * _bbox_scale(pts) ** 2
 
     def chain(seq):
         out = []

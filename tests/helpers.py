@@ -31,6 +31,32 @@ def brute_hull_vertices(pts: np.ndarray) -> np.ndarray:
     return np.unique(pts[~interior], axis=0)
 
 
+def monotone_chain(pts: np.ndarray, eps: float) -> tuple[np.ndarray, bool]:
+    """Andrew's monotone chain over every point, no prefilter: the hull
+    vertices counter-clockwise and the degenerate flag, with the orientation
+    tolerance ``eps`` times the squared bounding-box scale (at least 1)."""
+    pts = np.unique(np.asarray(pts, dtype=np.float64), axis=0)
+    if len(pts) == 1:
+        return pts, True
+    tol = eps * max(float((pts.max(axis=0) - pts.min(axis=0)).max()), 1.0) ** 2
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and cross(out[-2], out[-1], p) <= tol:
+                out.pop()
+            out.append(p)
+        return out
+
+    hull = chain(pts)[:-1] + chain(pts[::-1])[:-1]
+    if len(hull) < 3:
+        return np.array([pts[0], pts[-1]]), True
+    return np.asarray(hull), False
+
+
 def brute_knn(pts: np.ndarray, p: np.ndarray, k: int) -> list[int]:
     """1-based indices of the k nearest points, ties to the lowest index."""
     d = np.linalg.norm(np.asarray(pts) - np.asarray(p), axis=1)

@@ -174,6 +174,14 @@ class TestMinDist:
                 _validate_indices(huge, 3)
         with pytest.raises(ValueError):
             _validate_indices(np.array([[1, 2], [2, 3]]), 3)
+        for floats in ([1.5, 2.0], [1, 2.0], [np.float64(2.0)]):
+            with pytest.raises(ValueError, match=r"^index .* is not an integer$"):
+                _validate_indices(floats, 3)
+            with pytest.raises(ValueError, match="is not an integer"):
+                min_dist(PointTuple([[0.0], [1.0], [2.0]]), [0.0], floats)
+        for array in (np.array([1.5, 2.0]), np.array([1.0, 2.0]), np.array([True, False])):
+            with pytest.raises(ValueError, match=r"^index subset must hold integers, got dtype"):
+                _validate_indices(array, 3)
 
 
 class TestDiameter:

@@ -5,7 +5,9 @@ calibration, every composite mechanism's ledger closes, and under zero
 noise the k nearest neighbours and every hull anchor are exactly the
 brute-force ones.  The sparse vector scan is checked against a brute-force
 first-below search under zero noise, and against a query-by-query scan on
-seeded streams: same outcome, same draws."""
+seeded streams: same outcome, same draws.  The prefiltered convex hull is
+checked against point-in-triangle elimination and against a plain
+monotone chain over every point, up to the hull sweep's n = 4096."""
 
 import math
 from itertools import cycle, islice
@@ -18,6 +20,14 @@ from hypothesis import strategies as st
 
 from geopriv.accounting import BudgetLedger, CgpBudget, GpBudget
 from geopriv.geometry import PointTuple
+from geopriv.hull import (
+    _FILTER_DIRS,
+    _FILTER_MARGIN,
+    ORIENT_EPS,
+    _bbox_scale,
+    _drop_interior,
+    convex_hull,
+)
 from geopriv.mechanisms import (
     PchParams,
     SvtOutcome,
@@ -32,7 +42,13 @@ from geopriv.mechanisms import (
     svt,
 )
 from geopriv.noise import RandomStream, sample_laplace
-from helpers import brute_first_below, brute_knn, stepwise_scan
+from helpers import (
+    brute_first_below,
+    brute_hull_vertices,
+    brute_knn,
+    monotone_chain,
+    stepwise_scan,
+)
 
 Q = [500.0, 500.0]
 
@@ -194,3 +210,61 @@ def test_svt_draws_like_the_array_scan(path, m, extra, hit, seed):
         "cap": (False, max_steps),
         "exhausted": (False, m),
     }[path]
+
+
+HULL_KINDS = ["uniform", "gauss", "cauchy", "duplicates", "collinear", "circle", "outlier"]
+
+
+def _hull_points(kind, n, gen):
+    """n points around the hull sweep's uniform 10 km tuple, shaped by kind."""
+    pts = gen.random((n, 2)) * 1e4
+    if kind == "gauss":
+        pts += gen.normal(0.0, 300.0, (n, 2))
+    elif kind == "cauchy":
+        pts += 30.0 * gen.standard_cauchy((n, 2))
+    elif kind == "duplicates":
+        pts[n // 2 :] = pts[gen.integers(0, max(n // 2, 1), n - n // 2)]
+    elif kind == "collinear":
+        pts[:, 1] = 0.5 * pts[:, 0]
+    elif kind == "circle":
+        angle = gen.random(n) * 2.0 * math.pi
+        pts = 5e3 + 5e3 * np.c_[np.cos(angle), np.sin(angle)]
+    elif kind == "outlier":
+        # 1e6 m out: the extreme in several adjacent filter directions
+        angle = gen.random() * 2.0 * math.pi
+        pts[0] = 5e3 + 1e6 * np.array([math.cos(angle), math.sin(angle)])
+    return pts
+
+
+@st.composite
+def hull_points(draw, n_min, n_max, kinds):
+    n = draw(st.integers(n_min, n_max))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = _hull_points(draw(st.sampled_from(kinds)), n, gen)
+    return pts + draw(st.sampled_from([0.0, 1e7]))  # Mercator-scale offset
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(pts=hull_points(32, 60, ["uniform", "gauss", "cauchy", "duplicates"]))
+def test_prefiltered_hull_is_brute_force(pts):
+    # n >= 32 runs the prefilter; brute force keeps points on an edge, so no
+    # collinear or circle sets here
+    assert np.array_equal(np.unique(convex_hull(pts).vertices, axis=0), brute_hull_vertices(pts))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(pts=hull_points(1, 4096, HULL_KINDS))
+def test_prefiltered_hull_is_the_monotone_chain(pts):
+    hull = convex_hull(pts)
+    vertices, degenerate = monotone_chain(pts, ORIENT_EPS)
+    assert hull.degenerate == degenerate
+    assert np.array_equal(hull.vertices, vertices)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(n=st.integers(1000, 4096), seed=st.integers(0, 2**32 - 1))
+def test_prefilter_drops_the_interior_past_a_repeated_extreme(n, seed):
+    pts = _hull_points("outlier", n, np.random.default_rng(seed))
+    assert np.count_nonzero(np.argmax(_FILTER_DIRS @ pts.T, axis=1) == 0) >= 2
+    kept = _drop_interior(pts, _FILTER_MARGIN * ORIENT_EPS * _bbox_scale(pts) ** 2)
+    assert len(kept) < n // 4
