@@ -22,6 +22,8 @@ End-to-end sweep times and CSV hashes are ``perfbench/run.py``'s to measure.
 ``--compare`` runs the harness on a parent checkout and on this one in two
 alternating subprocess rounds, keeps each layer's best time over the rounds,
 and writes both sides with their ratio, the numpy version and the core count.
+``rounds_ms`` holds every round's time of each layer on each side: a ratio
+within the spread of a side's own rounds is noise.
 ``--tier1`` adds the wall time of each side's tier-1 suite.  The module is
 not a test file, so the test suite does not collect it.
 """
@@ -144,10 +146,6 @@ def _tier1_s(root: Path) -> float:
     return time.perf_counter() - t0
 
 
-def _merge_best(runs: list[dict]) -> dict:
-    return {key: min(run[key] for run in runs) for key in runs[0]}
-
-
 def compare(parent: Path, tier1: bool) -> dict:
     """Before/after timings of a parent checkout and this one."""
     import numpy as np
@@ -157,12 +155,14 @@ def compare(parent: Path, tier1: bool) -> dict:
         order = [("before", parent), ("after", ROOT)]
         for side, root in order if r % 2 == 0 else order[::-1]:
             runs[side].append(_run_side(root))
-    before, after = _merge_best(runs["before"]), _merge_best(runs["after"])
+    rounds = {side: {key: [run[key] for run in done] for key in done[0]} for side, done in runs.items()}
+    before = {key: min(ms) for key, ms in rounds["before"].items()}
+    after = {key: min(ms) for key, ms in rounds["after"].items()}
     ratio = {key: after[key] / ms for key, ms in before.items()}
     result = {
         "harness": "benchmarks/layers.py --compare",
         "method": f"timeit best of {REPEAT} runs (autorange call count), best over {ROUNDS} "
-                  "alternating subprocess rounds per side; ms per call",
+                  "alternating subprocess rounds per side (each round in rounds_ms); ms per call",
         "env": {
             "cores": os.cpu_count(),
             "cpu": platform.processor() or platform.machine(),
@@ -172,6 +172,7 @@ def compare(parent: Path, tier1: bool) -> dict:
         "before_ms": before,
         "after_ms": after,
         "after_over_before": ratio,
+        "rounds_ms": rounds,
     }
     if tier1:
         result["tier1_s"] = {"before": _tier1_s(parent), "after": _tier1_s(ROOT)}

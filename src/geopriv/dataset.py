@@ -6,7 +6,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -124,15 +124,6 @@ def load_cab_traces(path) -> list[tuple[str, PointTuple, np.ndarray]]:
 def load_traces(path) -> list[PointTuple]:
     """Projected point tuples, one per cab (see load_cab_traces)."""
     return [points for _, points, _ in load_cab_traces(path)]
-
-
-def write_traces_csv(path, traces: Sequence[tuple[str, PointTuple, np.ndarray]]) -> None:
-    """Serialize loaded traces as CSV with header ``cab_id,idx,x_m,y_m,ts``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("cab_id,idx,x_m,y_m,ts\n")
-        for cab_id, points, ts in traces:
-            for i, ((x, y), t) in enumerate(zip(points.points, ts)):
-                fh.write(f"{cab_id},{i},{x!r},{y!r},{t!r}\n")
 
 
 def sample_points(trace: PointTuple, n: int, rng: RandomStream) -> PointTuple:

@@ -7,7 +7,6 @@ they line up with the usual mathematical convention for tuples indexed by
 
 from __future__ import annotations
 
-import math
 import operator
 from typing import Iterable
 
@@ -57,11 +56,6 @@ def _per_point_dists(x: PointTuple, y: PointTuple) -> np.ndarray:
 def dist_inf(x: PointTuple, y: PointTuple) -> float:
     """Max over i of the Euclidean distance between the i-th points."""
     return float(_per_point_dists(x, y).max())
-
-
-def dist_1(x: PointTuple, y: PointTuple) -> float:
-    """Sum of per-point Euclidean distances."""
-    return float(_per_point_dists(x, y).sum())
 
 
 def dist_2(x: PointTuple, y: PointTuple) -> float:
@@ -136,19 +130,3 @@ def min_dist(x: PointTuple, q, indices: Iterable[int] | None = None) -> tuple[in
     d = np.linalg.norm(x.points[idx - 1] - q, axis=1)
     pos = int(np.argmin(d))
     return int(idx[pos]), float(d[pos])
-
-
-def diameter(x: PointTuple) -> float:
-    """Max pairwise distance (exact O(n^2) scan, blocked for memory)."""
-    pts = x.points
-    n = len(pts)
-    if n == 1:
-        return 0.0
-    sq = (pts**2).sum(axis=1)
-    best = 0.0
-    step = 256
-    for i in range(0, n, step):
-        block = pts[i : i + step]
-        d2 = sq[i : i + step, None] + sq[None, :] - 2.0 * (block @ pts.T)
-        best = max(best, float(d2.max()))
-    return math.sqrt(max(best, 0.0))

@@ -85,7 +85,10 @@ def convex_hull(points) -> ConvexPolygon:
 
     Collinear points are dropped (orientation tolerance ORIENT_EPS relative
     to the bounding-box scale); inputs whose hull has fewer than 3 vertices
-    come back flagged degenerate.
+    come back flagged degenerate.  The chain emits the vertices
+    counter-clockwise by construction; the shoelace sum of the raw
+    coordinates is no check of that, because at Mercator offsets (~1e7 m)
+    rounding can flip its sign for small hulls.
 
     From ``_FILTER_MIN_N`` points on, an Akl-Toussaint filter runs first.
     The extreme points in 16 evenly spaced directions span a convex polygon
@@ -131,12 +134,6 @@ def convex_hull(points) -> ConvexPolygon:
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:
         return ConvexPolygon(np.array([pts[0], pts[-1]]), degenerate=True)
-    hull = np.asarray(hull)
-    # monotone chain emits counter-clockwise order; guard against sign slips
-    x, y = hull[:, 0], hull[:, 1]
-    signed = np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)
-    if signed < 0:
-        hull = hull[::-1]
     return ConvexPolygon(hull)
 
 

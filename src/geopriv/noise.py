@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lambertw
 
 _UINT64_MAX = 2**64 - 1
 
@@ -43,10 +42,6 @@ class RandomStream:
     @property
     def generator(self) -> np.random.Generator:
         return self._generator
-
-    def split(self, stream_id: int) -> "RandomStream":
-        """Fresh stream with the same seed and a different stream id."""
-        return RandomStream(self.seed, stream_id, self.zero_noise)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = ", zero_noise=True" if self.zero_noise else ""
@@ -107,8 +102,6 @@ def sample_gen_gamma(params: GenGammaParams, rng: RandomStream, size: int | None
     distributed, with the Gamma variate drawn by numpy's
     ``Generator.standard_gamma``.
     """
-    if not isinstance(params, GenGammaParams):
-        params = GenGammaParams(*params)
     if rng.zero_noise:
         return 0.0 if size is None else np.zeros(size)
     n = 1 if size is None else int(size)
@@ -196,14 +189,3 @@ def laplace_sum_quantile(beta: float, scale: float) -> float:
         raise ValueError(f"scale must be positive, got {scale}")
     u = math.log(1.0 / beta)
     return scale * (math.sqrt(2.0 * u) + u)
-
-
-def lambert_w_exp_inverse(u: float) -> float:
-    """Lower-branch solution w of ``w * exp(w) = -exp(-u - 1)`` for u > 0.
-
-    This is the inverse used to derive the closed-form radius quantiles; it
-    lies strictly between ``-1 - sqrt(2u) - u`` and ``-1 - sqrt(2u) - 2u/3``.
-    """
-    if not u > 0:
-        raise ValueError(f"u must be positive, got {u}")
-    return float(lambertw(-math.exp(-u - 1.0), k=-1).real)

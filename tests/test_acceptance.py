@@ -235,7 +235,7 @@ def test_criterion_5_utility_bounds():
     scale = 10_000.0
     outer_hits, inner_hits = 0, 0
     for t in range(hull_trials):
-        res = private_convex_hull(x, rho, beta, RandomStream(3, t), k=k_hull, pnn_params=SCAN)
+        res = private_convex_hull(x, rho, beta, RandomStream(3, t), k=k_hull)
         info = res.info
         L = math.log(4 * (4 * n + 2) * info.k / beta)
         g1 = (15 * L + 3 * math.sqrt(2 * L)) / math.sqrt(info.probe_budget)

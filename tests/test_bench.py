@@ -1,10 +1,15 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geopriv
 from geopriv.bench import (
     ExperimentConfig,
     ResultRow,
@@ -252,6 +257,29 @@ class TestCli:
             assert rc == 0
             body = out.read_text().splitlines()
             assert body[0] == HEADER and len(body) > 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "identity --n-grid 16 --rho-grid 0.01 --trials 1 --collections 1",
+            "knn --n-grid 16 --k-grid 2 --rho-grid 0.01 --trials 1 --collections 1",
+            "hull --n-grid 32 --rho-grid 0.01 --trials 1 --collections 1",
+            "verify --samples 20000 --seed 1",
+        ],
+        ids=lambda argv: argv.split()[0],
+    )
+    def test_runs_without_scipy(self, tmp_path, argv):
+        # the runtime depends on numpy alone; scipy is a test dependency
+        no_scipy = "import sys; sys.modules['scipy'] = None; from geopriv.bench import cli; cli()"
+        src = Path(geopriv.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", no_scipy, *argv.split(), "--out", str(tmp_path / "out.csv")],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_walk_input_mode(self):
         rows = run_sweep(small_cfg(input="synthetic-walk"))

@@ -11,7 +11,6 @@ from geopriv.dataset import (
     mercator,
     query_point_pool,
     sample_points,
-    write_traces_csv,
 )
 from geopriv.geometry import PointTuple
 from geopriv.noise import RandomStream
@@ -104,16 +103,6 @@ class TestLoader:
         f.write_text("nan 0.0 0 1\n1.0 1.0 0 2\n")
         traces = load_traces(f)
         assert all(np.all(np.isfinite(t.points)) for t in traces)
-
-    def test_csv_writer(self, tmp_path):
-        f = tmp_path / "new_cab.txt"
-        f.write_text("0.0 0.0 0 5\n0.0 1.0 0 6\n")
-        out = tmp_path / "out.csv"
-        write_traces_csv(out, load_cab_traces(f))
-        lines = out.read_text().splitlines()
-        assert lines[0] == "cab_id,idx,x_m,y_m,ts"
-        assert len(lines) == 3
-        assert lines[1].startswith("new_cab,0,")
 
 
 class TestSamplePoints:

@@ -7,8 +7,6 @@ from geopriv.geometry import (
     PointTuple,
     _validate_indices,
     center,
-    diameter,
-    dist_1,
     dist_2,
     dist_inf,
     max_radius,
@@ -44,13 +42,11 @@ class TestTupleMetrics:
         x = PointTuple([[0, 0], [0, 0]])
         y = PointTuple([[3, 4], [0, 0]])
         assert dist_inf(x, y) == 5.0
-        assert dist_1(x, y) == 5.0
         assert dist_2(x, y) == 5.0
 
     def test_two_differing_points(self):
         x = PointTuple([[0, 0], [10, 10]])
         y = PointTuple([[3, 4], [13, 14]])
-        assert dist_1(x, y) == pytest.approx(10.0, rel=1e-12)
         assert dist_2(x, y) == pytest.approx(math.sqrt(50.0), rel=1e-12)
         assert dist_inf(x, y) == pytest.approx(5.0, rel=1e-12)
 
@@ -58,7 +54,7 @@ class TestTupleMetrics:
         gen = np.random.default_rng(0)
         for _ in range(200):
             x, y = rand_pair(gen)
-            for d in (dist_inf, dist_1, dist_2):
+            for d in (dist_inf, dist_2):
                 assert d(x, x) == 0.0
                 assert d(x, y) == pytest.approx(d(y, x), rel=1e-12)
 
@@ -68,7 +64,7 @@ class TestTupleMetrics:
             n = int(gen.integers(1, 10))
             x, y = rand_pair(gen, n)
             z = PointTuple(gen.random((n, 2)))
-            for d in (dist_inf, dist_1, dist_2):
+            for d in (dist_inf, dist_2):
                 assert d(x, z) <= d(x, y) + d(y, z) + 1e-12
 
     def test_norm_ordering(self):
@@ -76,7 +72,6 @@ class TestTupleMetrics:
         for _ in range(1000):
             x, y = rand_pair(gen)
             assert dist_inf(x, y) <= dist_2(x, y) + 1e-12
-            assert dist_2(x, y) <= dist_1(x, y) + 1e-12
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -182,26 +177,3 @@ class TestMinDist:
         for array in (np.array([1.5, 2.0]), np.array([1.0, 2.0]), np.array([True, False])):
             with pytest.raises(ValueError, match=r"^index subset must hold integers, got dtype"):
                 _validate_indices(array, 3)
-
-
-class TestDiameter:
-    def test_examples(self):
-        assert diameter(PointTuple([[0, 0], [3, 4]])) == pytest.approx(5.0, rel=1e-12)
-        assert diameter(PointTuple([[2.0, 2.0]])) == 0.0
-
-    def test_matches_pairwise_scan(self):
-        gen = np.random.default_rng(6)
-        for _ in range(100):
-            pts = gen.random((int(gen.integers(2, 40)), 2))
-            brute = max(
-                float(np.linalg.norm(pts[i] - pts[j]))
-                for i in range(len(pts))
-                for j in range(i + 1, len(pts))
-            )
-            assert diameter(PointTuple(pts)) == pytest.approx(brute, rel=1e-12)
-
-    def test_blocked_path(self):
-        gen = np.random.default_rng(7)
-        pts = gen.random((1000, 2))
-        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
-        assert diameter(PointTuple(pts)) == pytest.approx(math.sqrt(d2.max()), rel=1e-10)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammainc
+from scipy.special import gammainc, lambertw
 from scipy.stats import chi2
 
 from geopriv.noise import (
@@ -10,7 +10,6 @@ from geopriv.noise import (
     RandomStream,
     cgp_radius_quantile,
     gp_radius_quantile,
-    lambert_w_exp_inverse,
     laplace_sum_pdf,
     laplace_sum_quantile,
     sample_gaussian_vec,
@@ -219,5 +218,7 @@ class TestLaplaceSum:
 class TestLambertBounds:
     @pytest.mark.parametrize("u", [0.1, 1.0, 10.0])
     def test_inverse_sandwich(self, u):
-        w = lambert_w_exp_inverse(u)
+        # lower-branch w of w * e^w = -e^{-u-1}, the inverse behind the
+        # closed-form radius quantiles
+        w = float(lambertw(-math.exp(-u - 1.0), k=-1).real)
         assert -1 - math.sqrt(2 * u) - u < w < -1 - math.sqrt(2 * u) - 2 * u / 3
