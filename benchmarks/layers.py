@@ -10,8 +10,10 @@ Every call starts from a fresh ``RandomStream``, so each run repeats the
 same work.  The layers, on uniform points on a 10 km square:
 
 - ``kpnn``/``kpnn_gp`` at k in {16, 64}, n = 2000 and two budgets;
-- ``pnn`` over every index and ``pch_anchors_detailed`` at n in
-  {1k, 4k, 16k, 64k};
+- ``pnn`` over every index, ``pch_anchors_detailed`` and the query
+  distances ``query_dists`` at n in {1k, 4k, 16k, 64k};
+- ``sample_planar_laplace`` and ``sample_gaussian_vec`` in 2-D at
+  n = 16384 (the identity sweep's batch) and n = 10^6 (the verify batch);
 - ``convex_hull`` at n in {1k, 4k, 16k, 64k} of the uniform tuple and of
   its CGP- and GP-noisy releases at the hull sweep's budget (rho 5e-4);
 - at n = 4096, ``jaccard`` of a noisy release's hull against the true
@@ -51,6 +53,7 @@ PNN_EPS = 0.01  # about the GP rate of one kpnn round at rho 5e-4, k 16
 HULL_RHO = 5e-4  # the hull sweep's budget; its anchor stage gets rho/2 and beta/2
 HULL_BETA = 0.05
 HULL_N = 4096
+NOISE_N = (16384, 10**6)  # identity sweep and verify batch sizes
 REPEAT = 5  # timeit runs per layer; the best is kept
 ROUNDS = 2  # alternating subprocess rounds per side with --compare
 
@@ -65,7 +68,7 @@ def measure() -> dict:
     """Time every layer of the geopriv importable now, in ms per call."""
     import numpy as np
 
-    from geopriv import bench
+    from geopriv import bench, geometry
     from geopriv.accounting import matched_gp_budget
     from geopriv.geometry import PointTuple
     from geopriv.hull import convex_hull, jaccard
@@ -80,7 +83,7 @@ def measure() -> dict:
         private_convex_hull,
         private_convex_hull_gp,
     )
-    from geopriv.noise import RandomStream
+    from geopriv.noise import RandomStream, sample_gaussian_vec, sample_planar_laplace
 
     def uniform(n):
         return PointTuple(np.random.default_rng(n).random((n, 2)) * EXTENT)
@@ -106,6 +109,15 @@ def measure() -> dict:
         )
         layers[f"pch_anchors_detailed n={n} rho={stage.rho:g}"] = _best_ms(
             lambda: pch_anchors_detailed(x, stage, RandomStream(3))
+        )
+        if hasattr(geometry, "query_dists"):  # absent from older checkouts
+            layers[f"query_dists n={n}"] = _best_ms(lambda: geometry.query_dists(x.points, q))
+    for n in NOISE_N:
+        layers[f"sample_planar_laplace d=2 n={n}"] = _best_ms(
+            lambda: sample_planar_laplace(2, 1.0, RandomStream(6), size=n)
+        )
+        layers[f"sample_gaussian_vec d=2 n={n}"] = _best_ms(
+            lambda: sample_gaussian_vec(2, 1.0, RandomStream(6), size=n)
         )
     hull_eps = matched_gp_budget(HULL_RHO, bench.ExperimentConfig.delta, bench.ExperimentConfig.min_eps_dist)
     for n in SCAN_N:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .accounting import matched_gp_budget
 from .dataset import load_traces, query_point_pool, sample_points
-from .geometry import PointTuple, dist_2, dist_inf
+from .geometry import PointTuple, dist_2, dist_inf, query_dists
 from .hull import convex_hull, jaccard
 from .mechanisms import (
     identity_cgp_inf,
@@ -219,12 +219,12 @@ class _Task:
 def _knn_baseline(cfg: ExperimentConfig, t: _Trial, released: PointTuple) -> np.ndarray:
     """The k points nearest the query by released location, at the locations
     they are scored on: released, or true with ``baseline_true_locations``."""
-    sel = np.argsort(np.linalg.norm(released.points - t.query, axis=1), kind="stable")[: t.k]
+    sel = np.argsort(query_dists(released.points, t.query), kind="stable")[: t.k]
     return (t.x if cfg.baseline_true_locations else released).points[sel]
 
 
 def _knn_score(t: _Trial, reported: np.ndarray) -> tuple[float, float]:
-    s = float(np.linalg.norm(reported - t.query, axis=1).sum())
+    s = float(query_dists(reported, t.query).sum())
     return s / t.true_sum, (s - t.true_sum) / t.k
 
 
@@ -294,7 +294,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
                         if knn:
                             qgen = _stream(cfg, _QUERY_BASE, ci * 100_000 + t).generator
                             trial.query = pool[int(qgen.integers(len(pool)))]
-                            d_true = np.linalg.norm(x.points - trial.query, axis=1)
+                            d_true = query_dists(x.points, trial.query)
                             trial.true_sum = float(np.sort(d_true, kind="stable")[:k].sum())
                             if trial.true_sum <= 0.0:
                                 continue
@@ -338,8 +338,10 @@ def run_verify(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool]:
     """Run the statistical verification battery; returns rows and overall pass."""
     reports = _verify_battery(cfg)
     rows = []
+    # Without --out the CSV goes to stdout, so the reports go to stderr.
+    log = sys.stdout if cfg.out else sys.stderr
     for r in reports:
-        print(r)
+        print(r, file=log)
         rows.append(
             ResultRow(
                 "verify",

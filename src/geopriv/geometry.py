@@ -74,12 +74,19 @@ def center(x: PointTuple) -> np.ndarray:
     return 0.5 * (x.points.min(axis=0) + x.points.max(axis=0))
 
 
+def query_dists(points: np.ndarray, q) -> np.ndarray:
+    """Distances ||p_i - q|| from each row of an (n, d) array to the query
+    point q, which must have shape (d,)."""
+    q = np.asarray(q, dtype=np.float64)
+    d = points.shape[1]
+    if q.shape != (d,):
+        raise ValueError(f"query point must have shape ({d},), got {q.shape}")
+    return np.linalg.norm(points - q, axis=1)
+
+
 def max_radius(x: PointTuple, q) -> float:
     """Max over i of ||x_i - q||; 1-Lipschitz in x under the max per-point metric."""
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (x.dim,):
-        raise ValueError(f"query point must have shape ({x.dim},), got {q.shape}")
-    return float(np.linalg.norm(x.points - q, axis=1).max())
+    return float(query_dists(x.points, q).max())
 
 
 def _as_index(i) -> int:
@@ -123,10 +130,8 @@ def min_dist(x: PointTuple, q, indices: Iterable[int] | None = None) -> tuple[in
     Ties break to the lowest position in the subset.  The distance itself is
     1-Lipschitz in x under the max per-point metric.
     """
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (x.dim,):
-        raise ValueError(f"query point must have shape ({x.dim},), got {q.shape}")
+    dists = query_dists(x.points, q)
     idx = _validate_indices(indices, x.n)
-    d = np.linalg.norm(x.points[idx - 1] - q, axis=1)
+    d = dists[idx - 1]
     pos = int(np.argmin(d))
     return int(idx[pos]), float(d[pos])

@@ -19,10 +19,13 @@ Every sparse vector scan (``svt``, ``pnn``, each round of ``kpnn`` and
 Laplace draw of the block's size per block, compares the whole block with
 the gate at once and halts at the first value below it.  The blocks are
 the ones a query-by-query scan would draw, so the draw stream, and every
-output at a fixed seed, is that of such a scan.  The nearest-neighbour
-mechanisms compute the query distances once per query point, as one
-array; a ``kpnn`` round scans the distances of the indices not yet chosen,
-in ascending index order, and an anchor probe scans all n.
+output at a fixed seed, is that of such a scan.
+
+``pnn``, each ``kpnn`` round and each anchor probe are one private
+nearest-neighbour step, ``_pnn_scan``, over distances computed once per
+query point by ``geometry.query_dists``: a ``kpnn`` round scans the
+distances of the indices not yet chosen, in ascending index order, and an
+anchor probe scans all n.
 
 Every mechanism takes an explicit RandomStream and, optionally, a
 BudgetLedger that audits its internal splits.  Each part is charged before
@@ -50,7 +53,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .accounting import BudgetLedger
-from .geometry import PointTuple, _validate_indices, center, max_radius
+from .geometry import PointTuple, _validate_indices, center, max_radius, query_dists
 from .noise import (
     RandomStream,
     sample_gaussian_vec,
@@ -84,23 +87,16 @@ class PnnParams:
     ``threshold_slack`` widens (or, if negative, tightens) the accept
     threshold, trading error against scan length.  ``max_cycles`` caps the
     number of passes over the candidate set; exceeding it raises
-    NonHaltError.  The cap is a runtime guard only, privacy is unaffected.
-    The abort rate does not depend on eps: with one close candidate and
-    the rest far away, a scan gives up in about 0.33% of calls at the
-    default 64 cycles, 3e-4 at 256 and 1.4e-7 at 16384.
+    NonHaltError.  Every scan defaults to 16384 cycles (about 1.4e-7
+    aborts per scan), and the cap only guards runtime.
     """
 
     threshold_slack: float = 0.0
-    max_cycles: int = 64
+    max_cycles: int = 16384
 
     def __post_init__(self):
         if self.max_cycles < 1:
             raise ValueError(f"max_cycles must be at least 1, got {self.max_cycles}")
-
-
-# Composite mechanisms scan many times; a longer default cap makes an abort
-# astronomically unlikely (the expected number of cycles stays ~4).
-_LONG_SCAN = PnnParams(max_cycles=16384)
 
 
 @dataclass(frozen=True)
@@ -282,13 +278,13 @@ def _scan(
     max_steps: int,
     rng: RandomStream,
 ) -> SvtOutcome:
-    """The one below-threshold scan loop behind ``svt`` and ``pnn``.
+    """The one below-threshold scan loop behind ``svt`` and ``pnn``, in the
+    blocks the module docstring describes.
 
     ``block(done, size)`` returns the values of queries ``done + 1`` ..
-    ``done + size``, fewer only when the query stream runs out.  Each block
-    of ``min(256, max_steps - done)`` queries gets one Laplace(scale) draw
-    of that size (none under zero noise), is compared with the gate at once
-    as ``value + noise <= gate``, and the first hit halts the scan.
+    ``done + size``, fewer only when the query stream runs out.  A block of
+    ``min(256, max_steps - done)`` queries halts the scan at its first
+    ``value + noise <= gate``.
     """
     done = 0
     while done < max_steps:
@@ -368,26 +364,16 @@ def svt(
 # private nearest neighbours
 
 
-def _query_dists(x: PointTuple, query_point, idx: np.ndarray | None = None) -> np.ndarray:
-    """Distances from the query point to the points at 1-based ``idx`` (all
-    points when None)."""
-    q = np.asarray(query_point, dtype=np.float64)
-    if q.shape != (x.dim,):
-        raise ValueError(f"query point must have shape ({x.dim},), got {q.shape}")
-    pts = x.points if idx is None else x.points[idx - 1]
-    return np.linalg.norm(pts - q, axis=1)
-
-
 def _pnn_scan(
     dists: np.ndarray,
     eps: float,
     rng: RandomStream,
     params: PnnParams,
     ledger: BudgetLedger | None,
-) -> SvtOutcome:
-    """Private nearest-neighbour scan over candidate distances; the outcome's
-    ``steps - 1`` modulo ``len(dists)`` is the accepted position."""
-    _check_positive("eps", eps)
+) -> tuple[int, SvtOutcome]:
+    """The private nearest-neighbour step behind ``pnn``, each ``kpnn`` round
+    and each anchor probe: an eps-GP scan cycling the candidate distances.
+    Returns the accepted 0-based position in ``dists`` and the outcome."""
     m = len(dists)
     _charge(ledger, "pnn_threshold", eps / 3.0)
     gate = float(dists.min()) + sample_laplace(3.0 / eps, rng) + params.threshold_slack
@@ -399,7 +385,7 @@ def _pnn_scan(
             f"nearest-neighbour scan did not accept within {params.max_cycles} cycles "
             f"over {m} candidates"
         )
-    return outcome
+    return (outcome.steps - 1) % m, outcome
 
 
 def pnn_detailed(
@@ -419,16 +405,14 @@ def pnn_detailed(
     candidate distances until one accepts.  Returns the accepted 1-based
     index and the SvtOutcome; eps-GP overall.
 
-    The distances are computed once, as one array, and scanned by the same
-    array scan as ``svt`` in blocks of up to 256 steps with one Laplace draw
-    per block, so the draws are those of a step-by-step scan.
+    The distances are computed once, as one array, and scanned in blocks
+    (see the module docstring).
     """
-    if params is None:
-        params = PnnParams()
     idx = _validate_indices(indices, x.n)
-    dists = _query_dists(x, query_point, idx)
-    outcome = _pnn_scan(dists, eps, rng, params, ledger)
-    return int(idx[(outcome.steps - 1) % len(idx)]), outcome
+    dists = query_dists(x.points[idx - 1], query_point)
+    _check_positive("eps", eps)
+    pos, outcome = _pnn_scan(dists, eps, rng, params or PnnParams(), ledger)
+    return int(idx[pos]), outcome
 
 
 def pnn(
@@ -443,9 +427,8 @@ def pnn(
     """Private nearest neighbour in the given 1-based index subset; eps-GP.
 
     The subset may be any iterable of integers or an integer array; it is
-    validated once, its distances are computed once as one array, and the
-    scan cycles them in blocks of up to 256 steps with one Laplace draw per
-    block (see ``pnn_detailed``).  Returns a Python int.
+    validated once and its distances are computed once (see
+    ``pnn_detailed``).  Returns a Python int.
     """
     return pnn_detailed(x, query_point, indices, eps, rng, params, ledger)[0]
 
@@ -465,15 +448,15 @@ def _kpnn(
         raise ValueError(f"k must be in 1..{x.n}, got {k}")
     share = budget / k
     rate = cal.round_rate(share)
-    scan = params or _LONG_SCAN
-    dists = _query_dists(x, query_point)
+    scan = params or PnnParams()
+    dists = query_dists(x.points, query_point)
     remaining = np.ones(x.n, dtype=bool)
     chosen: list[int] = []
     for j in range(1, k + 1):
         _charge(ledger, f"round_{j}", share)
         left = np.flatnonzero(remaining)
-        outcome = _pnn_scan(dists[left], rate, rng, scan, None)
-        t = int(left[(outcome.steps - 1) % len(left)])
+        pos, _ = _pnn_scan(dists[left], rate, rng, scan, None)
+        t = int(left[pos])
         chosen.append(t + 1)
         remaining[t] = False
     return chosen
@@ -543,13 +526,14 @@ def _anchors(
 
     share = (params.rho - b0) / k
     rate = cal.round_rate(share)
+    scan = PnnParams()
     anchors: list[int] = []
     for j in range(k):
         theta = 2.0 * math.pi * j / k
         probe = c_priv + r_priv * np.array([math.cos(theta), math.sin(theta)])
         _charge(ledger, f"probe_{j + 1}", share)
-        outcome = _pnn_scan(_query_dists(x, probe), rate, rng, _LONG_SCAN, None)
-        anchors.append((outcome.steps - 1) % n + 1)
+        pos, _ = _pnn_scan(query_dists(x.points, probe), rate, rng, scan, None)
+        anchors.append(pos + 1)
     return anchors, PchInfo(c_priv, float(r_priv), k, share)
 
 

@@ -22,6 +22,12 @@ from .noise import (
     sample_planar_laplace,
 )
 
+_MEAN_REL_TOL = 0.01  # planar-Laplace mean norm, relative to d/eps
+_SIMPSON_TOL = 1e-10  # adaptive Simpson tolerance of the Renyi quadrature
+_RENYI_TOL = 1e-6  # quadrature against closed-form Renyi divergence
+_ALPHA_GRID = (1.5, 2.0, 3.0)  # Renyi orders checked
+_DIST_GRID = (0.5, 1.0, 2.0)  # input distances of the Gaussian mechanism check
+
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -83,9 +89,9 @@ def _survival_check(
 
 def check_gp_radial_tail(
     eps: float,
-    r_grid: Sequence[float] = (1.0, 3.0, 5.0),
-    samples: int = 10**6,
-    rng: RandomStream | None = None,
+    r_grid: Sequence[float],
+    samples: int,
+    rng: RandomStream,
     survival: Callable[[float], float] | None = None,
 ) -> CheckReport:
     """Empirical norm survival of 2-D planar-Laplace noise against the
@@ -96,7 +102,6 @@ def check_gp_radial_tail(
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    rng = rng or RandomStream(0)
     ref = survival or (lambda r: (1.0 + r * eps) * math.exp(-r * eps))
     draws = sample_planar_laplace(2, eps, rng, size=samples)
     radii = np.linalg.norm(draws, axis=1)
@@ -105,16 +110,15 @@ def check_gp_radial_tail(
 
 def check_cgp_radial_tail(
     rho: float,
-    r_grid: Sequence[float] = (0.5, 1.0, 1.5),
-    samples: int = 10**6,
-    rng: RandomStream | None = None,
+    r_grid: Sequence[float],
+    samples: int,
+    rng: RandomStream,
     survival: Callable[[float], float] | None = None,
 ) -> CheckReport:
     """Empirical norm survival of the 2-D Gaussian mechanism's noise
     (per-coordinate sigma 1/sqrt(2 rho)) against ``exp(-rho * r**2)``."""
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    rng = rng or RandomStream(0)
     ref = survival or (lambda r: math.exp(-rho * r * r))
     draws = sample_gaussian_vec(2, 1.0 / math.sqrt(2.0 * rho), rng, size=samples)
     radii = np.linalg.norm(draws, axis=1)
@@ -129,9 +133,7 @@ def accept_probability(y, scale: float):
     return float(out) if out.ndim == 0 else out
 
 
-def check_expected_draws(
-    b: float, samples: int = 10**5, rng: RandomStream | None = None
-) -> CheckReport:
+def check_expected_draws(b: float, samples: int, rng: RandomStream) -> CheckReport:
     """Mean number of Laplace(2b) draws until one falls below Z + W, for Z, W
     iid Laplace(b); the closed-form bound is 4.
 
@@ -142,7 +144,6 @@ def check_expected_draws(
     """
     if not b > 0:
         raise ValueError(f"b must be positive, got {b}")
-    rng = rng or RandomStream(0)
     y = sample_laplace(b, rng, size=samples) + sample_laplace(b, rng, size=samples)
     p = accept_probability(y, 2.0 * b)
     counts = rng.generator.geometric(p).astype(np.float64)
@@ -157,9 +158,7 @@ def _gaussian_logpdf(y: float, mu: float, sigma: float) -> float:
     return -0.5 * z * z - math.log(sigma) - 0.5 * math.log(2.0 * math.pi)
 
 
-def renyi_divergence_gaussian_quadrature(
-    mu1: float, mu2: float, sigma: float, alpha: float, tol: float = 1e-10
-) -> float:
+def renyi_divergence_gaussian_quadrature(mu1: float, mu2: float, sigma: float, alpha: float) -> float:
     """Order-alpha Renyi divergence between N(mu1, sigma^2) and N(mu2, sigma^2)
     by numeric quadrature of the defining integral.
 
@@ -184,37 +183,26 @@ def renyi_divergence_gaussian_quadrature(
     def integrand(y: float) -> float:
         return math.exp(log_integrand(y) - offset)
 
-    integral = adaptive_simpson(integrand, lo, hi, tol)
+    integral = adaptive_simpson(integrand, lo, hi, _SIMPSON_TOL)
     return (offset + math.log(integral)) / (alpha - 1.0)
 
 
-def check_renyi_gaussian(
-    mu1: float,
-    mu2: float,
-    sigma: float,
-    alpha_grid: Sequence[float] = (1.5, 2.0, 3.0),
-    tol: float = 1e-6,
-) -> CheckReport:
+def check_renyi_gaussian(mu1: float, mu2: float, sigma: float) -> CheckReport:
     """Quadrature Renyi divergence of equal-variance Gaussians against the
     closed form ``alpha * (mu1 - mu2)^2 / (2 sigma^2)``."""
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     worst = 0.0
-    for alpha in alpha_grid:
+    for alpha in _ALPHA_GRID:
         closed = alpha * (mu1 - mu2) ** 2 / (2.0 * sigma**2)
         quad = renyi_divergence_gaussian_quadrature(mu1, mu2, sigma, alpha)
         worst = max(worst, abs(quad - closed))
     return CheckReport(
-        f"renyi_gaussian(mu={mu2 - mu1:g},sigma={sigma:g})", worst, tol, worst < tol, 0
+        f"renyi_gaussian(mu={mu2 - mu1:g},sigma={sigma:g})", worst, _RENYI_TOL, worst < _RENYI_TOL, 0
     )
 
 
-def check_gaussian_mech_divergence(
-    rho: float,
-    dist_grid: Sequence[float] = (0.5, 1.0, 2.0),
-    alpha_grid: Sequence[float] = (1.5, 2.0, 3.0),
-    tol: float = 1e-6,
-) -> CheckReport:
+def check_gaussian_mech_divergence(rho: float) -> CheckReport:
     """For the 1-D Gaussian mechanism on the identity (sigma = 1/sqrt(2 rho)),
     the order-alpha divergence between outputs at inputs dist apart equals
     ``alpha * rho * dist^2`` exactly; verified by quadrature."""
@@ -222,11 +210,13 @@ def check_gaussian_mech_divergence(
         raise ValueError(f"rho must be positive, got {rho}")
     sigma = 1.0 / math.sqrt(2.0 * rho)
     worst = 0.0
-    for dist in dist_grid:
-        for alpha in alpha_grid:
+    for dist in _DIST_GRID:
+        for alpha in _ALPHA_GRID:
             quad = renyi_divergence_gaussian_quadrature(0.0, float(dist), sigma, alpha)
             worst = max(worst, abs(quad - alpha * rho * dist * dist))
-    return CheckReport(f"gaussian_mech_divergence(rho={rho:g})", worst, tol, worst < tol, 0)
+    return CheckReport(
+        f"gaussian_mech_divergence(rho={rho:g})", worst, _RENYI_TOL, worst < _RENYI_TOL, 0
+    )
 
 
 def laplace_sum_cdf_numeric(points: np.ndarray, scale: float) -> np.ndarray:
@@ -243,8 +233,8 @@ def laplace_sum_cdf_numeric(points: np.ndarray, scale: float) -> np.ndarray:
 
 def check_laplace_sum_pdf(
     b: float,
-    samples: int = 10**6,
-    rng: RandomStream | None = None,
+    samples: int,
+    rng: RandomStream,
     ks_threshold: float | None = None,
 ) -> CheckReport:
     """KS distance between an empirical two-Laplace sum and the numerically
@@ -258,7 +248,6 @@ def check_laplace_sum_pdf(
         raise ValueError(f"b must be positive, got {b}")
     if ks_threshold is None:
         ks_threshold = max(0.005, 1.63 / math.sqrt(samples))
-    rng = rng or RandomStream(0)
     y = np.sort(sample_laplace(b, rng, size=samples) + sample_laplace(b, rng, size=samples))
     ref = laplace_sum_cdf_numeric(y, b)
     i = np.arange(1, samples + 1)
@@ -266,15 +255,12 @@ def check_laplace_sum_pdf(
     return CheckReport(f"laplace_sum_pdf(b={b:g})", ks, ks_threshold, ks < ks_threshold, samples)
 
 
-def check_planar_laplace_mean(
-    dim: int, eps: float, samples: int = 10**6, rng: RandomStream | None = None, rel_tol: float = 0.01
-) -> CheckReport:
+def check_planar_laplace_mean(dim: int, eps: float, samples: int, rng: RandomStream) -> CheckReport:
     """Mean norm of d-dimensional planar-Laplace noise against the closed
     form d/eps, at 1% relative tolerance."""
-    rng = rng or RandomStream(0)
     draws = sample_planar_laplace(dim, eps, rng, size=samples)
     mean = float(np.linalg.norm(draws, axis=1).mean())
     stat = abs(mean * eps / dim - 1.0)
     return CheckReport(
-        f"planar_laplace_mean(d={dim},eps={eps:g})", stat, rel_tol, stat < rel_tol, samples
+        f"planar_laplace_mean(d={dim},eps={eps:g})", stat, _MEAN_REL_TOL, stat < _MEAN_REL_TOL, samples
     )

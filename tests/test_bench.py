@@ -237,6 +237,16 @@ class TestCli:
         rows = list(csv.reader(out.read_text().splitlines()))
         assert len(rows) == 28 and all(len(r) == 10 for r in rows)
 
+    def test_verify_without_out_writes_only_csv(self, capsys):
+        rc = main(["verify", "--samples", "20000", "--seed", "1"])
+        out, err = capsys.readouterr()
+        assert rc == 0
+        rows = list(csv.reader(out.splitlines()))
+        assert len(rows) == 28 and all(len(r) == 10 for r in rows)
+        assert ",".join(rows[0]) == HEADER
+        # the check reports go to stderr instead
+        assert len(err.splitlines()) == 27 and all(line.startswith("PASS ") for line in err.splitlines())
+
     def test_knn_and_hull_subcommands(self, tmp_path):
         for task in ("knn", "hull"):
             out = tmp_path / f"{task}.csv"

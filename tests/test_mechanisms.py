@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from geopriv.accounting import BudgetLedger, CgpBudget, GpBudget
-from geopriv.geometry import PointTuple, dist_inf, min_dist
+from geopriv.geometry import PointTuple, dist_inf, max_radius, min_dist
 from geopriv.hull import convex_hull, directed_excess
 from geopriv.mechanisms import (
     NonHaltError,
@@ -217,8 +218,16 @@ class TestPnn:
     def test_non_halt_with_negative_slack(self):
         x = PointTuple([[4.0], [1.0], [7.0]])
         params = PnnParams(threshold_slack=-1.0, max_cycles=3)
+        ledger = BudgetLedger(GpBudget(1.0))
         with pytest.raises(NonHaltError):
-            pnn(x, [0.0], [1, 2, 3], 1.0, ZERO, params=params)
+            pnn(x, [0.0], [1, 2, 3], 1.0, ZERO, params=params, ledger=ledger)
+        # the aborted scan has spent its whole budget, charged up front
+        assert [label for label, _ in ledger.entries] == [
+            "pnn_threshold",
+            "svt_threshold",
+            "svt_queries",
+        ]
+        ledger.close()
 
     def test_positive_slack_accepts_earlier(self):
         x = PointTuple([[4.0], [1.0], [7.0]])
@@ -450,3 +459,25 @@ class TestMonotonePrivacy:
                 ]
                 medians.append(float(np.median(errs)))
             assert all(hi >= lo for hi, lo in zip(medians, medians[1:]))
+
+
+# name -> call(x, q, ledger).  Each call has a second bad argument that is
+# reported after the query point: eps for pnn, the subset for min_dist.
+QUERY_POINT_TAKERS = {
+    "pnn": lambda x, q, led: pnn(x, q, [1, 2], 0.0, ZERO, ledger=led),
+    "pnn_detailed": lambda x, q, led: pnn_detailed(x, q, [1, 2], 0.0, ZERO, ledger=led),
+    "kpnn": lambda x, q, led: kpnn(x, q, 2, 1.0, ZERO, ledger=led),
+    "kpnn_gp": lambda x, q, led: kpnn_gp(x, q, 2, 1.0, ZERO, ledger=led),
+    "max_radius": lambda x, q, led: max_radius(x, q),
+    "min_dist": lambda x, q, led: min_dist(x, q, []),
+}
+
+
+@pytest.mark.parametrize("q", [[1.0, 2.0, 3.0], [[1.0, 2.0]], 5.0], ids=["3", "1x2", "scalar"])
+@pytest.mark.parametrize("name", sorted(QUERY_POINT_TAKERS))
+def test_wrong_shaped_query_point_rejected(name, q):
+    ledger = BudgetLedger(GpBudget(1.0))
+    message = f"query point must have shape (2,), got {np.shape(q)}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        QUERY_POINT_TAKERS[name](uniform_tuple(45, 5), q, ledger)
+    assert ledger.entries == []

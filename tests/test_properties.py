@@ -31,6 +31,7 @@ from geopriv.hull import (
 from geopriv.mechanisms import (
     NonHaltError,
     PchParams,
+    PnnParams,
     SvtOutcome,
     _cycle,
     _scan,
@@ -90,6 +91,15 @@ def make_case(n, seed, collinear, duplicates, offset, k, budget, beta, hull_k):
     )
 
 
+# Only the nearest point can pass the gate: the next is 67 m farther from Q,
+# against noise of a few metres at budget 1.  On this stream pnn accepts it
+# after 1155 steps, about 96 cycles over the 12 candidates.
+LONG_SCAN_CASE = make_case(
+    n=12, seed=758291, collinear=False, duplicates=False, offset=1e7,
+    k=3, budget=1.0, beta=0.05, hull_k="auto",
+)
+
+
 @st.composite
 def cases(draw):
     n = draw(st.integers(1, 40))
@@ -109,13 +119,8 @@ def cases(draw):
 @pytest.mark.parametrize("name", sorted(MECHANISMS))
 @settings(max_examples=25, deadline=None, database=None)
 @given(case=cases())
-# pnn's default 64-cycle cap gives up on this one
-@example(
-    case=make_case(
-        n=12, seed=758291, collinear=False, duplicates=False, offset=1e7,
-        k=3, budget=1.0, beta=0.05, hull_k="auto",
-    )
-)
+# a scan longer than 64 cycles, which pnn's default cap must let finish
+@example(case=LONG_SCAN_CASE)
 def test_ledger_closes(name, case):
     budget_type, mech = MECHANISMS[name]
     ledger = BudgetLedger(budget_type(case.budget))
@@ -130,6 +135,14 @@ def test_ledger_closes(name, case):
             "svt_queries",
         ]
     ledger.close()
+
+
+def test_pnn_default_cap_outlasts_64_cycles():
+    c = LONG_SCAN_CASE
+    every = range(1, c.x.n + 1)
+    with pytest.raises(NonHaltError, match="within 64 cycles over 12 candidates"):
+        pnn(c.x, Q, every, c.budget, RandomStream(c.seed), PnnParams(max_cycles=64))
+    assert pnn(c.x, Q, every, c.budget, RandomStream(c.seed)) == 3
 
 
 @pytest.mark.parametrize("select", [kpnn, kpnn_gp])
