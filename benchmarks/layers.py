@@ -26,6 +26,9 @@ alternating subprocess rounds, keeps each layer's best time over the rounds,
 and writes both sides with their ratio, the numpy version and the core count.
 ``rounds_ms`` holds every round's time of each layer on each side: a ratio
 within the spread of a side's own rounds is noise.
+Both sides run this file's ``measure``, so the parent must take the same
+calls: a checkout without ``geometry.query_dists``, or whose anchor stage
+takes a ``PchParams``, fails its side of the comparison.
 ``--tier1`` adds the wall time of each side's tier-1 suite.  The module is
 not a test file, so the test suite does not collect it.
 """
@@ -73,7 +76,6 @@ def measure() -> dict:
     from geopriv.geometry import PointTuple
     from geopriv.hull import convex_hull, jaccard
     from geopriv.mechanisms import (
-        PchParams,
         identity_cgp_inf,
         identity_gp_inf,
         kpnn,
@@ -100,18 +102,17 @@ def measure() -> dict:
             layers[f"kpnn_gp k={k} n={KNN_N} eps={eps:.4g}"] = _best_ms(
                 lambda: kpnn_gp(x, q, k, eps, RandomStream(1))
             )
-    stage = PchParams(rho=HULL_RHO / 2.0, beta=HULL_BETA / 2.0)
+    stage_rho, stage_beta = HULL_RHO / 2.0, HULL_BETA / 2.0
     for n in SCAN_N:
         x = uniform(n)
         every = range(1, n + 1)
         layers[f"pnn n={n} eps={PNN_EPS:g}"] = _best_ms(
             lambda: pnn(x, q, every, PNN_EPS, RandomStream(2))
         )
-        layers[f"pch_anchors_detailed n={n} rho={stage.rho:g}"] = _best_ms(
-            lambda: pch_anchors_detailed(x, stage, RandomStream(3))
+        layers[f"pch_anchors_detailed n={n} rho={stage_rho:g}"] = _best_ms(
+            lambda: pch_anchors_detailed(x, stage_rho, stage_beta, RandomStream(3))
         )
-        if hasattr(geometry, "query_dists"):  # absent from older checkouts
-            layers[f"query_dists n={n}"] = _best_ms(lambda: geometry.query_dists(x.points, q))
+        layers[f"query_dists n={n}"] = _best_ms(lambda: geometry.query_dists(x.points, q))
     for n in NOISE_N:
         layers[f"sample_planar_laplace d=2 n={n}"] = _best_ms(
             lambda: sample_planar_laplace(2, 1.0, RandomStream(6), size=n)

@@ -89,11 +89,13 @@ def max_radius(x: PointTuple, q) -> float:
     return float(query_dists(x.points, q).max())
 
 
-def _as_index(i) -> int:
+def _as_index(i, name: str = "index") -> int:
+    """``operator.index(i)``: a float such as 2.0, or a string, raises
+    ValueError rather than being truncated or parsed."""
     try:
         return operator.index(i)
     except TypeError:
-        raise ValueError(f"index {i!r} is not an integer") from None
+        raise ValueError(f"{name} {i!r} is not an integer") from None
 
 
 def _validate_indices(indices: Iterable[int] | None, n: int) -> np.ndarray:

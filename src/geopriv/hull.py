@@ -50,7 +50,7 @@ def shoelace_area(vertices: np.ndarray) -> float:
 
 def _bbox_scale(pts: np.ndarray) -> float:
     span = pts.max(axis=0) - pts.min(axis=0)
-    return max(float(span.max()), 1.0)
+    return float(span.max())
 
 
 def _cross(o, a, b) -> float:
@@ -101,10 +101,7 @@ def convex_hull(points) -> ConvexPolygon:
     often the extreme in several adjacent directions: the repeats are
     collapsed first, because a zero-length edge gives every point a cross
     product of 0 and nothing would be dropped.  With fewer than 3 distinct
-    extremes the filter is skipped.  Below a span of a few centimetres the
-    tolerance, whose scale is floored at 1, is coarse beside the point
-    spacing; there the chain's output depends on interior points, and the
-    filter can change which near-collinear points it keeps.
+    extremes the filter is skipped.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:

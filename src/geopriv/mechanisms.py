@@ -36,7 +36,7 @@ record.  The labels are:
 - ``svt``: ``svt_threshold``, ``svt_queries``; ``pnn``: ``pnn_threshold``
   and then the ``svt`` labels
 - ``kpnn``, ``kpnn_gp``: ``round_1`` .. ``round_k``
-- ``pch_anchors``: ``centre``, ``radius``, ``probe_1`` .. ``probe_k``
+- ``pch_anchors_detailed``: ``centre``, ``radius``, ``probe_1`` .. ``probe_k``
 - ``private_convex_hull``, ``private_convex_hull_gp``: the anchor labels,
   then ``release_1`` .. ``release_k``
 
@@ -53,7 +53,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .accounting import BudgetLedger
-from .geometry import PointTuple, _validate_indices, center, max_radius, query_dists
+from .geometry import PointTuple, _as_index, _validate_indices, center, max_radius, query_dists
 from .noise import (
     RandomStream,
     sample_gaussian_vec,
@@ -95,30 +95,8 @@ class PnnParams:
     max_cycles: int = 16384
 
     def __post_init__(self):
-        if self.max_cycles < 1:
+        if _as_index(self.max_cycles, "max_cycles") < 1:
             raise ValueError(f"max_cycles must be at least 1, got {self.max_cycles}")
-
-
-@dataclass(frozen=True)
-class PchParams:
-    """Inputs of the private-anchor selection stage of the convex hull pipeline."""
-
-    rho: float
-    beta: float
-    k: int | str = "auto"
-    k_clamp: tuple[int, int] = (16, 128)
-
-    def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if not 0 < self.beta < 1:
-            raise ValueError(f"beta must be in (0, 1), got {self.beta}")
-        if self.k != "auto":
-            if int(self.k) < 3:
-                raise ValueError(f"explicit k must be at least 3, got {self.k}")
-        lo, hi = self.k_clamp
-        if not (1 <= lo <= hi):
-            raise ValueError(f"invalid k_clamp {self.k_clamp}")
 
 
 @dataclass(frozen=True)
@@ -444,6 +422,7 @@ def _kpnn(
     ledger: BudgetLedger | None,
 ) -> list[int]:
     _check_positive(cal.unit, budget)
+    k = _as_index(k, "k")
     if not 1 <= k <= x.n:
         raise ValueError(f"k must be in 1..{x.n}, got {k}")
     share = budget / k
@@ -499,32 +478,52 @@ def kpnn_gp(
 # private convex hull
 
 
+def _stage_args(
+    cal: _Calibration, budget: float, beta: float, k: int | str, k_clamp: tuple[int, int]
+) -> tuple[int | str, tuple[int, int]]:
+    """Check the anchor stage's or a hull release's arguments, before anything
+    is charged; returns ``k`` and ``k_clamp`` as Python ints."""
+    _check_positive(cal.unit, budget)
+    if not 0 < beta < 1:
+        raise ValueError(f"beta must be in (0, 1), got {beta}")
+    if k != "auto":
+        k = _as_index(k, "k")
+        if k < 3:
+            raise ValueError(f"explicit k must be at least 3, got {k}")
+    lo, hi = (_as_index(v, "k_clamp bound") for v in k_clamp)
+    if not 1 <= lo <= hi:
+        raise ValueError(f"invalid k_clamp {k_clamp}")
+    return k, (lo, hi)
+
+
 def _anchors(
     cal: _Calibration,
     x: PointTuple,
-    params: PchParams,
+    budget: float,
+    beta: float,
+    k: int | str,
+    k_clamp: tuple[int, int],
     rng: RandomStream,
     ledger: BudgetLedger | None,
 ) -> tuple[list[int], PchInfo]:
-    # params.rho is the stage budget in the calibration's unit (eps for GP).
+    # budget is the stage's own, in the calibration's unit (eps for GP);
+    # the arguments have passed _stage_args.
     if x.dim != 2:
         raise ValueError(f"the convex hull pipeline is 2-D only, got dim {x.dim}")
     n = len(x)
-    b0 = params.rho / 20.0
+    b0 = budget / 20.0
 
     _charge(ledger, "centre", 2.0 * b0 / 3.0)
     c_priv = center(x) + cal.centre_noise(b0, rng)
     _charge(ledger, "radius", b0 / 3.0)
-    r_priv = max_radius(x, c_priv) + cal.radius_slack(b0, params.beta) + cal.radius_noise(b0, rng)
+    r_priv = max_radius(x, c_priv) + cal.radius_slack(b0, beta) + cal.radius_noise(b0, rng)
 
-    if params.k == "auto":
-        raw = cal.auto_k(max(r_priv, 0.0), params.rho, n, params.beta)
-        lo, hi = params.k_clamp
+    if k == "auto":
+        raw = cal.auto_k(max(r_priv, 0.0), budget, n, beta)
+        lo, hi = k_clamp
         k = min(max(int(round(raw)), lo), hi) if math.isfinite(raw) else lo
-    else:
-        k = int(params.k)
 
-    share = (params.rho - b0) / k
+    share = (budget - b0) / k
     rate = cal.round_rate(share)
     scan = PnnParams()
     anchors: list[int] = []
@@ -539,11 +538,15 @@ def _anchors(
 
 def pch_anchors_detailed(
     x: PointTuple,
-    params: PchParams,
+    rho: float,
+    beta: float,
     rng: RandomStream,
+    k: int | str = "auto",
+    k_clamp: tuple[int, int] = (16, 128),
     ledger: BudgetLedger | None = None,
 ) -> tuple[list[int], PchInfo]:
-    """Anchor selection for the private convex hull, with diagnostics.
+    """Anchor selection for the private convex hull: the 1-based anchor
+    indices, one per circle probe, and the stage's diagnostics.
 
     Spends rho/20 on a privatized bounding circle (centre via the Gaussian
     mechanism for the sqrt(2)-Lipschitz bounding-box centre at 2/3 of that,
@@ -556,20 +559,12 @@ def pch_anchors_detailed(
     With ``k="auto"`` the anchor count balances the probe-selection noise
     against the circle-arc coverage gap:
     ``k = round((radius * sqrt(rho) / log(n/beta)) ** (2/3))`` clamped to
-    ``k_clamp``.
+    ``k_clamp``.  An explicit ``k`` must be an integer of at least 3, and
+    ``k_clamp`` two integers with ``1 <= lo <= hi``; otherwise ValueError,
+    with nothing charged.
     """
-    return _anchors(_CGP, x, params, rng, ledger)
-
-
-def pch_anchors(
-    x: PointTuple,
-    params: PchParams,
-    rng: RandomStream,
-    ledger: BudgetLedger | None = None,
-) -> list[int]:
-    """Anchor indices (1-based, one per circle probe) of the private convex
-    hull selection stage; rho-CGP."""
-    return pch_anchors_detailed(x, params, rng, ledger)[0]
+    k, k_clamp = _stage_args(_CGP, rho, beta, k, k_clamp)
+    return _anchors(_CGP, x, rho, beta, k, k_clamp, rng, ledger)
 
 
 def _hull(
@@ -582,11 +577,8 @@ def _hull(
     k_clamp: tuple[int, int],
     ledger: BudgetLedger | None,
 ) -> HullResult:
-    _check_positive(cal.unit, budget)
-    if not 0 < beta < 1:
-        raise ValueError(f"beta must be in (0, 1), got {beta}")
-    params = PchParams(rho=budget / 2.0, beta=beta / 2.0, k=k, k_clamp=k_clamp)
-    anchors, info = _anchors(cal, x, params, rng, ledger)
+    k, k_clamp = _stage_args(cal, budget, beta, k, k_clamp)
+    anchors, info = _anchors(cal, x, budget / 2.0, beta / 2.0, k, k_clamp, rng, ledger)
     released = np.empty((info.k, 2))
     for j, a in enumerate(anchors):
         _charge(ledger, f"release_{j + 1}", budget / (2.0 * info.k))
@@ -605,11 +597,12 @@ def private_convex_hull(
 ) -> HullResult:
     """Privatized convex hull release under rho-CGP.
 
-    Half the budget selects anchors (see pch_anchors), the other half
-    releases each anchor location through the Gaussian mechanism at rho/(2k)
-    per anchor, i.e. per-coordinate standard deviation sqrt(k/rho).  The
-    hull of the returned points is computed by the caller as
-    post-processing.
+    Half the budget and half of beta select anchors (the stage of
+    ``pch_anchors_detailed`` at rho/2 and beta/2), the other half of the
+    budget releases each anchor location through the Gaussian mechanism at
+    rho/(2k) per anchor, i.e. per-coordinate standard deviation sqrt(k/rho).
+    ``k`` and ``k_clamp`` are checked as there.  The hull of the returned
+    points is computed by the caller as post-processing.
     """
     return _hull(_CGP, x, rho, beta, rng, k, k_clamp, ledger)
 
@@ -625,14 +618,15 @@ def private_convex_hull_gp(
 ) -> HullResult:
     """Privatized convex hull release under eps-GP (basic composition).
 
-    Half the budget selects anchors with the pure-GP anchor stage, the other
-    half releases each anchor with planar-Laplace noise at rate eps/(2k).
+    Half the budget and half of beta select anchors with the pure-GP anchor
+    stage, the other half of the budget releases each anchor with
+    planar-Laplace noise at rate eps/(2k).
 
-    The anchor stage mirrors pch_anchors: eps0 = eps/40 buys the bounding
-    circle, with planar-Laplace centre noise and Laplace(3/eps0) radius noise
-    inflated by (3/eps0) log(2/beta).  Its auto anchor count balances the
-    linear-in-k selection noise against the coverage gap:
-    ``k = round(sqrt(radius * eps / log(n/beta)))`` at the stage's eps and
-    beta, clamped to ``k_clamp``.
+    The anchor stage mirrors ``pch_anchors_detailed`` at eps/2 and beta/2:
+    eps0 = eps/40 buys the bounding circle, with planar-Laplace centre noise
+    and Laplace(3/eps0) radius noise inflated by (3/eps0) log(2/beta).  Its
+    auto anchor count balances the linear-in-k selection noise against the
+    coverage gap: ``k = round(sqrt(radius * eps / log(n/beta)))`` at the
+    stage's eps and beta, clamped to ``k_clamp``.
     """
     return _hull(_GP, x, eps, beta, rng, k, k_clamp, ledger)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import _as_index
+
 _UINT64_MAX = 2**64 - 1
 
 
@@ -30,11 +32,11 @@ class RandomStream:
     __slots__ = ("seed", "stream_id", "zero_noise", "_generator")
 
     def __init__(self, seed: int = 0, stream_id: int = 0, zero_noise: bool = False):
-        for name, value in (("seed", seed), ("stream_id", stream_id)):
-            if not 0 <= int(value) <= _UINT64_MAX:
+        self.seed = _as_index(seed, "seed")
+        self.stream_id = _as_index(stream_id, "stream_id")
+        for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
+            if not 0 <= value <= _UINT64_MAX:
                 raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
         self.zero_noise = bool(zero_noise)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         self._generator = np.random.Generator(np.random.PCG64(ss))

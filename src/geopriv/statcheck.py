@@ -177,8 +177,8 @@ def renyi_divergence_gaussian_quadrature(mu1: float, mu2: float, sigma: float, a
             y, mu2, sigma
         )
 
-    scan = np.linspace(lo, hi, 4097)
-    offset = max(log_integrand(float(y)) for y in scan)
+    # one array pass: the same IEEE operations as the scalar calls below
+    offset = float(log_integrand(np.linspace(lo, hi, 4097)).max())
 
     def integrand(y: float) -> float:
         return math.exp(log_integrand(y) - offset)

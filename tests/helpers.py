@@ -12,7 +12,7 @@ def brute_hull_vertices(pts: np.ndarray) -> np.ndarray:
     if n <= 2:
         return np.unique(pts, axis=0)
     span = pts.max(axis=0) - pts.min(axis=0)
-    tol = 1e-12 * max(float(span.max()), 1.0) ** 2
+    tol = 1e-12 * float(span.max()) ** 2
     tris = np.array(list(combinations(range(n), 3)))
     a, b, c = pts[tris[:, 0]], pts[tris[:, 1]], pts[tris[:, 2]]
 
@@ -34,11 +34,11 @@ def brute_hull_vertices(pts: np.ndarray) -> np.ndarray:
 def monotone_chain(pts: np.ndarray, eps: float) -> tuple[np.ndarray, bool]:
     """Andrew's monotone chain over every point, no prefilter: the hull
     vertices counter-clockwise and the degenerate flag, with the orientation
-    tolerance ``eps`` times the squared bounding-box scale (at least 1)."""
+    tolerance ``eps`` times the squared bounding-box scale."""
     pts = np.unique(np.asarray(pts, dtype=np.float64), axis=0)
     if len(pts) == 1:
         return pts, True
-    tol = eps * max(float((pts.max(axis=0) - pts.min(axis=0)).max()), 1.0) ** 2
+    tol = eps * float((pts.max(axis=0) - pts.min(axis=0)).max()) ** 2
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])

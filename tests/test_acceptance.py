@@ -24,7 +24,6 @@ from geopriv.bench import ExperimentConfig, main, run_sweep
 from geopriv.geometry import PointTuple, center, dist_inf, max_radius, min_dist
 from geopriv.hull import convex_hull, directed_excess, point_polygon_distance
 from geopriv.mechanisms import (
-    PchParams,
     PnnParams,
     kpnn,
     pch_anchors_detailed,
@@ -166,9 +165,7 @@ def test_criterion_4_zero_noise_oracle_equivalence():
         pts = gen.random((n, 2)) * 1000
         k = int(gen.integers(3, 9))
         rho, beta = 0.5, 0.05
-        anchors, info = pch_anchors_detailed(
-            PointTuple(pts), PchParams(rho=rho, beta=beta, k=k), zero
-        )
+        anchors, info = pch_anchors_detailed(PointTuple(pts), rho, beta, zero, k=k)
         c = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
         radius = float(np.linalg.norm(pts - c, axis=1).max()) + math.sqrt(
             3 * math.log(2 / beta) / (rho / 20)

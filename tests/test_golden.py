@@ -20,7 +20,6 @@ from geopriv.bench import main
 from geopriv.geometry import PointTuple
 from geopriv.mechanisms import (
     HullResult,
-    PchParams,
     identity_cgp_inf,
     identity_cgp_l2,
     identity_gp_inf,
@@ -92,11 +91,11 @@ def mechanism_outputs(seeds=SEEDS) -> dict:
         "kpnn_gp": (GpBudget(eps), lambda x, r, led: kpnn_gp(x, [500.0, 500.0], 5, eps, r, ledger=led)),
         "pch_anchors_auto": (
             CgpBudget(rho),
-            lambda x, r, led: pch_anchors_detailed(x, PchParams(rho=rho, beta=beta), r, led),
+            lambda x, r, led: pch_anchors_detailed(x, rho, beta, r, ledger=led),
         ),
         "pch_anchors_k6": (
             CgpBudget(rho),
-            lambda x, r, led: pch_anchors_detailed(x, PchParams(rho=rho, beta=beta, k=6), r, led),
+            lambda x, r, led: pch_anchors_detailed(x, rho, beta, r, k=6, ledger=led),
         ),
         "private_convex_hull": (
             CgpBudget(rho),

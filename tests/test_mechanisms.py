@@ -9,7 +9,6 @@ from geopriv.geometry import PointTuple, dist_inf, max_radius, min_dist
 from geopriv.hull import convex_hull, directed_excess
 from geopriv.mechanisms import (
     NonHaltError,
-    PchParams,
     PnnParams,
     identity_cgp_inf,
     identity_cgp_l2,
@@ -17,7 +16,6 @@ from geopriv.mechanisms import (
     identity_gp_l2,
     kpnn,
     kpnn_gp,
-    pch_anchors,
     pch_anchors_detailed,
     pnn,
     pnn_detailed,
@@ -229,6 +227,11 @@ class TestPnn:
         ]
         ledger.close()
 
+    @pytest.mark.parametrize("cycles", [0, 2.5, 2.0])
+    def test_max_cycles_must_be_a_positive_integer(self, cycles):
+        with pytest.raises(ValueError):
+            PnnParams(max_cycles=cycles)
+
     def test_positive_slack_accepts_earlier(self):
         x = PointTuple([[4.0], [1.0], [7.0]])
         # gate h + 3.5 = 4.5 admits the first candidate already
@@ -291,6 +294,16 @@ class TestKpnn:
         with pytest.raises(ValueError):
             kpnn(x, [0.0, 0.0], 0, 1.0, ZERO)
 
+    @pytest.mark.parametrize("select", [kpnn, kpnn_gp])
+    @pytest.mark.parametrize("k", [2.0, 2.5, "2"])
+    def test_non_integer_k_rejected(self, select, k):
+        with pytest.raises(ValueError, match="is not an integer"):
+            select(uniform_tuple(25, 5), [0.0, 0.0], k, 1.0, ZERO)
+
+    def test_numpy_integer_k(self):
+        x = uniform_tuple(25, 5)
+        assert kpnn(x, [0.0, 0.0], np.int64(3), 1.0, ZERO) == kpnn(x, [0.0, 0.0], 3, 1.0, ZERO)
+
     def test_ledgers_close(self):
         x = uniform_tuple(26, 20)
         ledger = BudgetLedger(CgpBudget(0.9))
@@ -331,20 +344,17 @@ class TestKpnn:
 
 class TestPchAnchors:
     def test_zero_noise_diamond_hits_each_corner(self):
-        params = PchParams(rho=1.0, beta=0.05, k=4)
-        anchors = pch_anchors(DIAMOND, params, RandomStream(0, zero_noise=True))
+        anchors, _ = pch_anchors_detailed(DIAMOND, 1.0, 0.05, RandomStream(0, zero_noise=True), k=4)
         assert anchors == [1, 2, 3, 4]
 
     def test_single_point_every_anchor_is_one(self):
         x = PointTuple([[123.0, 456.0]])
-        params = PchParams(rho=0.5, beta=0.05, k=6)
-        anchors = pch_anchors(x, params, RandomStream(29))
+        anchors, _ = pch_anchors_detailed(x, 0.5, 0.05, RandomStream(29), k=6)
         assert anchors == [1] * 6
 
     def test_zero_noise_matches_per_probe_argmin(self):
         x = uniform_tuple(30, 200)
-        params = PchParams(rho=0.5, beta=0.05, k=8)
-        anchors, info = pch_anchors_detailed(x, params, RandomStream(0, zero_noise=True))
+        anchors, info = pch_anchors_detailed(x, 0.5, 0.05, RandomStream(0, zero_noise=True), k=8)
         for j, a in enumerate(anchors):
             theta = 2 * math.pi * j / 8
             probe = info.center + info.radius * np.array([math.cos(theta), math.sin(theta)])
@@ -357,14 +367,12 @@ class TestPchAnchors:
         assert raw == pytest.approx(0.8439, abs=1e-3)
 
         x = uniform_tuple(31, 500, scale=100.0)
-        params = PchParams(rho=1e-4, beta=0.05, k="auto")
-        anchors, info = pch_anchors_detailed(x, params, RandomStream(0, zero_noise=True))
+        anchors, info = pch_anchors_detailed(x, 1e-4, 0.05, RandomStream(0, zero_noise=True))
         assert info.k == 16 and len(anchors) == 16
 
     def test_auto_k_inside_clamp_range(self):
         x = uniform_tuple(32, 400, scale=10_000.0)
-        params = PchParams(rho=1.0, beta=0.05, k="auto")
-        anchors, info = pch_anchors_detailed(x, params, RandomStream(0, zero_noise=True))
+        anchors, info = pch_anchors_detailed(x, 1.0, 0.05, RandomStream(0, zero_noise=True), k="auto")
         expect = round((info.radius * math.sqrt(1.0) / math.log(400 / 0.05)) ** (2.0 / 3.0))
         assert 16 <= info.k <= 128 and info.k == expect
 
@@ -372,9 +380,7 @@ class TestPchAnchors:
         x = uniform_tuple(33, 50)
         rho = 0.8
         ledger = BudgetLedger(CgpBudget(rho))
-        anchors, info = pch_anchors_detailed(
-            x, PchParams(rho=rho, beta=0.05, k=5), RandomStream(34), ledger=ledger
-        )
+        anchors, info = pch_anchors_detailed(x, rho, 0.05, RandomStream(34), k=5, ledger=ledger)
         labels = [l for l, _ in ledger.entries]
         amounts = dict(ledger.entries)
         assert labels[:2] == ["centre", "radius"]
@@ -385,15 +391,37 @@ class TestPchAnchors:
 
     def test_requires_2d(self):
         with pytest.raises(ValueError):
-            pch_anchors(PointTuple([[1.0, 2.0, 3.0]]), PchParams(rho=1.0, beta=0.1, k=3), ZERO)
+            pch_anchors_detailed(PointTuple([[1.0, 2.0, 3.0]]), 1.0, 0.1, ZERO, k=3)
 
     def test_param_validation(self):
-        with pytest.raises(ValueError):
-            PchParams(rho=0.0, beta=0.05)
-        with pytest.raises(ValueError):
-            PchParams(rho=1.0, beta=1.0)
-        with pytest.raises(ValueError):
-            PchParams(rho=1.0, beta=0.05, k=2)
+        # the hull releases check their own budget and beta, which the
+        # anchor stage then gets halved
+        bad = [
+            (0.0, 0.05, {}),
+            (1.0, 0.0, {}),
+            (1.0, 1.0, {}),
+            (1.0, 1.5, {}),
+            (1.0, 0.05, {"k": 2}),
+            # a non-integer k or clamp bound is rejected, not truncated or parsed
+            (1.0, 0.05, {"k": 5.9}),
+            (1.0, 0.05, {"k": "7"}),
+            (1.0, 0.05, {"k_clamp": (16.5, 20)}),
+            (1.0, 0.05, {"k_clamp": (0, 20)}),
+            (1.0, 0.05, {"k_clamp": (20, 16)}),
+        ]
+        x = uniform_tuple(42, 10)
+        for stage in (pch_anchors_detailed, private_convex_hull, private_convex_hull_gp):
+            for budget, beta, kwargs in bad:
+                ledger = BudgetLedger(CgpBudget(1.0))
+                with pytest.raises(ValueError):
+                    stage(x, budget, beta, ZERO, ledger=ledger, **kwargs)
+                assert ledger.entries == [], (stage.__name__, budget, beta, kwargs)
+
+    def test_integer_kinds_are_accepted(self):
+        x = uniform_tuple(30, 200)
+        a = pch_anchors_detailed(x, 0.5, 0.05, ZERO, k=np.int64(8), k_clamp=(np.int32(3), 24))
+        b = pch_anchors_detailed(x, 0.5, 0.05, ZERO, k=8, k_clamp=(3, 24))
+        assert a[0] == b[0] and type(a[1].k) is int
 
 
 class TestPrivateConvexHull:
@@ -443,6 +471,8 @@ class TestPrivateConvexHull:
             private_convex_hull(x, 0.0, 0.05, ZERO)
         with pytest.raises(ValueError):
             private_convex_hull_gp(x, 1.0, 0.0, ZERO)
+        with pytest.raises(ValueError, match="k 5.9 is not an integer"):
+            private_convex_hull_gp(x, 1.0, 0.05, ZERO, k=5.9)
 
 
 class TestMonotonePrivacy:

@@ -45,6 +45,17 @@ class TestRandomStream:
         with pytest.raises(ValueError):
             RandomStream(0, 2**64)
 
+    @pytest.mark.parametrize("key", [(1.7, 0), (0, 1.7), (2.0, 0), ("3", 0)])
+    def test_rejects_non_integer_keys(self, key):
+        # neither truncated (1.7 -> 1) nor parsed ("3" -> 3)
+        with pytest.raises(ValueError, match="is not an integer"):
+            RandomStream(*key)
+
+    def test_numpy_integer_keys(self):
+        a = RandomStream(np.int64(5), np.uint32(2))
+        assert (a.seed, a.stream_id) == (5, 2) and type(a.seed) is int
+        assert a.generator.random() == RandomStream(5, 2).generator.random()
+
 
 class TestLaplace:
     def test_zero_noise_returns_mean(self):

@@ -30,7 +30,6 @@ from geopriv.hull import (
 )
 from geopriv.mechanisms import (
     NonHaltError,
-    PchParams,
     PnnParams,
     SvtOutcome,
     _cycle,
@@ -62,7 +61,7 @@ MECHANISMS = {
     "pch_anchors_detailed": (
         CgpBudget,
         lambda c, rng, led: pch_anchors_detailed(
-            c.x, PchParams(rho=c.budget, beta=c.beta, k=c.hull_k, k_clamp=(3, 24)), rng, led
+            c.x, c.budget, c.beta, rng, k=c.hull_k, k_clamp=(3, 24), ledger=led
         ),
     ),
     "private_convex_hull": (
@@ -166,7 +165,7 @@ def _hull_stage(release):
 
 ANCHOR_STAGES = {
     "pch_anchors_detailed": lambda c, rng: pch_anchors_detailed(
-        c.x, PchParams(rho=c.budget, beta=c.beta, k=c.hull_k, k_clamp=(3, 24)), rng
+        c.x, c.budget, c.beta, rng, k=c.hull_k, k_clamp=(3, 24)
     ),
     "private_convex_hull": _hull_stage(private_convex_hull),
     "private_convex_hull_gp": _hull_stage(private_convex_hull_gp),
@@ -249,7 +248,9 @@ def test_svt_draws_like_the_array_scan(path, m, extra, hit, seed):
     }[path]
 
 
-HULL_KINDS = ["uniform", "gauss", "cauchy", "duplicates", "collinear", "circle", "outlier", "small"]
+HULL_KINDS = [
+    "uniform", "gauss", "cauchy", "duplicates", "collinear", "circle", "outlier", "small", "1mm", "3mm"
+]
 
 
 def _hull_points(kind, n, gen):
@@ -272,6 +273,10 @@ def _hull_points(kind, n, gen):
         pts[0] = 5e3 + 1e6 * np.array([math.cos(angle), math.sin(angle)])
     elif kind == "small":
         pts *= 1e-5  # a 10 cm square
+    elif kind == "1mm":
+        pts *= 1e-7  # a 1 mm square
+    elif kind == "3mm":
+        pts *= 3e-7  # a 3 mm square
     return pts
 
 
@@ -284,7 +289,7 @@ def hull_points(draw, n_min, n_max, kinds):
 
 
 @settings(max_examples=40, deadline=None, database=None)
-@given(pts=hull_points(32, 60, ["uniform", "gauss", "cauchy", "duplicates"]))
+@given(pts=hull_points(32, 60, ["uniform", "gauss", "cauchy", "duplicates", "1mm", "3mm"]))
 def test_prefiltered_hull_is_brute_force(pts):
     # n >= 32 runs the prefilter; brute force keeps points on an edge, so no
     # collinear or circle sets here
@@ -295,6 +300,9 @@ def test_prefiltered_hull_is_brute_force(pts):
 @given(pts=hull_points(1, 4096, HULL_KINDS))
 # a small hull at a Mercator offset, where the raw signed area has the wrong sign
 @example(pts=np.random.default_rng(0).random((40, 2)) * 0.1 + 1e7)
+# a 1 mm set at a Mercator offset: with the tolerance's scale floored at 1 m, the
+# prefiltered hull and the plain chain differed here
+@example(pts=np.random.default_rng(61).random((40, 2)) * 1e-3 + 1e7)
 def test_prefiltered_hull_is_the_monotone_chain(pts):
     hull = convex_hull(pts)
     vertices, degenerate = monotone_chain(pts, ORIENT_EPS)
