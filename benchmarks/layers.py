@@ -5,10 +5,19 @@
     python benchmarks/layers.py --compare PARENT_ROOT --out BENCH.json [--tier1]
 
 Each layer is timed with stdlib ``timeit``: ``autorange`` picks the call
-count, and the best of 5 runs is reported in milliseconds per call.
+count, and the best of 5 runs is reported in milliseconds per call.  Beside
+it, ``minflt_per_call`` is the minor page faults per call over those 5 runs
+(the ``getrusage`` delta), so a layer whose temporaries make the allocator
+hand memory back to the kernel and fault it in again shows a count.  The
+count depends on what ran before in the process, so compare one layer
+between the two sides, not across layers; the count per whole sweep is the
+end-to-end one.
 Every call starts from a fresh ``RandomStream``, so each run repeats the
 same work.  The layers, on uniform points on a 10 km square:
 
+- first, at n = 16384, the identity sweep's size: ``dist_inf`` and
+  ``dist_2`` between the tuple and its CGP release at rho 1e-3, and
+  ``identity_gp_inf`` (at the matched eps) and ``identity_cgp_inf``;
 - ``kpnn``/``kpnn_gp`` at k in {16, 64}, n = 2000 and two budgets;
 - ``pnn`` over every index, ``pch_anchors_detailed`` and the query
   distances ``query_dists`` at n in {1k, 4k, 16k, 64k};
@@ -25,7 +34,8 @@ End-to-end sweep times and CSV hashes are ``perfbench/run.py``'s to measure.
 alternating subprocess rounds, keeps each layer's best time over the rounds,
 and writes both sides with their ratio, the numpy version and the core count.
 ``rounds_ms`` holds every round's time of each layer on each side: a ratio
-within the spread of a side's own rounds is noise.
+within the spread of a side's own rounds is noise.  ``minflt_per_call``
+holds every round's fault count of each layer on each side.
 Both sides run this file's ``measure``, so the parent must take the same
 calls: a checkout without ``geometry.query_dists``, or whose anchor stage
 takes a ``PchParams``, fails its side of the comparison.
@@ -39,6 +49,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import time
@@ -57,18 +68,26 @@ HULL_RHO = 5e-4  # the hull sweep's budget; its anchor stage gets rho/2 and beta
 HULL_BETA = 0.05
 HULL_N = 4096
 NOISE_N = (16384, 10**6)  # identity sweep and verify batch sizes
+IDENTITY_N = 16384
+IDENTITY_RHO = 1e-3  # the middle of the identity sweep's grid
 REPEAT = 5  # timeit runs per layer; the best is kept
 ROUNDS = 2  # alternating subprocess rounds per side with --compare
 
 
-def _best_ms(fn) -> float:
+def _time(fn) -> tuple[float, float]:
+    """Best ms per call over REPEAT timeit runs, and the minor page faults
+    per call over those runs."""
     timer = timeit.Timer(fn)
     number, _ = timer.autorange()
-    return min(timer.repeat(repeat=REPEAT, number=number)) / number * 1e3
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    runs = timer.repeat(repeat=REPEAT, number=number)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return min(runs) / number * 1e3, faults / (REPEAT * number)
 
 
 def measure() -> dict:
-    """Time every layer of the geopriv importable now, in ms per call."""
+    """Time every layer of the geopriv importable now: ``ms`` per call and
+    ``minflt_per_call``, each keyed by layer."""
     import numpy as np
 
     from geopriv import bench, geometry
@@ -91,34 +110,58 @@ def measure() -> dict:
         return PointTuple(np.random.default_rng(n).random((n, 2)) * EXTENT)
 
     q = [0.37 * EXTENT, 0.61 * EXTENT]
-    layers = {}
+    ms, faults = {}, {}
+
+    def time_layer(key, fn):
+        ms[key], faults[key] = _time(fn)
+
+    # First: glibc's trim threshold only rises (to twice the largest mmapped
+    # block freed so far), so after the 10^6-row layers no layer faults.
+    x = uniform(IDENTITY_N)
+    y = identity_cgp_inf(x, IDENTITY_RHO, RandomStream(7))
+    identity_eps = matched_gp_budget(
+        IDENTITY_RHO, bench.ExperimentConfig.delta, bench.ExperimentConfig.min_eps_dist
+    )
+    time_layer(f"dist_inf n={IDENTITY_N}", lambda: geometry.dist_inf(x, y))
+    time_layer(f"dist_2 n={IDENTITY_N}", lambda: geometry.dist_2(x, y))
+    time_layer(
+        f"identity_gp_inf n={IDENTITY_N} eps={identity_eps:.4g}",
+        lambda: identity_gp_inf(x, identity_eps, RandomStream(7)),
+    )
+    time_layer(
+        f"identity_cgp_inf n={IDENTITY_N} rho={IDENTITY_RHO:g}",
+        lambda: identity_cgp_inf(x, IDENTITY_RHO, RandomStream(7)),
+    )
     x = uniform(KNN_N)
     for rho in KNN_RHO:
         eps = matched_gp_budget(rho, bench.ExperimentConfig.delta, bench.ExperimentConfig.min_eps_dist)
         for k in KNN_K:
-            layers[f"kpnn k={k} n={KNN_N} rho={rho:g}"] = _best_ms(
-                lambda: kpnn(x, q, k, rho, RandomStream(1))
+            time_layer(
+                f"kpnn k={k} n={KNN_N} rho={rho:g}",
+                lambda: kpnn(x, q, k, rho, RandomStream(1)),
             )
-            layers[f"kpnn_gp k={k} n={KNN_N} eps={eps:.4g}"] = _best_ms(
-                lambda: kpnn_gp(x, q, k, eps, RandomStream(1))
+            time_layer(
+                f"kpnn_gp k={k} n={KNN_N} eps={eps:.4g}",
+                lambda: kpnn_gp(x, q, k, eps, RandomStream(1)),
             )
     stage_rho, stage_beta = HULL_RHO / 2.0, HULL_BETA / 2.0
     for n in SCAN_N:
         x = uniform(n)
         every = range(1, n + 1)
-        layers[f"pnn n={n} eps={PNN_EPS:g}"] = _best_ms(
-            lambda: pnn(x, q, every, PNN_EPS, RandomStream(2))
+        time_layer(f"pnn n={n} eps={PNN_EPS:g}", lambda: pnn(x, q, every, PNN_EPS, RandomStream(2)))
+        time_layer(
+            f"pch_anchors_detailed n={n} rho={stage_rho:g}",
+            lambda: pch_anchors_detailed(x, stage_rho, stage_beta, RandomStream(3)),
         )
-        layers[f"pch_anchors_detailed n={n} rho={stage_rho:g}"] = _best_ms(
-            lambda: pch_anchors_detailed(x, stage_rho, stage_beta, RandomStream(3))
-        )
-        layers[f"query_dists n={n}"] = _best_ms(lambda: geometry.query_dists(x.points, q))
+        time_layer(f"query_dists n={n}", lambda: geometry.query_dists(x.points, q))
     for n in NOISE_N:
-        layers[f"sample_planar_laplace d=2 n={n}"] = _best_ms(
-            lambda: sample_planar_laplace(2, 1.0, RandomStream(6), size=n)
+        time_layer(
+            f"sample_planar_laplace d=2 n={n}",
+            lambda: sample_planar_laplace(2, 1.0, RandomStream(6), size=n),
         )
-        layers[f"sample_gaussian_vec d=2 n={n}"] = _best_ms(
-            lambda: sample_gaussian_vec(2, 1.0, RandomStream(6), size=n)
+        time_layer(
+            f"sample_gaussian_vec d=2 n={n}",
+            lambda: sample_gaussian_vec(2, 1.0, RandomStream(6), size=n),
         )
     hull_eps = matched_gp_budget(HULL_RHO, bench.ExperimentConfig.delta, bench.ExperimentConfig.min_eps_dist)
     for n in SCAN_N:
@@ -129,18 +172,20 @@ def measure() -> dict:
             "gp_noisy": identity_gp_inf(x, hull_eps, RandomStream(4)),
         }
         for kind, y in tuples.items():
-            layers[f"convex_hull {kind} n={n}"] = _best_ms(lambda: convex_hull(y.points))
+            time_layer(f"convex_hull {kind} n={n}", lambda: convex_hull(y.points))
     x = uniform(HULL_N)
     true_hull = convex_hull(x.points)
     noisy_hull = convex_hull(identity_cgp_inf(x, HULL_RHO, RandomStream(4)).points)
-    layers[f"jaccard cgp_noisy n={HULL_N}"] = _best_ms(lambda: jaccard(noisy_hull, true_hull))
-    layers[f"private_convex_hull n={HULL_N} rho={HULL_RHO:g}"] = _best_ms(
-        lambda: private_convex_hull(x, HULL_RHO, HULL_BETA, RandomStream(5))
+    time_layer(f"jaccard cgp_noisy n={HULL_N}", lambda: jaccard(noisy_hull, true_hull))
+    time_layer(
+        f"private_convex_hull n={HULL_N} rho={HULL_RHO:g}",
+        lambda: private_convex_hull(x, HULL_RHO, HULL_BETA, RandomStream(5)),
     )
-    layers[f"private_convex_hull_gp n={HULL_N} eps={hull_eps:.4g}"] = _best_ms(
-        lambda: private_convex_hull_gp(x, hull_eps, HULL_BETA, RandomStream(5))
+    time_layer(
+        f"private_convex_hull_gp n={HULL_N} eps={hull_eps:.4g}",
+        lambda: private_convex_hull_gp(x, hull_eps, HULL_BETA, RandomStream(5)),
     )
-    return layers
+    return {"ms": ms, "minflt_per_call": faults}
 
 
 def _run_side(root: Path) -> dict:
@@ -168,14 +213,18 @@ def compare(parent: Path, tier1: bool) -> dict:
         order = [("before", parent), ("after", ROOT)]
         for side, root in order if r % 2 == 0 else order[::-1]:
             runs[side].append(_run_side(root))
-    rounds = {side: {key: [run[key] for run in done] for key in done[0]} for side, done in runs.items()}
+    rounds, faults = (
+        {side: {key: [run[field][key] for run in done] for key in done[0][field]} for side, done in runs.items()}
+        for field in ("ms", "minflt_per_call")
+    )
     before = {key: min(ms) for key, ms in rounds["before"].items()}
     after = {key: min(ms) for key, ms in rounds["after"].items()}
     ratio = {key: after[key] / ms for key, ms in before.items()}
     result = {
         "harness": "benchmarks/layers.py --compare",
         "method": f"timeit best of {REPEAT} runs (autorange call count), best over {ROUNDS} "
-                  "alternating subprocess rounds per side (each round in rounds_ms); ms per call",
+                  "alternating subprocess rounds per side (each round in rounds_ms); ms per call; "
+                  "minor page faults per call over the timed runs of each round (minflt_per_call)",
         "env": {
             "cores": os.cpu_count(),
             "cpu": platform.processor() or platform.machine(),
@@ -186,6 +235,7 @@ def compare(parent: Path, tier1: bool) -> dict:
         "after_ms": after,
         "after_over_before": ratio,
         "rounds_ms": rounds,
+        "minflt_per_call": faults,
     }
     if tier1:
         result["tier1_s"] = {"before": _tier1_s(parent), "after": _tier1_s(ROOT)}

@@ -45,12 +45,31 @@ class PointTuple:
         return f"PointTuple(n={self.n}, dim={self.dim})"
 
 
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a float (n, d) array, the same bytes as
+    numpy's ``norm(v, axis=1)``.
+
+    numpy's ``norm`` is ``sqrt(add.reduce(v * v, axis=1))``, and ``add.reduce``
+    sums rows shorter than 8 in column order, so summing the squares column
+    by column into one buffer gives the same sums without the (n, d)
+    temporary.  Rows of 8 or more are summed pairwise, so those go to
+    ``norm`` itself: ``identity_gp_l2`` draws one (1, n*d) direction row.
+    """
+    d = v.shape[1]
+    if d >= 8:
+        return np.linalg.norm(v, axis=1)
+    s = v[:, 0] * v[:, 0]
+    for j in range(1, d):
+        s += v[:, j] * v[:, j]
+    return np.sqrt(s, out=s)
+
+
 def _per_point_dists(x: PointTuple, y: PointTuple) -> np.ndarray:
     if x.points.shape != y.points.shape:
         raise ValueError(
             f"point tuples must share shape, got {x.points.shape} and {y.points.shape}"
         )
-    return np.linalg.norm(x.points - y.points, axis=1)
+    return row_norms(x.points - y.points)
 
 
 def dist_inf(x: PointTuple, y: PointTuple) -> float:
@@ -81,7 +100,7 @@ def query_dists(points: np.ndarray, q) -> np.ndarray:
     d = points.shape[1]
     if q.shape != (d,):
         raise ValueError(f"query point must have shape ({d},), got {q.shape}")
-    return np.linalg.norm(points - q, axis=1)
+    return row_norms(points - q)
 
 
 def max_radius(x: PointTuple, q) -> float:

@@ -5,7 +5,9 @@ fixed ``(seed, stream_id)`` pair reproduces identical sequences and distinct
 stream ids give statistically independent streams for parallel trials.  A
 degenerate zero-noise stream is provided for deterministic testing: with it,
 every sampler returns 0 (or the zero vector), so mechanisms built on top
-become exact.
+become exact.  A sampler's ``dim`` and ``size`` must be integers: 2.5, 3.7
+or "3" raises ValueError before any draw rather than being truncated or
+parsed.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _as_index
+from .geometry import _as_index, row_norms
 
 _UINT64_MAX = 2**64 - 1
 
@@ -69,10 +71,18 @@ class GenGammaParams:
                 raise ValueError(f"{name} must be positive, got {value}")
 
 
+def _as_dim(dim) -> int:
+    dim = _as_index(dim, "dim")
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
+    return dim
+
+
 def sample_laplace(scale: float, rng: RandomStream, size: int | None = None):
     """Draw from Laplace(0, scale), pdf ``exp(-|y|/scale) / (2*scale)``."""
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
+    size = None if size is None else _as_index(size, "size")
     if rng.zero_noise:
         return 0.0 if size is None else np.zeros(size)
     if size is None:
@@ -85,11 +95,10 @@ def sample_gaussian_vec(dim: int, sigma: float, rng: RandomStream, size: int | N
 
     With ``size`` given, returns a ``(size, dim)`` array of independent draws.
     """
-    if int(dim) < 1:
-        raise ValueError(f"dim must be at least 1, got {dim}")
+    dim = _as_dim(dim)
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    dim = int(dim)
+    size = None if size is None else _as_index(size, "size")
     if rng.zero_noise:
         return np.zeros(dim) if size is None else np.zeros((size, dim))
     if size is None:
@@ -104,9 +113,10 @@ def sample_gen_gamma(params: GenGammaParams, rng: RandomStream, size: int | None
     distributed, with the Gamma variate drawn by numpy's
     ``Generator.standard_gamma``.
     """
+    size = None if size is None else _as_index(size, "size")
     if rng.zero_noise:
         return 0.0 if size is None else np.zeros(size)
-    n = 1 if size is None else int(size)
+    n = 1 if size is None else size
     t = rng.generator.standard_gamma(params.shape / params.power, n)
     r = params.scale * t ** (1.0 / params.power)
     return float(r[0]) if size is None else r
@@ -115,12 +125,13 @@ def sample_gen_gamma(params: GenGammaParams, rng: RandomStream, size: int | None
 def _unit_directions(dim: int, gen: np.random.Generator, size: int) -> np.ndarray:
     """Uniform directions on the unit sphere (normalized Gaussian vectors)."""
     v = gen.standard_normal((size, dim))
-    norm = np.linalg.norm(v, axis=1)
+    norm = row_norms(v)
     while np.any(norm < 1e-12):  # probability ~0, regenerate degenerate rows
         bad = norm < 1e-12
         v[bad] = gen.standard_normal((int(bad.sum()), dim))
-        norm = np.linalg.norm(v, axis=1)
-    return v / norm[:, None]
+        norm = row_norms(v)
+    v /= norm[:, None]
+    return v
 
 
 def sample_planar_laplace(dim: int, eps: float, rng: RandomStream, size: int | None = None):
@@ -132,18 +143,19 @@ def sample_planar_laplace(dim: int, eps: float, rng: RandomStream, size: int | N
     the planar Laplace mechanism of Andres et al. (CCS 2013), generalized to
     d dimensions.
     """
-    if int(dim) < 1:
-        raise ValueError(f"dim must be at least 1, got {dim}")
+    dim = _as_dim(dim)
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    dim = int(dim)
+    size = None if size is None else _as_index(size, "size")
     if rng.zero_noise:
         return np.zeros(dim) if size is None else np.zeros((size, dim))
-    n = 1 if size is None else int(size)
+    n = 1 if size is None else size
     radii = sample_gen_gamma(GenGammaParams(1.0 / eps, float(dim), 1.0), rng, size=n)
+    # scaled in place, as the directions are normalized in place: at the
+    # verify batch a second (n, d) array is tens of MB of peak memory
     dirs = _unit_directions(dim, rng.generator, n)
-    out = radii[:, None] * dirs
-    return out[0] if size is None else out
+    dirs *= radii[:, None]
+    return dirs[0] if size is None else dirs
 
 
 def gp_radius_quantile(beta: float, eps: float) -> float:

@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .geometry import row_norms
 from .noise import (
     RandomStream,
     laplace_sum_pdf,
@@ -104,7 +105,7 @@ def check_gp_radial_tail(
         raise ValueError(f"eps must be positive, got {eps}")
     ref = survival or (lambda r: (1.0 + r * eps) * math.exp(-r * eps))
     draws = sample_planar_laplace(2, eps, rng, size=samples)
-    radii = np.linalg.norm(draws, axis=1)
+    radii = row_norms(draws)
     return _survival_check(f"gp_radial_tail(eps={eps:g})", radii, r_grid, ref)
 
 
@@ -121,7 +122,7 @@ def check_cgp_radial_tail(
         raise ValueError(f"rho must be positive, got {rho}")
     ref = survival or (lambda r: math.exp(-rho * r * r))
     draws = sample_gaussian_vec(2, 1.0 / math.sqrt(2.0 * rho), rng, size=samples)
-    radii = np.linalg.norm(draws, axis=1)
+    radii = row_norms(draws)
     return _survival_check(f"cgp_radial_tail(rho={rho:g})", radii, r_grid, ref)
 
 
@@ -259,7 +260,7 @@ def check_planar_laplace_mean(dim: int, eps: float, samples: int, rng: RandomStr
     """Mean norm of d-dimensional planar-Laplace noise against the closed
     form d/eps, at 1% relative tolerance."""
     draws = sample_planar_laplace(dim, eps, rng, size=samples)
-    mean = float(np.linalg.norm(draws, axis=1).mean())
+    mean = float(row_norms(draws).mean())
     stat = abs(mean * eps / dim - 1.0)
     return CheckReport(
         f"planar_laplace_mean(d={dim},eps={eps:g})", stat, _MEAN_REL_TOL, stat < _MEAN_REL_TOL, samples

@@ -164,6 +164,40 @@ class TestPlanarLaplace:
         assert chi2.sf(stat, 35) > 0.001
 
 
+NON_INTEGER_ARGUMENTS = {
+    "gaussian_vec dim=2.5": lambda rng: sample_gaussian_vec(2.5, 1.0, rng),
+    "planar_laplace dim=2.9": lambda rng: sample_planar_laplace(2.9, 1.0, rng),
+    'gaussian_vec dim="3"': lambda rng: sample_gaussian_vec("3", 1.0, rng, size=4),
+    'planar_laplace dim="3"': lambda rng: sample_planar_laplace("3", 1.0, rng, size=4),
+    "laplace size=3.7": lambda rng: sample_laplace(1.0, rng, size=3.7),
+    "gaussian_vec size=3.7": lambda rng: sample_gaussian_vec(2, 1.0, rng, size=3.7),
+    "gen_gamma size=3.7": lambda rng: sample_gen_gamma(GenGammaParams(1.0, 2.0, 1.0), rng, size=3.7),
+    "planar_laplace size=3.7": lambda rng: sample_planar_laplace(2, 1.0, rng, size=3.7),
+    "planar_laplace size=2.0": lambda rng: sample_planar_laplace(2, 1.0, rng, size=2.0),
+}
+
+
+class TestSamplerArguments:
+    @pytest.mark.parametrize("zero_noise", [False, True])
+    @pytest.mark.parametrize("call", NON_INTEGER_ARGUMENTS.values(), ids=NON_INTEGER_ARGUMENTS.keys())
+    def test_non_integer_dim_or_size_raises_before_any_draw(self, call, zero_noise):
+        # neither truncated (2.9 -> 2, 3.7 -> 3) nor parsed ("3" -> 3)
+        rng = RandomStream(0, zero_noise=zero_noise)
+        with pytest.raises(ValueError, match="is not an integer"):
+            call(rng)
+        assert rng.generator.random() == RandomStream(0).generator.random()
+
+    @pytest.mark.parametrize("zero_noise", [False, True])
+    @pytest.mark.parametrize("size", [None, 0, 3, np.int64(3)])
+    def test_integer_sizes_keep_their_shapes(self, size, zero_noise):
+        rng = RandomStream(0, zero_noise=zero_noise)
+        rows = () if size is None else (int(size),)
+        assert np.shape(sample_laplace(1.0, rng, size=size)) == rows
+        assert np.shape(sample_gen_gamma(GenGammaParams(1.0, 2.0, 1.0), rng, size=size)) == rows
+        assert np.shape(sample_gaussian_vec(np.int64(2), 1.0, rng, size=size)) == rows + (2,)
+        assert np.shape(sample_planar_laplace(3, 1.0, rng, size=size)) == rows + (3,)
+
+
 class TestQuantiles:
     def test_gp_radius_quantile_value(self):
         u = math.log(20.0)

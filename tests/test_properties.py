@@ -7,7 +7,8 @@ hull anchor are exactly the brute-force ones.  The sparse vector scan is checked
 first-below search under zero noise, and against a query-by-query scan on
 seeded streams: same outcome, same draws.  The prefiltered convex hull is
 checked against point-in-triangle elimination and against a plain
-monotone chain over every point, up to the hull sweep's n = 4096."""
+monotone chain over every point, up to the hull sweep's n = 4096.  The
+row-norm kernel is checked byte for byte against ``np.linalg.norm``."""
 
 import math
 from itertools import cycle, islice
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geopriv.accounting import BudgetLedger, CgpBudget, GpBudget
-from geopriv.geometry import PointTuple
+from geopriv.geometry import PointTuple, row_norms
 from geopriv.hull import (
     _FILTER_DIRS,
     _FILTER_MARGIN,
@@ -317,3 +318,21 @@ def test_prefilter_drops_the_interior_past_a_repeated_extreme(n, seed):
     assert np.count_nonzero(np.argmax(_FILTER_DIRS @ pts.T, axis=1) == 0) >= 2
     kept = _drop_interior(pts, _FILTER_MARGIN * ORIENT_EPS * _bbox_scale(pts) ** 2)
     assert len(kept) < n // 4
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    cols=st.integers(1, 12),
+    rows=st.integers(1, 300),
+    offset=st.sampled_from([0.0, 1e7]),
+    layout=st.sampled_from(["C", "F", "strided"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# the fallback boundary: 7 columns are summed in column order, 8 pairwise (on
+# this array, 76 of the 300 column-order sums differ from norm's at 8 columns)
+@example(cols=7, rows=300, offset=1e7, layout="C", seed=0)
+@example(cols=8, rows=300, offset=1e7, layout="C", seed=0)
+def test_row_norms_are_numpy_norm_bytes(cols, rows, offset, layout, seed):
+    v = np.random.default_rng(seed).standard_normal((2 * rows, cols)) * 1e3 + offset
+    v = {"C": v[:rows], "F": np.asfortranarray(v[:rows]), "strided": v[::2]}[layout]
+    assert row_norms(v).tobytes() == np.linalg.norm(v, axis=1).tobytes()
