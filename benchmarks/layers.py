@@ -32,7 +32,8 @@ End-to-end sweep times and CSV hashes are ``perfbench/run.py``'s to measure.
 
 ``--compare`` runs the harness on a parent checkout and on this one in two
 alternating subprocess rounds, keeps each layer's best time over the rounds,
-and writes both sides with their ratio, the numpy version and the core count.
+and writes both sides with their ratio, the numpy version and the core
+counts: the host's (``cores``) and this process's (``usable_cores``).
 ``rounds_ms`` holds every round's time of each layer on each side: a ratio
 within the spread of a side's own rounds is noise.  ``minflt_per_call``
 holds every round's fault count of each layer on each side.
@@ -227,6 +228,8 @@ def compare(parent: Path, tier1: bool) -> dict:
                   "minor page faults per call over the timed runs of each round (minflt_per_call)",
         "env": {
             "cores": os.cpu_count(),
+            # the cores this process may run on: the identity sweep's pool is capped here
+            "usable_cores": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
             "cpu": platform.processor() or platform.machine(),
             "python": platform.python_version(),
             "numpy": np.__version__,

@@ -8,7 +8,9 @@ and exits nonzero on any failure.
 
 The three sweeps are one driver, :func:`run_sweep`, over a task table: each
 entry names its mechanisms, its metrics and a scorer that rates one output
-against the trial's reference (the true tuple, k nearest or hull).
+against the trial's reference (the true tuple, k nearest or hull).  The
+identity sweep runs its trials on a thread pool, one worker per available
+core, with the same bytes; knn and hull, which scan, run on one thread.
 
 Everything is deterministic under a fixed seed: data, query points and each
 mechanism invocation draw from disjoint stream ids derived from the config.
@@ -20,12 +22,16 @@ budget of the grid shares the same draws (common random numbers).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import itertools
 import math
+import os
 import sys
 import warnings
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
@@ -51,6 +57,12 @@ _SAMPLE_BASE = 1_500_000_000
 _QUERY_BASE = 2_000_000_000
 _MECH_BASE = 3_000_000_000
 _VERIFY_BASE = 4_000_000_000
+# Stream-id strides: a sample id is ``ci * _SAMPLE_STRIDE + n_index`` and a
+# query id ``ci * _QUERY_STRIDE + trial``, so configs past these limits
+# would reuse ids and are refused.
+_SAMPLE_STRIDE = 64
+_QUERY_STRIDE = 100_000
+_MAX_QUERY_COLLECTIONS = (_MECH_BASE - _QUERY_BASE) // _QUERY_STRIDE
 
 _WALK_STEP_M = 50.0
 
@@ -91,6 +103,15 @@ class ExperimentConfig:
         if self.rho_grid is not None and self.eps_grid is not None:
             if len(self.rho_grid) != len(self.eps_grid):
                 raise ValueError("rho_grid and eps_grid must have equal lengths when both given")
+        if self.task != "verify" and len(self.n_grid) > _SAMPLE_STRIDE:
+            raise ValueError(f"n_grid holds at most {_SAMPLE_STRIDE} sizes, got {len(self.n_grid)}")
+        if self.task == "knn":
+            if self.trials > _QUERY_STRIDE:
+                raise ValueError(f"knn runs at most {_QUERY_STRIDE} trials, got {self.trials}")
+            if self.collections > _MAX_QUERY_COLLECTIONS:
+                raise ValueError(
+                    f"knn runs at most {_MAX_QUERY_COLLECTIONS} collections, got {self.collections}"
+                )
 
 
 @dataclass(frozen=True)
@@ -166,7 +187,7 @@ def _collections(cfg: ExperimentConfig) -> list[PointTuple]:
 
 def _sampled(cfg: ExperimentConfig, colls: list[PointTuple], n_index: int, n: int) -> list[PointTuple]:
     return [
-        sample_points(c, n, _stream(cfg, _SAMPLE_BASE, ci * 64 + n_index))
+        sample_points(c, n, _stream(cfg, _SAMPLE_BASE, ci * _SAMPLE_STRIDE + n_index))
         for ci, c in enumerate(colls)
     ]
 
@@ -209,11 +230,17 @@ class _Task:
     """One sweep.  ``mechanisms`` maps each name, in stream-id order, to
     ``(cfg, trial, rng) -> output``; ``score(trial, output)`` gives one value
     per name in ``metrics``.  The lambdas look mechanisms up at call time, so
-    rebinding a module attribute (as a tracer does) reaches every call."""
+    rebinding a module attribute (as a tracer does) reaches every call.
+
+    ``scans`` says whether some mechanism makes a sparse-vector scan.  A scan
+    takes and releases the GIL every draw block, so such trials run on the
+    calling thread: on a thread pool the knn sweep ran slower and the hull
+    sweep gained less than its run-to-run spread."""
 
     mechanisms: dict
     metrics: tuple[str, ...]
     score: Callable
+    scans: bool
 
 
 def _knn_baseline(cfg: ExperimentConfig, t: _Trial, released: PointTuple) -> np.ndarray:
@@ -237,6 +264,7 @@ _TASKS = {
         },
         ("max_point_err", "l2_err"),
         lambda t, y: (dist_inf(y, t.x), dist_2(y, t.x)),
+        scans=False,
     ),
     # k nearest neighbours of a query point: the reported points' distance sum
     # over the true k nearest's, and the per-rank mean excess.
@@ -249,6 +277,7 @@ _TASKS = {
         },
         ("norm_sum_dist", "mean_rank_excess"),
         _knn_score,
+        scans=True,
     ),
     # Convex hull: Jaccard similarity to the true hull (higher is better).
     "hull": _Task(
@@ -260,8 +289,16 @@ _TASKS = {
         },
         ("jaccard",),
         lambda t, out: (jaccard(convex_hull(out.points), t.true_hull),),
+        scans=True,
     ),
 }
+
+
+def _cores() -> int:
+    """Cores this process may run on (the host's count where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
@@ -271,39 +308,58 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     knn also sweeps ``k_grid`` (skipping k > n) and draws one query point per
     (collection, trial); a trial whose true k nearest all sit on the query is
     skipped.  The GP budget is matched from rho unless ``eps_grid`` is given.
+
+    A task without scans maps its (collection, trial) pairs over a thread
+    pool of ``min(cores, pairs)`` workers (numpy's samplers and ufunc loops
+    release the GIL), shut down when the sweep returns or raises; with one
+    worker, or for a scanning task, the pairs are mapped on the calling
+    thread.  Each trial draws only from its own streams and the scores are
+    collected in pair order, so the rows do not depend on the worker count.
     """
     task = _TASKS[cfg.task]
     colls = _collections(cfg)
     knn = cfg.task == "knn"
-    pool = query_point_pool(colls) if knn else None
+    query_pool = query_point_pool(colls) if knn else None
     k_grid = cfg.k_grid if knn else [None]
+    # the (collection, trial) pairs, collection-major: the order scores are collected in
+    cis, ts = zip(*itertools.product(range(len(colls)), range(cfg.trials)))
+    workers = 1 if task.scans else min(_cores(), len(cis))
     rows = []
-    for ni, n in enumerate(cfg.n_grid):
-        data = _sampled(cfg, colls, ni, n)
-        hulls = [convex_hull(x.points) for x in data] if cfg.task == "hull" else [None] * len(data)
-        for ki, k in enumerate(k_grid):
-            if knn and k > n:
-                warnings.warn(f"skipping k={k} > n={n}")
-                continue
-            cell = ni * len(k_grid) + ki
-            for budget, rho, eps in _budget_pairs(cfg):
-                vals = {(m, metric): [] for m in task.mechanisms for metric in task.metrics}
-                for ci, x in enumerate(data):
-                    for t in range(cfg.trials):
-                        trial = _Trial(x, rho, eps, k, hulls[ci])
+    with contextlib.ExitStack() as stack:
+        pmap = map if workers == 1 else stack.enter_context(ThreadPoolExecutor(workers)).map
+        for ni, n in enumerate(cfg.n_grid):
+            data = _sampled(cfg, colls, ni, n)
+            hulls = [convex_hull(x.points) for x in data] if cfg.task == "hull" else [None] * len(data)
+            for ki, k in enumerate(k_grid):
+                if knn and k > n:
+                    warnings.warn(f"skipping k={k} > n={n}")
+                    continue
+                cell = ni * len(k_grid) + ki
+                for budget, rho, eps in _budget_pairs(cfg):
+
+                    def scores(ci: int, t: int):
+                        """Each mechanism's metric values on one trial, or None if skipped."""
+                        trial = _Trial(data[ci], rho, eps, k, hulls[ci])
                         if knn:
-                            qgen = _stream(cfg, _QUERY_BASE, ci * 100_000 + t).generator
-                            trial.query = pool[int(qgen.integers(len(pool)))]
-                            d_true = query_dists(x.points, trial.query)
+                            qgen = _stream(cfg, _QUERY_BASE, ci * _QUERY_STRIDE + t).generator
+                            trial.query = query_pool[int(qgen.integers(len(query_pool)))]
+                            d_true = query_dists(trial.x.points, trial.query)
                             trial.true_sum = float(np.sort(d_true, kind="stable")[:k].sum())
                             if trial.true_sum <= 0.0:
-                                continue
-                        for mi, (m, release) in enumerate(task.mechanisms.items()):
-                            out = release(cfg, trial, _mech_stream(cfg, cell, mi, ci, t))
-                            for metric, v in zip(task.metrics, task.score(trial, out)):
+                                return None
+                        return [
+                            task.score(trial, release(cfg, trial, _mech_stream(cfg, cell, mi, ci, t)))
+                            for mi, release in enumerate(task.mechanisms.values())
+                        ]
+
+                    vals = {(m, metric): [] for m in task.mechanisms for metric in task.metrics}
+                    # consumed here, before the budget loop rebinds what ``scores`` reads
+                    for trial_scores in pmap(scores, cis, ts):
+                        for m, values in zip(task.mechanisms, trial_scores or ()):
+                            for metric, v in zip(task.metrics, values):
                                 vals[m, metric].append(v)
-                for (m, metric), v in vals.items():
-                    rows.append(_aggregate(cfg.task, m, n, budget, k, metric, v))
+                    for (m, metric), v in vals.items():
+                        rows.append(_aggregate(cfg.task, m, n, budget, k, metric, v))
     return sorted(rows, key=_row_key)
 
 

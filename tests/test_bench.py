@@ -1,8 +1,11 @@
 import csv
+import itertools
 import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 
 import geopriv
+from geopriv import bench
 from geopriv.bench import (
     ExperimentConfig,
     ResultRow,
@@ -55,6 +59,30 @@ class TestConfig:
             ExperimentConfig(rho_grid=[0.1, 0.2], eps_grid=[1.0])
         with pytest.raises(ValueError, match="task"):
             ExperimentConfig(task="bogus")
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            # query id ci * 100_000 + t: trial 100_000 is the next collection's trial 0
+            dict(task="knn", trials=100_001),
+            # query ids of collection 10_000 on reach the mechanism base
+            dict(task="knn", collections=10_001),
+            # sample id ci * 64 + n_index: a 65th size is the next collection's first
+            dict(task="identity", n_grid=list(range(1, 66))),
+            dict(task="knn", n_grid=list(range(1, 66))),
+            dict(task="hull", n_grid=list(range(1, 66))),
+        ],
+    )
+    def test_configs_whose_stream_ids_overlap_are_refused(self, kw):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**kw)
+
+    def test_configs_at_the_stream_id_limits_are_accepted(self):
+        ExperimentConfig(task="knn", trials=100_000, collections=10_000, n_grid=list(range(1, 65)))
+        # only knn draws query points, and verify samples no tuples
+        for task in ("identity", "hull"):
+            ExperimentConfig(task=task, trials=100_001, collections=10_001)
+        ExperimentConfig(task="verify", n_grid=list(range(1, 66)))
 
     def test_cli_defaults_come_from_the_config(self):
         for task in ("identity", "knn", "hull", "verify"):
@@ -294,3 +322,113 @@ class TestCli:
     def test_walk_input_mode(self):
         rows = run_sweep(small_cfg(input="synthetic-walk"))
         assert rows
+
+
+def _bounded(fn, *args, timeout=120.0):
+    """``fn(*args)`` on a daemon thread: a deadlocked pool fails the test
+    after ``timeout`` seconds instead of hanging it."""
+    done = {}
+
+    def target():
+        try:
+            done["value"] = fn(*args)
+        except BaseException as exc:  # re-raised on the test's thread
+            done["error"] = exc
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), f"{fn.__name__} did not return within {timeout} s"
+    if "error" in done:
+        raise done["error"]
+    return done["value"]
+
+
+def _spy(monkeypatch, name, seen, delay=0.0):
+    """Rebind ``bench.<name>`` to record the thread of every call."""
+    real = getattr(bench, name)
+
+    def spy(*args, **kwargs):
+        seen.add(threading.get_ident())
+        time.sleep(delay)  # a held worker leaves the next pair to another thread
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bench, name, spy)
+
+
+class TestTrialPool:
+    @pytest.mark.parametrize("extra_workers", [0, 2], ids=["machine", "oversubscribed"])
+    def test_pooled_identity_sweep_has_the_serial_bytes(self, monkeypatch, extra_workers):
+        cfg = small_cfg(task="identity", rho_grid=[1e-3, 1e-2], n_grid=[64, 256], trials=4, collections=3)
+        cores = bench._cores() + extra_workers
+        monkeypatch.setattr(bench, "_cores", lambda: cores)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often: a misordered result shows in the bytes
+        try:
+            pooled = render_csv(_bounded(run_sweep, cfg))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        monkeypatch.setattr(bench, "_cores", lambda: 1)
+        assert render_csv(_bounded(run_sweep, cfg)) == pooled
+
+    def test_identity_trials_run_on_one_thread_per_core(self, monkeypatch):
+        seen = set()
+        _spy(monkeypatch, "identity_gp_inf", seen, delay=0.002)
+        _bounded(run_sweep, small_cfg(task="identity", trials=4, collections=2))
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert bench._cores() == cores
+        assert 1 < len(seen) <= cores if cores >= 2 else len(seen) == 1
+
+    @pytest.mark.parametrize(
+        "task, names",
+        [
+            ("knn", ("identity_gp_inf", "identity_cgp_inf", "kpnn", "kpnn_gp")),
+            ("hull", ("identity_gp_inf", "identity_cgp_inf", "private_convex_hull", "private_convex_hull_gp")),
+        ],
+    )
+    def test_scanning_tasks_run_on_the_calling_thread(self, monkeypatch, task, names):
+        monkeypatch.setattr(bench, "_cores", lambda: 4)
+        seen = set()
+        for name in names:
+            _spy(monkeypatch, name, seen)
+        caller = set()
+
+        def sweep():
+            caller.add(threading.get_ident())
+            return run_sweep(small_cfg(task=task, n_grid=[48], trials=4))
+
+        assert _bounded(sweep)
+        assert seen == caller
+
+    def test_a_failing_trial_raises_and_leaves_no_thread(self, monkeypatch):
+        monkeypatch.setattr(bench, "_cores", lambda: 2)
+        error = RuntimeError("third call")
+        calls = itertools.count(1)
+        real = bench.identity_cgp_inf
+
+        def flaky(*args):
+            if next(calls) == 3:
+                raise error
+            return real(*args)
+
+        monkeypatch.setattr(bench, "identity_cgp_inf", flaky)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            _bounded(run_sweep, small_cfg(task="identity", trials=4, collections=2))
+        assert raised.value is error
+        assert threading.active_count() == before
+
+    def test_import_starts_no_thread(self):
+        probe = "import threading, geopriv.bench; print(threading.active_count())"
+        src = Path(geopriv.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "1"
