@@ -53,7 +53,8 @@ def row_norms(v: np.ndarray) -> np.ndarray:
     sums rows shorter than 8 in column order, so summing the squares column
     by column into one buffer gives the same sums without the (n, d)
     temporary.  Rows of 8 or more are summed pairwise, so those go to
-    ``norm`` itself: ``identity_gp_l2`` draws one (1, n*d) direction row.
+    ``norm`` itself, which keeps its bytes for every width
+    (``test_row_norms_are_numpy_norm_bytes``).
     """
     d = v.shape[1]
     if d >= 8:

@@ -13,11 +13,10 @@ parsed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _as_index, row_norms
+from .geometry import _as_index
 
 _UINT64_MAX = 2**64 - 1
 
@@ -50,25 +49,6 @@ class RandomStream:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = ", zero_noise=True" if self.zero_noise else ""
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id}{tag})"
-
-
-@dataclass(frozen=True)
-class GenGammaParams:
-    """Parameters of the generalized gamma distribution.
-
-    The density is ``power / scale**shape / Gamma(shape/power) *
-    r**(shape-1) * exp(-(r/scale)**power)`` on r > 0.
-    """
-
-    scale: float
-    shape: float
-    power: float
-
-    def __post_init__(self):
-        for name in ("scale", "shape", "power"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
 
 
 def _as_dim(dim) -> int:
@@ -106,42 +86,16 @@ def sample_gaussian_vec(dim: int, sigma: float, rng: RandomStream, size: int | N
     return sigma * rng.generator.standard_normal((size, dim))
 
 
-def sample_gen_gamma(params: GenGammaParams, rng: RandomStream, size: int | None = None):
-    """Draw from the generalized gamma distribution given by ``params``.
-
-    Uses the identity that ``(R/scale)**power`` is Gamma(shape/power)
-    distributed, with the Gamma variate drawn by numpy's
-    ``Generator.standard_gamma``.
-    """
-    size = None if size is None else _as_index(size, "size")
-    if rng.zero_noise:
-        return 0.0 if size is None else np.zeros(size)
-    n = 1 if size is None else size
-    t = rng.generator.standard_gamma(params.shape / params.power, n)
-    r = params.scale * t ** (1.0 / params.power)
-    return float(r[0]) if size is None else r
-
-
-def _unit_directions(dim: int, gen: np.random.Generator, size: int) -> np.ndarray:
-    """Uniform directions on the unit sphere (normalized Gaussian vectors)."""
-    v = gen.standard_normal((size, dim))
-    norm = row_norms(v)
-    while np.any(norm < 1e-12):  # probability ~0, regenerate degenerate rows
-        bad = norm < 1e-12
-        v[bad] = gen.standard_normal((int(bad.sum()), dim))
-        norm = row_norms(v)
-    v /= norm[:, None]
-    return v
-
-
 def sample_planar_laplace(dim: int, eps: float, rng: RandomStream, size: int | None = None):
     """Draw from the d-dimensional distribution with pdf proportional to
     ``exp(-eps * ||y||)``.
 
-    The radius follows a generalized gamma law with scale 1/eps, shape d and
-    power 1; the direction is uniform on the sphere.  This is the noise of
-    the planar Laplace mechanism of Andres et al. (CCS 2013), generalized to
-    d dimensions.
+    This is the noise of the planar Laplace mechanism of Andres et al.
+    (CCS 2013), generalized to d dimensions.  It is drawn as a normal scale
+    mixture (Andrews & Mallows, JRSS B 1974): ``sqrt(2 V) * Z / eps`` with
+    Z ~ N(0, I_d) and V ~ Gamma((d+1)/2, 1) has exactly this law, and at
+    d = 1 it is Laplace(1/eps).  Each call draws the (n, d) normals first,
+    then the n gammas, and scales the normals in place.
     """
     dim = _as_dim(dim)
     if not eps > 0:
@@ -150,12 +104,15 @@ def sample_planar_laplace(dim: int, eps: float, rng: RandomStream, size: int | N
     if rng.zero_noise:
         return np.zeros(dim) if size is None else np.zeros((size, dim))
     n = 1 if size is None else size
-    radii = sample_gen_gamma(GenGammaParams(1.0 / eps, float(dim), 1.0), rng, size=n)
-    # scaled in place, as the directions are normalized in place: at the
-    # verify batch a second (n, d) array is tens of MB of peak memory
-    dirs = _unit_directions(dim, rng.generator, n)
-    dirs *= radii[:, None]
-    return dirs[0] if size is None else dirs
+    # normals before the gamma: the other way round, one identity sweep at
+    # n = 16384 takes about 13k minor page faults instead of single digits
+    y = rng.generator.standard_normal((n, dim))
+    scale = rng.generator.standard_gamma((dim + 1) / 2, n)
+    scale *= 2.0
+    np.sqrt(scale, out=scale)
+    scale /= eps
+    y *= scale[:, None]
+    return y[0] if size is None else y
 
 
 def gp_radius_quantile(beta: float, eps: float) -> float:

@@ -6,14 +6,12 @@ from scipy.special import gammainc, lambertw
 from scipy.stats import chi2
 
 from geopriv.noise import (
-    GenGammaParams,
     RandomStream,
     cgp_radius_quantile,
     gp_radius_quantile,
     laplace_sum_pdf,
     laplace_sum_quantile,
     sample_gaussian_vec,
-    sample_gen_gamma,
     sample_laplace,
     sample_planar_laplace,
 )
@@ -96,34 +94,6 @@ class TestGaussianVec:
             sample_gaussian_vec(2, 0.0, RandomStream(0))
 
 
-class TestGenGamma:
-    def test_gamma_two_mean(self):
-        draws = sample_gen_gamma(GenGammaParams(1.0, 2.0, 1.0), RandomStream(5), size=10**6)
-        assert abs(draws.mean() / 2.0 - 1.0) < 0.01  # Gamma(2) mean is 2
-
-    def test_planar_radius_mean_is_dim_over_eps(self):
-        eps, d = 2.0, 3.0
-        draws = sample_gen_gamma(GenGammaParams(1.0 / eps, d, 1.0), RandomStream(6), size=10**6)
-        assert abs(draws.mean() * eps / d - 1.0) < 0.01
-
-    def test_power_two_cdf(self):
-        # scale 1/sqrt(rho), shape d=2, power 2 at rho=1: Pr[G <= 1] = 1 - e^{-1}
-        draws = sample_gen_gamma(GenGammaParams(1.0, 2.0, 2.0), RandomStream(7), size=10**6)
-        assert abs(float((draws <= 1.0).mean()) - (1.0 - math.exp(-1.0))) < 0.005
-
-    def test_small_shape_boost_path(self):
-        draws = sample_gen_gamma(GenGammaParams(1.0, 0.5, 1.0), RandomStream(8), size=10**5)
-        assert abs(draws.mean() / 0.5 - 1.0) < 0.03  # Gamma(0.5) mean
-
-    def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            GenGammaParams(0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            GenGammaParams(1.0, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            GenGammaParams(1.0, 1.0, 0.0)
-
-
 class TestPlanarLaplace:
     @pytest.mark.parametrize("r", [1.0, 3.0, 5.0])
     def test_radial_tail_2d(self, r):
@@ -142,12 +112,21 @@ class TestPlanarLaplace:
                 sample_planar_laplace(d, 1.0, RandomStream(0, zero_noise=True)), np.zeros(d)
             )
 
-    def test_radial_law_ks_against_gen_gamma_cdf(self):
-        eps = 1.0
-        draws = sample_planar_laplace(2, eps, RandomStream(11), size=10**6)
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_radial_law_ks_against_gen_gamma_cdf(self, d):
+        # the radius of exp(-eps ||y||) on R^d is Gamma(d, 1/eps), whose CDF
+        # is the regularized lower incomplete gamma; d = 2 alone cannot tell
+        # a mixing shape of (d+1)/2 from d - 1/2
+        eps = 2.0
+        draws = sample_planar_laplace(d, eps, RandomStream(11), size=10**6)
         radii = np.linalg.norm(draws, axis=1)
-        # regularized lower incomplete gamma: CDF of the shape-2, power-1 radius
-        assert ks_statistic(radii, gammainc(2.0, radii * eps)) < 0.005
+        assert ks_statistic(radii, gammainc(d, radii * eps)) < 0.005
+
+    def test_one_dim_is_laplace(self):
+        eps = 2.0
+        y = sample_planar_laplace(1, eps, RandomStream(15), size=10**6)[:, 0]
+        half = 0.5 * np.exp(-np.abs(y) * eps)
+        assert ks_statistic(y, np.where(y < 0, half, 1.0 - half)) < 0.005
 
     def test_gaussian_radial_law_ks(self):
         rho = 1.0
@@ -171,7 +150,6 @@ NON_INTEGER_ARGUMENTS = {
     'planar_laplace dim="3"': lambda rng: sample_planar_laplace("3", 1.0, rng, size=4),
     "laplace size=3.7": lambda rng: sample_laplace(1.0, rng, size=3.7),
     "gaussian_vec size=3.7": lambda rng: sample_gaussian_vec(2, 1.0, rng, size=3.7),
-    "gen_gamma size=3.7": lambda rng: sample_gen_gamma(GenGammaParams(1.0, 2.0, 1.0), rng, size=3.7),
     "planar_laplace size=3.7": lambda rng: sample_planar_laplace(2, 1.0, rng, size=3.7),
     "planar_laplace size=2.0": lambda rng: sample_planar_laplace(2, 1.0, rng, size=2.0),
 }
@@ -193,7 +171,6 @@ class TestSamplerArguments:
         rng = RandomStream(0, zero_noise=zero_noise)
         rows = () if size is None else (int(size),)
         assert np.shape(sample_laplace(1.0, rng, size=size)) == rows
-        assert np.shape(sample_gen_gamma(GenGammaParams(1.0, 2.0, 1.0), rng, size=size)) == rows
         assert np.shape(sample_gaussian_vec(np.int64(2), 1.0, rng, size=size)) == rows + (2,)
         assert np.shape(sample_planar_laplace(3, 1.0, rng, size=size)) == rows + (3,)
 
