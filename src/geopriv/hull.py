@@ -39,10 +39,16 @@ class ConvexPolygon:
 
 
 def shoelace_area(vertices: np.ndarray) -> float:
-    """Unsigned polygon area by the shoelace formula."""
+    """Unsigned polygon area by the shoelace formula.
+
+    The vertices are translated by their minimum first: at Mercator offsets
+    (~1e7 m) the raw coordinate products round at about 0.016 m^2, more
+    than the whole area of a 10 cm hull.
+    """
     v = np.asarray(vertices, dtype=np.float64)
     if len(v) < 3:
         return 0.0
+    v = v - v.min(axis=0)
     x, y = v[:, 0], v[:, 1]
     s = np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)
     return abs(s) / 2.0
@@ -176,12 +182,15 @@ def jaccard(a: ConvexPolygon, b: ConvexPolygon) -> float:
     """Area of intersection over area of union for two convex polygons.
 
     Degenerate polygons score 0 against anything except an identical
-    degenerate polygon, which scores 1.
+    degenerate polygon, which scores 1.  The clip runs on both polygons
+    translated by their common bounding-box minimum, so its edge tests keep
+    their precision at Mercator offsets.
     """
     if a.degenerate or b.degenerate:
         return 1.0 if (a.degenerate and b.degenerate and _degenerate_equal(a, b)) else 0.0
-    scale = _bbox_scale(np.vstack([a.vertices, b.vertices]))
-    inter = _clip_convex(a.vertices, b.vertices, ORIENT_EPS * scale**2)
+    both = np.vstack([a.vertices, b.vertices])
+    lo = both.min(axis=0)
+    inter = _clip_convex(a.vertices - lo, b.vertices - lo, ORIENT_EPS * _bbox_scale(both) ** 2)
     inter_area = shoelace_area(inter) if len(inter) >= 3 else 0.0
     union = a.area + b.area - inter_area
     if union <= 0:

@@ -60,6 +60,13 @@ class TestConvexHull:
         assert convex_hull(SQUARE).area == pytest.approx(1.0, rel=1e-12)
         assert shoelace_area(np.array([[0, 0], [2, 0], [0, 2]])) == pytest.approx(2.0)
 
+    def test_area_at_mercator_offset(self):
+        # a 10 cm set at 1e7 m: the raw coordinate products round at 0.016 m^2
+        pts = np.random.default_rng(0).random((40, 2)) * 0.1 + 1e7
+        area = convex_hull(pts).area
+        assert area == pytest.approx(convex_hull(pts - 1e7).area, rel=1e-9)  # exact shift
+        assert area == pytest.approx(0.00846, abs=1e-5)
+
 
 class TestJaccard:
     def test_identical(self):
@@ -88,6 +95,13 @@ class TestJaccard:
         vals = [jaccard(convex_hull(SQUARE * s), outer) for s in (0.2, 0.5, 0.8, 1.0)]
         assert vals == sorted(vals)
         assert vals[-1] == 1.0
+
+    def test_mercator_offset(self):
+        gen = np.random.default_rng(3)
+        a, b = gen.random((40, 2)) * 0.1 + 1e7, gen.random((40, 2)) * 0.1 + (1e7 + 0.03)
+        at_origin = jaccard(convex_hull(a - 1e7), convex_hull(b - 1e7))  # exact shift
+        assert 0.2 < at_origin < 0.8
+        assert jaccard(convex_hull(a), convex_hull(b)) == pytest.approx(at_origin, rel=1e-9)
 
     def test_degenerate_rules(self):
         seg = convex_hull([[0.0, 0.0], [1.0, 1.0]])
