@@ -154,11 +154,6 @@ def check_expected_draws(b: float, samples: int, rng: RandomStream) -> CheckRepo
     return CheckReport(f"expected_draws(b={b:g})", stat, threshold, stat <= threshold, samples)
 
 
-def _gaussian_logpdf(y: float, mu: float, sigma: float) -> float:
-    z = (y - mu) / sigma
-    return -0.5 * z * z - math.log(sigma) - 0.5 * math.log(2.0 * math.pi)
-
-
 def renyi_divergence_gaussian_quadrature(mu1: float, mu2: float, sigma: float, alpha: float) -> float:
     """Order-alpha Renyi divergence between N(mu1, sigma^2) and N(mu2, sigma^2)
     by numeric quadrature of the defining integral.
@@ -173,9 +168,16 @@ def renyi_divergence_gaussian_quadrature(mu1: float, mu2: float, sigma: float, a
     lo = min(mu1, mu2, mu_alpha) - 12.0 * sigma
     hi = max(mu1, mu2, mu_alpha) + 12.0 * sigma
 
+    # alpha * log N(y; mu1, sigma^2) + (1 - alpha) * log N(y; mu2, sigma^2),
+    # with the constants of the Gaussian log density computed once
+    log_sigma = math.log(sigma)
+    half_log_2pi = 0.5 * math.log(2.0 * math.pi)
+
     def log_integrand(y: float) -> float:
-        return alpha * _gaussian_logpdf(y, mu1, sigma) + (1.0 - alpha) * _gaussian_logpdf(
-            y, mu2, sigma
+        z1 = (y - mu1) / sigma
+        z2 = (y - mu2) / sigma
+        return alpha * (-0.5 * z1 * z1 - log_sigma - half_log_2pi) + (1.0 - alpha) * (
+            -0.5 * z2 * z2 - log_sigma - half_log_2pi
         )
 
     # one array pass: the same IEEE operations as the scalar calls below
