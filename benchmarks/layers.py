@@ -5,13 +5,7 @@
     python benchmarks/layers.py --compare PARENT_ROOT --out BENCH.json [--tier1]
 
 Each layer is timed with stdlib ``timeit``: ``autorange`` picks the call
-count, and the best of 5 runs is reported in milliseconds per call.  Beside
-it, ``minflt_per_call`` is the minor page faults per call over those 5 runs
-(the ``getrusage`` delta), so a layer whose temporaries make the allocator
-hand memory back to the kernel and fault it in again shows a count.  The
-count depends on what ran before in the process, so compare one layer
-between the two sides, not across layers; the count per whole sweep is the
-end-to-end one.
+count, and the best of 5 runs is reported in milliseconds per call.
 Every call starts from a fresh ``RandomStream``, so each run repeats the
 same work.  The layers, on uniform points on a 10 km square:
 
@@ -35,8 +29,7 @@ alternating subprocess rounds, keeps each layer's best time over the rounds,
 and writes both sides with their ratio, the numpy version and the core
 counts: the host's (``cores``) and this process's (``usable_cores``).
 ``rounds_ms`` holds every round's time of each layer on each side: a ratio
-within the spread of a side's own rounds is noise.  ``minflt_per_call``
-holds every round's fault count of each layer on each side.
+within the spread of a side's own rounds is noise.
 Both sides run this file's ``measure``, so the parent must take the same
 calls: a checkout without ``geometry.query_dists``, or whose anchor stage
 takes a ``PchParams``, fails its side of the comparison.
@@ -50,7 +43,6 @@ import argparse
 import json
 import os
 import platform
-import resource
 import subprocess
 import sys
 import time
@@ -75,20 +67,16 @@ REPEAT = 5  # timeit runs per layer; the best is kept
 ROUNDS = 2  # alternating subprocess rounds per side with --compare
 
 
-def _time(fn) -> tuple[float, float]:
-    """Best ms per call over REPEAT timeit runs, and the minor page faults
-    per call over those runs."""
+def _time(fn) -> float:
+    """Best ms per call over REPEAT timeit runs."""
     timer = timeit.Timer(fn)
     number, _ = timer.autorange()
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    runs = timer.repeat(repeat=REPEAT, number=number)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    return min(runs) / number * 1e3, faults / (REPEAT * number)
+    return min(timer.repeat(repeat=REPEAT, number=number)) / number * 1e3
 
 
 def measure() -> dict:
-    """Time every layer of the geopriv importable now: ``ms`` per call and
-    ``minflt_per_call``, each keyed by layer."""
+    """Time every layer of the geopriv importable now: ``ms`` per call,
+    keyed by layer."""
     import numpy as np
 
     from geopriv import bench, geometry
@@ -111,13 +99,14 @@ def measure() -> dict:
         return PointTuple(np.random.default_rng(n).random((n, 2)) * EXTENT)
 
     q = [0.37 * EXTENT, 0.61 * EXTENT]
-    ms, faults = {}, {}
+    ms = {}
 
     def time_layer(key, fn):
-        ms[key], faults[key] = _time(fn)
+        ms[key] = _time(fn)
 
     # First: glibc's trim threshold only rises (to twice the largest mmapped
-    # block freed so far), so after the 10^6-row layers no layer faults.
+    # block freed so far), so after the 10^6-row layers no layer pays the
+    # page faults that these layers take in an identity sweep.
     x = uniform(IDENTITY_N)
     y = identity_cgp_inf(x, IDENTITY_RHO, RandomStream(7))
     identity_eps = matched_gp_budget(
@@ -186,7 +175,7 @@ def measure() -> dict:
         f"private_convex_hull_gp n={HULL_N} eps={hull_eps:.4g}",
         lambda: private_convex_hull_gp(x, hull_eps, HULL_BETA, RandomStream(5)),
     )
-    return {"ms": ms, "minflt_per_call": faults}
+    return {"ms": ms}
 
 
 def _run_side(root: Path) -> dict:
@@ -214,18 +203,14 @@ def compare(parent: Path, tier1: bool) -> dict:
         order = [("before", parent), ("after", ROOT)]
         for side, root in order if r % 2 == 0 else order[::-1]:
             runs[side].append(_run_side(root))
-    rounds, faults = (
-        {side: {key: [run[field][key] for run in done] for key in done[0][field]} for side, done in runs.items()}
-        for field in ("ms", "minflt_per_call")
-    )
+    rounds = {side: {key: [run["ms"][key] for run in done] for key in done[0]["ms"]} for side, done in runs.items()}
     before = {key: min(ms) for key, ms in rounds["before"].items()}
     after = {key: min(ms) for key, ms in rounds["after"].items()}
     ratio = {key: after[key] / ms for key, ms in before.items()}
     result = {
         "harness": "benchmarks/layers.py --compare",
         "method": f"timeit best of {REPEAT} runs (autorange call count), best over {ROUNDS} "
-                  "alternating subprocess rounds per side (each round in rounds_ms); ms per call; "
-                  "minor page faults per call over the timed runs of each round (minflt_per_call)",
+                  "alternating subprocess rounds per side (each round in rounds_ms); ms per call",
         "env": {
             "cores": os.cpu_count(),
             # the cores this process may run on: the identity sweep's pool is capped here
@@ -238,7 +223,6 @@ def compare(parent: Path, tier1: bool) -> dict:
         "after_ms": after,
         "after_over_before": ratio,
         "rounds_ms": rounds,
-        "minflt_per_call": faults,
     }
     if tier1:
         result["tier1_s"] = {"before": _tier1_s(parent), "after": _tier1_s(ROOT)}
