@@ -128,6 +128,27 @@ class TestPlanarLaplace:
         half = 0.5 * np.exp(-np.abs(y) * eps)
         assert ks_statistic(y, np.where(y < 0, half, 1.0 - half)) < 0.005
 
+    @pytest.mark.parametrize("size", [None, 1, 7])
+    def test_one_normal_draw_then_one_gamma_draw(self, size):
+        d, eps = 3, 2.0
+        rng = RandomStream(16)
+        y = sample_planar_laplace(d, eps, rng, size=size)
+        ref = RandomStream(16).generator
+        n = 1 if size is None else size
+        z = ref.standard_normal((n, d))
+        v = ref.standard_gamma((d + 1) / 2, n)
+        expected = z * (np.sqrt(2.0 * v) / eps)[:, None]
+        assert np.array_equal(y, expected[0] if size is None else expected)
+        # nothing else was drawn: no redraw loop, no separate direction
+        assert rng.generator.random() == ref.random()
+
+    def test_rejects_bad_params(self):
+        for eps in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="eps must be positive"):
+                sample_planar_laplace(2, eps, RandomStream(0))
+        with pytest.raises(ValueError, match="dim must be at least 1"):
+            sample_planar_laplace(0, 1.0, RandomStream(0))
+
     def test_gaussian_radial_law_ks(self):
         rho = 1.0
         draws = sample_gaussian_vec(2, 1.0 / math.sqrt(2 * rho), RandomStream(12), size=10**6)
