@@ -23,7 +23,6 @@ from .noise import (
     sample_planar_laplace,
 )
 
-_MEAN_REL_TOL = 0.01  # planar-Laplace mean norm, relative to d/eps
 _SIMPSON_TOL = 1e-10  # adaptive Simpson tolerance of the Renyi quadrature
 _RENYI_TOL = 1e-6  # quadrature against closed-form Renyi divergence
 _ALPHA_GRID = (1.5, 2.0, 3.0)  # Renyi orders checked
@@ -260,10 +259,13 @@ def check_laplace_sum_pdf(
 
 def check_planar_laplace_mean(dim: int, eps: float, samples: int, rng: RandomStream) -> CheckReport:
     """Mean norm of d-dimensional planar-Laplace noise against the closed
-    form d/eps, at 1% relative tolerance."""
+    form d/eps.
+
+    The norm is Gamma(d, 1/eps), so the sample mean's relative standard
+    error is ``1 / sqrt(d * samples)``; the check passes within 4 of them.
+    """
     draws = sample_planar_laplace(dim, eps, rng, size=samples)
     mean = float(row_norms(draws).mean())
     stat = abs(mean * eps / dim - 1.0)
-    return CheckReport(
-        f"planar_laplace_mean(d={dim},eps={eps:g})", stat, _MEAN_REL_TOL, stat < _MEAN_REL_TOL, samples
-    )
+    tol = 4.0 / math.sqrt(dim * samples)
+    return CheckReport(f"planar_laplace_mean(d={dim},eps={eps:g})", stat, tol, stat < tol, samples)

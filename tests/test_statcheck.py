@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from geopriv import statcheck
 from geopriv.noise import RandomStream, laplace_sum_quantile, sample_laplace
 from geopriv.statcheck import (
     accept_probability,
@@ -162,3 +163,25 @@ class TestPlanarLaplaceMean:
         rep = check_planar_laplace_mean(2, 1.0, SAMPLES, RandomStream(20))
         assert rep.passed == (rep.statistic < rep.threshold)
         assert "PASS" in str(rep)
+
+    @pytest.mark.parametrize("dim,samples", [(2, 20000), (3, 50000), (5, 10**5)])
+    def test_band_is_four_standard_errors(self, dim, samples):
+        # the norm is Gamma(d, 1/eps): relative standard error 1/sqrt(d * samples)
+        rep = check_planar_laplace_mean(dim, 1.0, samples, RandomStream(21))
+        assert rep.threshold == 4.0 / math.sqrt(dim * samples)
+
+    def test_small_sample_sway_passes(self):
+        # 1.6% off at 20000 samples: outside a fixed 1% band, inside 4 standard errors (2%)
+        rep = check_planar_laplace_mean(2, 1.0, 20000, RandomStream(84))
+        assert 0.01 < rep.statistic < 0.02
+        assert rep.passed
+
+    def test_large_sample_catches_half_percent_scale_error(self, monkeypatch):
+        # a sampler 0.5% too wide passed a fixed 1% band at 10^6 samples
+        honest = statcheck.sample_planar_laplace
+        monkeypatch.setattr(
+            statcheck, "sample_planar_laplace", lambda *a, **kw: 1.005 * honest(*a, **kw)
+        )
+        rep = check_planar_laplace_mean(2, 1.0, 10**6, RandomStream(22))
+        assert rep.statistic < 0.01
+        assert not rep.passed
