@@ -6,12 +6,14 @@ vector scan for Lipschitz queries, private (k-)nearest-neighbour selection
 built on it, and the private convex hull pipeline.
 
 Each GP/CGP pair (``identity_gp_inf``/``identity_cgp_inf``,
-``kpnn_gp``/``kpnn``, ``private_convex_hull_gp``/``private_convex_hull``)
-shares one implementation.  The two differ only by a calibration, ``_GP``
-or ``_CGP``: how a budget becomes noise, how a selection round's budget
-share becomes the GP rate of its scan, the bounding-circle noise, and the
-auto anchor count.  The flattened-l2 identity releases keep their own
-noise expressions.
+``identity_gp_l2``/``identity_cgp_l2``, ``kpnn_gp``/``kpnn``,
+``private_convex_hull_gp``/``private_convex_hull``) shares one
+implementation.  The two differ only by a calibration, ``_GP`` or
+``_CGP``: the noise rule every release draws through (a Delta-Lipschitz
+release charged ``b`` gets planar-Laplace noise at rate ``b / Delta`` or
+Gaussian noise with ``sigma = Delta / sqrt(2 b)``; Delta is sqrt(2) for
+the bounding-box centre, 1 elsewhere), a selection round's scan rate, the
+bounding-circle slack, and the auto anchor count.
 
 Every sparse vector scan (``svt``, ``pnn``, each round of ``kpnn`` and
 ``kpnn_gp``, each probe of the anchor stage) runs through one array scan,
@@ -129,19 +131,19 @@ class HullResult:
 class _Calibration:
     """How a budget (eps for GP, rho for CGP) becomes noise.
 
-    ``point_noise(dim, budget, count, rng, size)`` perturbs one of ``count``
-    releases sharing ``budget``; ``round_rate(share)`` is the GP rate of a
-    selection scan charged ``share``.  The circle rules take the circle
-    budget ``b0``, of which the centre gets 2/3 and the radius 1/3.
-    ``auto_k(radius, budget, n, beta)`` is the unclamped anchor count.
+    ``noise(dim, budget, rng, count=1, lipschitz=1.0, size=None)`` is the
+    noise of one of ``count`` releases of a ``lipschitz``-Lipschitz
+    ``dim``-vector that share ``budget`` (``size`` rows of it if given).
+    ``round_rate(share)`` is the GP rate of a selection scan charged
+    ``share``; ``radius_slack(b0, beta)`` inflates the bounding-circle
+    radius bought with a third of ``b0``; ``auto_k(radius, budget, n, beta)``
+    is the unclamped anchor count.
     """
 
     unit: str
-    point_noise: Callable[..., np.ndarray]
+    noise: Callable[..., np.ndarray]
     round_rate: Callable[[float], float]
-    centre_noise: Callable[[float, RandomStream], np.ndarray]
     radius_slack: Callable[[float, float], float]
-    radius_noise: Callable[[float, RandomStream], float]
     auto_k: Callable[[float, float, int, float], float]
 
 
@@ -149,25 +151,21 @@ class _Calibration:
 # (as a tracer does) reaches them.
 _GP = _Calibration(
     unit="eps",
-    point_noise=lambda dim, budget, count, rng, size=None: sample_planar_laplace(
-        dim, budget / count, rng, size=size
+    noise=lambda dim, budget, rng, count=1, lipschitz=1.0, size=None: sample_planar_laplace(
+        dim, budget / count / lipschitz, rng, size=size
     ),
     round_rate=lambda share: share,
-    centre_noise=lambda b0, rng: sample_planar_laplace(2, (2.0 * b0 / 3.0) / math.sqrt(2.0), rng),
     radius_slack=lambda b0, beta: (3.0 / b0) * math.log(2.0 / beta),
-    radius_noise=lambda b0, rng: sample_laplace(3.0 / b0, rng),
     auto_k=lambda radius, budget, n, beta: math.sqrt(radius * budget / math.log(n / beta)),
 )
 
 _CGP = _Calibration(
     unit="rho",
-    point_noise=lambda dim, budget, count, rng, size=None: sample_gaussian_vec(
-        dim, math.sqrt(count / (2.0 * budget)), rng, size=size
+    noise=lambda dim, budget, rng, count=1, lipschitz=1.0, size=None: sample_gaussian_vec(
+        dim, lipschitz * math.sqrt(count / (2.0 * budget)), rng, size=size
     ),
     round_rate=lambda share: math.sqrt(2.0 * share),
-    centre_noise=lambda b0, rng: sample_gaussian_vec(2, math.sqrt(3.0 / (2.0 * b0)), rng),
     radius_slack=lambda b0, beta: math.sqrt(3.0 * math.log(2.0 / beta) / b0),
-    radius_noise=lambda b0, rng: float(sample_gaussian_vec(1, math.sqrt(3.0 / (2.0 * b0)), rng)[0]),
     auto_k=lambda radius, budget, n, beta: (
         radius * math.sqrt(budget) / math.log(n / beta)
     ) ** (2.0 / 3.0),
@@ -194,7 +192,7 @@ def _identity_inf(
     _check_positive(cal.unit, budget)
     n = len(x)
     _charge(ledger, "points", budget)
-    return PointTuple(x.points + cal.point_noise(x.dim, budget, n, rng, size=n))
+    return PointTuple(x.points + cal.noise(x.dim, budget, rng, count=n, size=n))
 
 
 def identity_gp_inf(
@@ -219,15 +217,20 @@ def identity_cgp_inf(
     return _identity_inf(_CGP, x, rho, rng, ledger)
 
 
+def _identity_l2(
+    cal: _Calibration, x: PointTuple, budget: float, rng: RandomStream, ledger: BudgetLedger | None
+) -> PointTuple:
+    _check_positive(cal.unit, budget)
+    _charge(ledger, "tuple", budget)
+    return PointTuple(x.points + cal.noise(x.n * x.dim, budget, rng).reshape(x.n, x.dim))
+
+
 def identity_gp_l2(
     x: PointTuple, eps: float, rng: RandomStream, ledger: BudgetLedger | None = None
 ) -> PointTuple:
     """Release the whole tuple under eps-GP w.r.t. the flattened l2 metric:
     a single (n*d)-dimensional planar-Laplace draw at rate eps."""
-    _check_positive("eps", eps)
-    _charge(ledger, "tuple", eps)
-    flat = sample_planar_laplace(x.n * x.dim, eps, rng)
-    return PointTuple(x.points + flat.reshape(x.n, x.dim))
+    return _identity_l2(_GP, x, eps, rng, ledger)
 
 
 def identity_cgp_l2(
@@ -235,11 +238,7 @@ def identity_cgp_l2(
 ) -> PointTuple:
     """Release the whole tuple under rho-CGP w.r.t. the flattened l2 metric:
     per-coordinate Gaussian noise with standard deviation 1/sqrt(2 rho)."""
-    _check_positive("rho", rho)
-    _charge(ledger, "tuple", rho)
-    sigma = 1.0 / math.sqrt(2.0 * rho)
-    noise = sample_gaussian_vec(x.dim, sigma, rng, size=x.n)
-    return PointTuple(x.points + noise)
+    return _identity_l2(_CGP, x, rho, rng, ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +513,10 @@ def _anchors(
     b0 = budget / 20.0
 
     _charge(ledger, "centre", 2.0 * b0 / 3.0)
-    c_priv = center(x) + cal.centre_noise(b0, rng)
+    c_priv = center(x) + cal.noise(2, 2.0 * b0 / 3.0, rng, lipschitz=math.sqrt(2.0))
     _charge(ledger, "radius", b0 / 3.0)
-    r_priv = max_radius(x, c_priv) + cal.radius_slack(b0, beta) + cal.radius_noise(b0, rng)
+    r_noise = float(cal.noise(1, b0 / 3.0, rng)[0])
+    r_priv = max_radius(x, c_priv) + cal.radius_slack(b0, beta) + r_noise
 
     if k == "auto":
         raw = cal.auto_k(max(r_priv, 0.0), budget, n, beta)
@@ -579,11 +579,10 @@ def _hull(
 ) -> HullResult:
     k, k_clamp = _stage_args(cal, budget, beta, k, k_clamp)
     anchors, info = _anchors(cal, x, budget / 2.0, beta / 2.0, k, k_clamp, rng, ledger)
-    released = np.empty((info.k, 2))
-    for j, a in enumerate(anchors):
+    for j in range(info.k):
         _charge(ledger, f"release_{j + 1}", budget / (2.0 * info.k))
-        released[j] = x.points[a - 1] + cal.point_noise(2, budget / 2.0, info.k, rng)
-    return HullResult(anchors, released, info)
+    noise = cal.noise(2, budget / 2.0, rng, count=info.k, size=info.k)
+    return HullResult(anchors, x.points[np.asarray(anchors) - 1] + noise, info)
 
 
 def private_convex_hull(

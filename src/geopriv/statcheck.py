@@ -15,13 +15,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import row_norms
-from .noise import (
-    RandomStream,
-    laplace_sum_pdf,
-    sample_gaussian_vec,
-    sample_laplace,
-    sample_planar_laplace,
-)
+from .mechanisms import _CGP, _GP
+from .noise import RandomStream, laplace_sum_pdf, sample_laplace, sample_planar_laplace
 
 _SIMPSON_TOL = 1e-10  # adaptive Simpson tolerance of the Renyi quadrature
 _RENYI_TOL = 1e-6  # quadrature against closed-form Renyi divergence
@@ -94,8 +89,8 @@ def check_gp_radial_tail(
     rng: RandomStream,
     survival: Callable[[float], float] | None = None,
 ) -> CheckReport:
-    """Empirical norm survival of 2-D planar-Laplace noise against the
-    closed form ``(1 + r*eps) * exp(-r*eps)``.
+    """Empirical norm survival of the GP release noise (``_GP.noise``) in
+    2-D at ``eps`` against ``(1 + r*eps) * exp(-r*eps)``.
 
     ``survival`` overrides the reference formula (fault-injection hook for
     testing the harness itself).
@@ -103,7 +98,7 @@ def check_gp_radial_tail(
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     ref = survival or (lambda r: (1.0 + r * eps) * math.exp(-r * eps))
-    draws = sample_planar_laplace(2, eps, rng, size=samples)
+    draws = _GP.noise(2, eps, rng, size=samples)
     radii = row_norms(draws)
     return _survival_check(f"gp_radial_tail(eps={eps:g})", radii, r_grid, ref)
 
@@ -115,12 +110,12 @@ def check_cgp_radial_tail(
     rng: RandomStream,
     survival: Callable[[float], float] | None = None,
 ) -> CheckReport:
-    """Empirical norm survival of the 2-D Gaussian mechanism's noise
-    (per-coordinate sigma 1/sqrt(2 rho)) against ``exp(-rho * r**2)``."""
+    """Empirical norm survival of the CGP release noise (``_CGP.noise``)
+    in 2-D at ``rho`` against ``exp(-rho * r**2)``; ``survival`` as above."""
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     ref = survival or (lambda r: math.exp(-rho * r * r))
-    draws = sample_gaussian_vec(2, 1.0 / math.sqrt(2.0 * rho), rng, size=samples)
+    draws = _CGP.noise(2, rho, rng, size=samples)
     radii = row_norms(draws)
     return _survival_check(f"cgp_radial_tail(rho={rho:g})", radii, r_grid, ref)
 
