@@ -26,6 +26,7 @@ import contextlib
 import csv
 import io
 import itertools
+import logging
 import math
 import os
 import sys
@@ -51,6 +52,8 @@ from .mechanisms import (
 )
 from .noise import RandomStream
 from . import statcheck
+
+logger = logging.getLogger(__name__)
 
 _DATA_BASE = 1_000_000_000
 _SAMPLE_BASE = 1_500_000_000
@@ -168,21 +171,25 @@ def _synthetic_collection(cfg: ExperimentConfig, index: int) -> PointTuple:
     return PointTuple(pts)
 
 
+def _warn(message: str) -> None:
+    """Report a substituted or skipped part of a sweep: logged at WARNING and
+    raised as a UserWarning."""
+    logger.warning(message)
+    warnings.warn(message, stacklevel=2)
+
+
 def _collections(cfg: ExperimentConfig) -> list[PointTuple]:
-    if cfg.input.startswith("synthetic"):
-        return [_synthetic_collection(cfg, i) for i in range(cfg.collections)]
-    path = Path(cfg.input)
-    traces = load_traces(path) if path.exists() else []
-    if not traces:
-        warnings.warn(
-            f"input {cfg.input!r} missing or empty; falling back to synthetic data"
-        )
-        return [_synthetic_collection(cfg, i) for i in range(cfg.collections)]
-    if len(traces) <= cfg.collections:
-        return traces
-    gen = _stream(cfg, _DATA_BASE, 999_999_999).generator
-    chosen = np.sort(gen.choice(len(traces), size=cfg.collections, replace=False))
-    return [traces[i] for i in chosen]
+    if not cfg.input.startswith("synthetic"):
+        path = Path(cfg.input)
+        traces = load_traces(path) if path.exists() else []
+        if len(traces) > cfg.collections:
+            gen = _stream(cfg, _DATA_BASE, 999_999_999).generator
+            chosen = np.sort(gen.choice(len(traces), size=cfg.collections, replace=False))
+            return [traces[i] for i in chosen]
+        if traces:
+            return traces
+        _warn(f"input {cfg.input!r} missing or empty; falling back to synthetic data")
+    return [_synthetic_collection(cfg, i) for i in range(cfg.collections)]
 
 
 def _sampled(cfg: ExperimentConfig, colls: list[PointTuple], n_index: int, n: int) -> list[PointTuple]:
@@ -332,7 +339,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
             hulls = [convex_hull(x.points) for x in data] if cfg.task == "hull" else [None] * len(data)
             for ki, k in enumerate(k_grid):
                 if knn and k > n:
-                    warnings.warn(f"skipping k={k} > n={n}")
+                    _warn(f"skipping k={k} > n={n}")
                     continue
                 cell = ni * len(k_grid) + ki
                 for budget, rho, eps in _budget_pairs(cfg):

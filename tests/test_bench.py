@@ -1,5 +1,6 @@
 import csv
 import itertools
+import logging
 import math
 import os
 import subprocess
@@ -176,6 +177,31 @@ class TestRowsAndRendering:
         with pytest.warns(UserWarning, match="falling back"):
             rows = run_sweep(cfg)
         assert rows
+
+    def test_synthetic_fallback_is_logged(self, caplog):
+        cfg = small_cfg(input="/nonexistent/trace/dir")
+        with pytest.warns(UserWarning), caplog.at_level(logging.WARNING, logger="geopriv.bench"):
+            colls = _collections(cfg)
+        assert len(colls) == cfg.collections
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            (
+                "geopriv.bench",
+                logging.WARNING,
+                "input '/nonexistent/trace/dir' missing or empty; falling back to synthetic data",
+            )
+        ]
+
+    def test_k_above_n_skip_is_logged(self, caplog):
+        cfg = small_cfg(task="knn", n_grid=[8], k_grid=[4, 16], trials=1, collections=1)
+        with (
+            pytest.warns(UserWarning, match="skipping"),
+            caplog.at_level(logging.WARNING, logger="geopriv.bench"),
+        ):
+            rows = run_sweep(cfg)
+        assert {r.k for r in rows} == {4}
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("geopriv.bench", logging.WARNING, "skipping k=16 > n=8")
+        ]
 
 
 class TestTrendExamples:
