@@ -54,6 +54,9 @@ from .noise import RandomStream
 from . import statcheck
 
 logger = logging.getLogger(__name__)
+# a library logs only where the application configures logging; without this,
+# Python's last-resort handler would print each warning a second time
+logger.addHandler(logging.NullHandler())
 
 _DATA_BASE = 1_000_000_000
 _SAMPLE_BASE = 1_500_000_000

@@ -203,6 +203,21 @@ class TestRowsAndRendering:
             ("geopriv.bench", logging.WARNING, "skipping k=16 > n=8")
         ]
 
+    def test_unconfigured_logging_prints_nothing(self, tmp_path):
+        # without a logging setup only the UserWarning reaches stderr, once
+        argv = "knn --n-grid 8 --k-grid 4,16 --rho-grid 0.01 --trials 1 --collections 1"
+        src = Path(geopriv.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "geopriv.bench", *argv.split(), "--out", str(tmp_path / "out.csv")],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.count("skipping k=16 > n=8") == 1
+        assert "UserWarning" in done.stderr
+
 
 class TestTrendExamples:
     def test_knn_desk_scale_comparison(self):
