@@ -20,7 +20,16 @@ same work.  The layers, on uniform points on a 10 km square:
 - ``convex_hull`` at n in {1k, 4k, 16k, 64k} of the uniform tuple and of
   its CGP- and GP-noisy releases at the hull sweep's budget (rho 5e-4);
 - at n = 4096, ``jaccard`` of a noisy release's hull against the true
-  hull, and ``private_convex_hull``/``private_convex_hull_gp``.
+  hull, and ``private_convex_hull``/``private_convex_hull_gp``;
+- last, each check of ``geopriv verify``'s battery at its default 10^6
+  samples, one check per call on the calling thread: the 15 sampling
+  checks (``gp_radial_tail`` and ``cgp_radial_tail`` at three budgets,
+  ``laplace_sum_pdf`` and ``expected_draws`` at three scales, the latter at
+  the battery's 10^5 draws, and ``planar_laplace_mean`` at d = 2, 3, 5)
+  and the 12 quadrature checks (``renyi_gaussian`` on a 3 x 3 grid,
+  ``gaussian_mech_divergence`` at three rates).  ``perfbench``'s tracer
+  keeps one span stack for all threads, so under the battery's thread pool
+  its per-check times are not per-check; these layers are.
 
 End-to-end sweep times and CSV hashes are ``perfbench/run.py``'s to measure.
 
@@ -61,6 +70,7 @@ HULL_RHO = 5e-4  # the hull sweep's budget; its anchor stage gets rho/2 and beta
 HULL_BETA = 0.05
 HULL_N = 4096
 NOISE_N = (16384, 10**6)  # identity sweep and verify batch sizes
+VERIFY_SAMPLES = 10**6  # geopriv verify's default; expected_draws takes a tenth
 IDENTITY_N = 16384
 IDENTITY_RHO = 1e-3  # the middle of the identity sweep's grid
 REPEAT = 5  # timeit runs per layer; the best is kept
@@ -79,7 +89,7 @@ def measure() -> dict:
     keyed by layer."""
     import numpy as np
 
-    from geopriv import bench, geometry
+    from geopriv import bench, geometry, statcheck
     from geopriv.accounting import matched_gp_budget
     from geopriv.geometry import PointTuple
     from geopriv.hull import convex_hull, jaccard
@@ -175,6 +185,38 @@ def measure() -> dict:
         f"private_convex_hull_gp n={HULL_N} eps={hull_eps:.4g}",
         lambda: private_convex_hull_gp(x, hull_eps, HULL_BETA, RandomStream(5)),
     )
+    # the verify battery's checks, in its order and with its arguments
+    n = VERIFY_SAMPLES
+    for eps in (0.5, 1.0, 2.0):
+        time_layer(
+            f"check_gp_radial_tail eps={eps:g} n={n}",
+            lambda: statcheck.check_gp_radial_tail(eps, (1.0, 3.0, 5.0), n, RandomStream(8)),
+        )
+    for rho in (0.5, 1.0, 2.0):
+        time_layer(
+            f"check_cgp_radial_tail rho={rho:g} n={n}",
+            lambda: statcheck.check_cgp_radial_tail(rho, (0.5, 1.0, 1.5), n, RandomStream(8)),
+        )
+    for b in (0.5, 1.0, 2.0):
+        time_layer(f"check_laplace_sum_pdf b={b:g} n={n}", lambda: statcheck.check_laplace_sum_pdf(b, n, RandomStream(8)))
+    for b in (0.5, 1.0, 2.0):
+        time_layer(
+            f"check_expected_draws b={b:g} n={n // 10}",
+            lambda: statcheck.check_expected_draws(b, n // 10, RandomStream(8)),
+        )
+    for dim, eps in ((2, 1.0), (3, 2.0), (5, 1.0)):
+        time_layer(
+            f"check_planar_laplace_mean d={dim} eps={eps:g} n={n}",
+            lambda: statcheck.check_planar_laplace_mean(dim, eps, n, RandomStream(8)),
+        )
+    for shift in (0.5, 1.0, 2.0):
+        for sigma in (0.5, 1.0, 2.0):
+            time_layer(
+                f"check_renyi_gaussian mu={shift:g} sigma={sigma:g}",
+                lambda: statcheck.check_renyi_gaussian(0.0, shift, sigma),
+            )
+    for rho in (0.25, 0.5, 1.0):
+        time_layer(f"check_gaussian_mech_divergence rho={rho:g}", lambda: statcheck.check_gaussian_mech_divergence(rho))
     return {"ms": ms}
 
 

@@ -11,6 +11,7 @@ entry names its mechanisms, its metrics and a scorer that rates one output
 against the trial's reference (the true tuple, k nearest or hull).  The
 identity sweep runs its trials on a thread pool, one worker per available
 core, with the same bytes; knn and hull, which scan, run on one thread.
+``verify`` maps its checks over a pool of the same size.
 
 Everything is deterministic under a fixed seed: data, query points and each
 mechanism invocation draw from disjoint stream ids derived from the config.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import itertools
 import logging
@@ -106,6 +108,8 @@ class ExperimentConfig:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.collections < 1:
             raise ValueError(f"collections must be at least 1, got {self.collections}")
+        if self.samples < 1:
+            raise ValueError(f"samples must be at least 1, got {self.samples}")
         if self.rho_grid is not None and self.eps_grid is not None:
             if len(self.rho_grid) != len(self.eps_grid):
                 raise ValueError("rho_grid and eps_grid must have equal lengths when both given")
@@ -311,6 +315,20 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
+@contextlib.contextmanager
+def _pool_map(jobs: int):
+    """A ``map`` for ``jobs`` independent calls: over a thread pool of
+    ``min(cores, jobs)`` workers, shut down on exit, or the builtin ``map``
+    on the calling thread when that is one worker.  Results come back in
+    call order and the first exception raised in a call propagates."""
+    workers = min(_cores(), jobs)
+    if workers <= 1:
+        yield map
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        yield pool.map
+
+
 def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     """Run every mechanism of ``cfg.task`` on each (n, k, budget, collection,
     trial) cell and aggregate each metric over collections x trials.
@@ -333,10 +351,8 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     k_grid = cfg.k_grid if knn else [None]
     # the (collection, trial) pairs, collection-major: the order scores are collected in
     cis, ts = zip(*itertools.product(range(len(colls)), range(cfg.trials)))
-    workers = 1 if task.scans else min(_cores(), len(cis))
     rows = []
-    with contextlib.ExitStack() as stack:
-        pmap = map if workers == 1 else stack.enter_context(ThreadPoolExecutor(workers)).map
+    with _pool_map(1 if task.scans else len(cis)) as pmap:
         for ni, n in enumerate(cfg.n_grid):
             data = _sampled(cfg, colls, ni, n)
             hulls = [convex_hull(x.points) for x in data] if cfg.task == "hull" else [None] * len(data)
@@ -374,6 +390,10 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
 
 
 def _verify_battery(cfg: ExperimentConfig) -> list[statcheck.CheckReport]:
+    """Every check's report, in battery order.  The checks are built as
+    thunks with their stream ids fixed in that order, then mapped like the
+    identity sweep's trials (see ``_pool_map``); each draws only from its own
+    stream, so the reports do not depend on the worker count."""
     samples = cfg.samples
     draws = max(samples // 10, 1000)
     sid = iter(range(10_000))
@@ -383,21 +403,22 @@ def _verify_battery(cfg: ExperimentConfig) -> list[statcheck.CheckReport]:
 
     checks = []
     for eps in (0.5, 1.0, 2.0):
-        checks.append(statcheck.check_gp_radial_tail(eps, (1.0, 3.0, 5.0), samples, s()))
+        checks.append(functools.partial(statcheck.check_gp_radial_tail, eps, (1.0, 3.0, 5.0), samples, s()))
     for rho in (0.5, 1.0, 2.0):
-        checks.append(statcheck.check_cgp_radial_tail(rho, (0.5, 1.0, 1.5), samples, s()))
+        checks.append(functools.partial(statcheck.check_cgp_radial_tail, rho, (0.5, 1.0, 1.5), samples, s()))
     for b in (0.5, 1.0, 2.0):
-        checks.append(statcheck.check_laplace_sum_pdf(b, samples, s()))
+        checks.append(functools.partial(statcheck.check_laplace_sum_pdf, b, samples, s()))
     for b in (0.5, 1.0, 2.0):
-        checks.append(statcheck.check_expected_draws(b, draws, s()))
+        checks.append(functools.partial(statcheck.check_expected_draws, b, draws, s()))
     for dim, eps in ((2, 1.0), (3, 2.0), (5, 1.0)):
-        checks.append(statcheck.check_planar_laplace_mean(dim, eps, samples, s()))
+        checks.append(functools.partial(statcheck.check_planar_laplace_mean, dim, eps, samples, s()))
     for shift in (0.5, 1.0, 2.0):
         for sigma in (0.5, 1.0, 2.0):
-            checks.append(statcheck.check_renyi_gaussian(0.0, shift, sigma))
+            checks.append(functools.partial(statcheck.check_renyi_gaussian, 0.0, shift, sigma))
     for rho in (0.25, 0.5, 1.0):
-        checks.append(statcheck.check_gaussian_mech_divergence(rho))
-    return checks
+        checks.append(functools.partial(statcheck.check_gaussian_mech_divergence, rho))
+    with _pool_map(len(checks)) as pmap:
+        return list(pmap(lambda check: check(), checks))
 
 
 def run_verify(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool]:

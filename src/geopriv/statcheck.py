@@ -4,6 +4,22 @@ distributional claims the mechanisms rely on.
 Every check is deterministic under a fixed stream, reports its measured
 statistic even on pass, and uses thresholds derived from binomial/KS
 sampling theory rather than tuned constants.
+
+The sampling checks draw in chunks of ``_CHUNK`` rows and fold each chunk
+into their statistic, so a check holds a few MiB at 10^6 samples rather
+than tens.  Survival counts and the KS maximum are exact under chunking,
+and chunked draws of one distribution continue one stream, so the
+Gaussian, Laplace-sum and expected-draws checks give the one-shot bytes.
+Planar Laplace noise draws its normals, then its gammas, per chunk, so
+above ``_CHUNK`` samples the GP tail and planar-mean checks see another
+(equally valid) stream than one ``samples``-row draw.  ``_CHUNK`` fixes the
+draw stream; it is not a tuning knob.  Every sampling check raises
+ValueError before any draw when ``samples`` is below 1 (2 for the
+expected-draws check, which needs a standard error).
+
+``geopriv verify`` runs the battery on a thread pool, one worker per usable
+core; each check draws from its own stream, so the reports do not depend on
+the worker count.
 """
 
 from __future__ import annotations
@@ -14,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import row_norms
+from .geometry import _as_index, row_norms
 from .mechanisms import _CGP, _GP
 from .noise import RandomStream, laplace_sum_pdf, sample_laplace, sample_planar_laplace
 
@@ -22,6 +38,7 @@ _SIMPSON_TOL = 1e-10  # adaptive Simpson tolerance of the Renyi quadrature
 _RENYI_TOL = 1e-6  # quadrature against closed-form Renyi divergence
 _ALPHA_GRID = (1.5, 2.0, 3.0)  # Renyi orders checked
 _DIST_GRID = (0.5, 1.0, 2.0)  # input distances of the Gaussian mechanism check
+_CHUNK = 1 << 16  # rows per draw of a sampling check; part of the draw stream
 
 
 @dataclass(frozen=True)
@@ -67,17 +84,39 @@ def _binomial_band(p: float, samples: int) -> float:
     return 4.0 * math.sqrt(p * (1.0 - p) / samples) + 0.002
 
 
+def _samples(samples, least: int = 1) -> int:
+    """``samples`` as an int, refused below ``least`` before anything is drawn."""
+    samples = _as_index(samples, "samples")
+    if samples < least:
+        raise ValueError(f"samples must be at least {least}, got {samples}")
+    return samples
+
+
+def _chunks(samples: int):
+    """(start, stop) of each ``_CHUNK``-row slice of ``range(samples)``."""
+    for start in range(0, samples, _CHUNK):
+        yield start, min(start + _CHUNK, samples)
+
+
 def _survival_check(
     name: str,
-    radii: np.ndarray,
+    draw: Callable[[int], np.ndarray],
+    samples: int,
     r_grid: Sequence[float],
     reference: Callable[[float], float],
 ) -> CheckReport:
-    samples = len(radii)
+    """Empirical survival of the norms of ``samples`` rows of ``draw(size)``
+    at each radius against ``reference``; the counts are exact, so
+    ``count / samples`` is the one-shot ``np.mean(radii > r)``."""
+    counts = [0] * len(r_grid)
+    for start, stop in _chunks(samples):
+        radii = row_norms(draw(stop - start))
+        for j, r in enumerate(r_grid):
+            counts[j] += int(np.count_nonzero(radii > r))
     worst = 0.0
-    for r in r_grid:
+    for r, count in zip(r_grid, counts):
         p = reference(float(r))
-        emp = float(np.mean(radii > r))
+        emp = count / samples
         worst = max(worst, abs(emp - p) / _binomial_band(p, samples))
     return CheckReport(name, worst, 1.0, worst < 1.0, samples)
 
@@ -97,10 +136,10 @@ def check_gp_radial_tail(
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
+    samples = _samples(samples)
     ref = survival or (lambda r: (1.0 + r * eps) * math.exp(-r * eps))
-    draws = _GP.noise(2, eps, rng, size=samples)
-    radii = row_norms(draws)
-    return _survival_check(f"gp_radial_tail(eps={eps:g})", radii, r_grid, ref)
+    draw = lambda size: _GP.noise(2, eps, rng, size=size)
+    return _survival_check(f"gp_radial_tail(eps={eps:g})", draw, samples, r_grid, ref)
 
 
 def check_cgp_radial_tail(
@@ -114,10 +153,10 @@ def check_cgp_radial_tail(
     in 2-D at ``rho`` against ``exp(-rho * r**2)``; ``survival`` as above."""
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
+    samples = _samples(samples)
     ref = survival or (lambda r: math.exp(-rho * r * r))
-    draws = _CGP.noise(2, rho, rng, size=samples)
-    radii = row_norms(draws)
-    return _survival_check(f"cgp_radial_tail(rho={rho:g})", radii, r_grid, ref)
+    draw = lambda size: _CGP.noise(2, rho, rng, size=size)
+    return _survival_check(f"cgp_radial_tail(rho={rho:g})", draw, samples, r_grid, ref)
 
 
 def accept_probability(y, scale: float):
@@ -126,6 +165,15 @@ def accept_probability(y, scale: float):
     y = np.asarray(y, dtype=np.float64)
     out = np.where(y < 0, 0.5 * np.exp(y / scale), 1.0 - 0.5 * np.exp(-y / scale))
     return float(out) if out.ndim == 0 else out
+
+
+def _laplace_sum(b: float, samples: int, rng: RandomStream) -> np.ndarray:
+    """``samples`` sums of two Laplace(b) draws: the first draw whole, the
+    second added in chunks (the bytes of two whole draws)."""
+    y = sample_laplace(b, rng, size=samples)
+    for start, stop in _chunks(samples):
+        y[start:stop] += sample_laplace(b, rng, size=stop - start)
+    return y
 
 
 def check_expected_draws(b: float, samples: int, rng: RandomStream) -> CheckReport:
@@ -139,9 +187,11 @@ def check_expected_draws(b: float, samples: int, rng: RandomStream) -> CheckRepo
     """
     if not b > 0:
         raise ValueError(f"b must be positive, got {b}")
-    y = sample_laplace(b, rng, size=samples) + sample_laplace(b, rng, size=samples)
-    p = accept_probability(y, 2.0 * b)
-    counts = rng.generator.geometric(p).astype(np.float64)
+    samples = _samples(samples, least=2)
+    y = _laplace_sum(b, samples, rng)
+    counts = np.empty(samples)
+    for start, stop in _chunks(samples):
+        counts[start:stop] = rng.generator.geometric(accept_probability(y[start:stop], 2.0 * b))
     stat = float(counts.mean())
     sem = float(counts.std(ddof=1)) / math.sqrt(samples)
     threshold = 4.0 + 3.0 * sem
@@ -216,16 +266,22 @@ def check_gaussian_mech_divergence(rho: float) -> CheckReport:
     )
 
 
-def laplace_sum_cdf_numeric(points: np.ndarray, scale: float) -> np.ndarray:
-    """CDF of the two-Laplace sum at the given points, by numeric integration
-    of its density on a fine grid (independent of any closed-form tail)."""
+def _laplace_sum_cdf(scale: float) -> Callable[[np.ndarray], np.ndarray]:
+    """CDF of the two-Laplace sum, by numeric integration of its density on
+    a fine grid (independent of any closed-form tail); the grid is built
+    once and the returned function interpolates in it."""
     span = 40.0 * scale
     grid = np.linspace(-span, span, 400_001)
     pdf = laplace_sum_pdf(grid, scale)
     step = grid[1] - grid[0]
     cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5 * step)])
     cdf /= cdf[-1]
-    return np.interp(points, grid, cdf)
+    return lambda points: np.interp(points, grid, cdf)
+
+
+def laplace_sum_cdf_numeric(points: np.ndarray, scale: float) -> np.ndarray:
+    """CDF of the two-Laplace sum at the given points (see ``_laplace_sum_cdf``)."""
+    return _laplace_sum_cdf(scale)(points)
 
 
 def check_laplace_sum_pdf(
@@ -243,12 +299,17 @@ def check_laplace_sum_pdf(
     """
     if not b > 0:
         raise ValueError(f"b must be positive, got {b}")
+    samples = _samples(samples)
     if ks_threshold is None:
         ks_threshold = max(0.005, 1.63 / math.sqrt(samples))
-    y = np.sort(sample_laplace(b, rng, size=samples) + sample_laplace(b, rng, size=samples))
-    ref = laplace_sum_cdf_numeric(y, b)
-    i = np.arange(1, samples + 1)
-    ks = max(float(np.max(i / samples - ref)), float(np.max(ref - (i - 1) / samples)))
+    y = _laplace_sum(b, samples, rng)
+    y.sort()
+    cdf = _laplace_sum_cdf(b)
+    ks = 0.0  # the maximum is exact whatever the chunking
+    for start, stop in _chunks(samples):
+        ref = cdf(y[start:stop])
+        i = np.arange(start + 1, stop + 1)
+        ks = max(ks, float(np.max(i / samples - ref)), float(np.max(ref - (i - 1) / samples)))
     return CheckReport(f"laplace_sum_pdf(b={b:g})", ks, ks_threshold, ks < ks_threshold, samples)
 
 
@@ -258,9 +319,14 @@ def check_planar_laplace_mean(dim: int, eps: float, samples: int, rng: RandomStr
 
     The norm is Gamma(d, 1/eps), so the sample mean's relative standard
     error is ``1 / sqrt(d * samples)``; the check passes within 4 of them.
+    The norms are summed chunk by chunk, so up to ``_CHUNK`` samples the
+    mean is the one-shot ``norms.mean()``.
     """
-    draws = sample_planar_laplace(dim, eps, rng, size=samples)
-    mean = float(row_norms(draws).mean())
+    samples = _samples(samples)
+    total = 0.0
+    for start, stop in _chunks(samples):
+        total += float(row_norms(sample_planar_laplace(dim, eps, rng, size=stop - start)).sum())
+    mean = total / samples
     stat = abs(mean * eps / dim - 1.0)
     tol = 4.0 / math.sqrt(dim * samples)
     return CheckReport(f"planar_laplace_mean(d={dim},eps={eps:g})", stat, tol, stat < tol, samples)

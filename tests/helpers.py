@@ -1,8 +1,13 @@
 """Brute-force reference implementations used as independent test oracles."""
 
+import math
 from itertools import combinations
 
 import numpy as np
+
+from geopriv.mechanisms import _CGP, _GP
+from geopriv.noise import laplace_sum_pdf, sample_laplace, sample_planar_laplace
+from geopriv.statcheck import CheckReport, _binomial_band, accept_probability
 
 
 def brute_hull_vertices(pts: np.ndarray) -> np.ndarray:
@@ -91,3 +96,60 @@ def stepwise_scan(values, gate: float, scale: float, max_steps: int, gen: np.ran
 
 def random_tuple(gen: np.random.Generator, n: int, dim: int = 2, scale: float = 1.0) -> np.ndarray:
     return gen.random((n, dim)) * scale
+
+
+# One-shot sampling checks: each draws all of its samples in one call, as the
+# checks did before they drew in chunks.  The chunked checks must match them
+# wherever the chunks continue the one-shot draw stream.
+
+
+def _one_shot_survival(name, radii, r_grid, reference) -> CheckReport:
+    samples = len(radii)
+    worst = 0.0
+    for r in r_grid:
+        p = reference(float(r))
+        emp = float(np.mean(radii > r))
+        worst = max(worst, abs(emp - p) / _binomial_band(p, samples))
+    return CheckReport(name, worst, 1.0, worst < 1.0, samples)
+
+
+def one_shot_gp_radial_tail(eps, r_grid, samples, rng) -> CheckReport:
+    radii = np.linalg.norm(_GP.noise(2, eps, rng, size=samples), axis=1)
+    ref = lambda r: (1.0 + r * eps) * math.exp(-r * eps)
+    return _one_shot_survival(f"gp_radial_tail(eps={eps:g})", radii, r_grid, ref)
+
+
+def one_shot_cgp_radial_tail(rho, r_grid, samples, rng) -> CheckReport:
+    radii = np.linalg.norm(_CGP.noise(2, rho, rng, size=samples), axis=1)
+    ref = lambda r: math.exp(-rho * r * r)
+    return _one_shot_survival(f"cgp_radial_tail(rho={rho:g})", radii, r_grid, ref)
+
+
+def one_shot_laplace_sum_pdf(b, samples, rng) -> CheckReport:
+    ks_threshold = max(0.005, 1.63 / math.sqrt(samples))
+    y = np.sort(sample_laplace(b, rng, size=samples) + sample_laplace(b, rng, size=samples))
+    span = 40.0 * b
+    grid = np.linspace(-span, span, 400_001)
+    pdf = laplace_sum_pdf(grid, b)
+    step = grid[1] - grid[0]
+    cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5 * step)])
+    cdf /= cdf[-1]
+    ref = np.interp(y, grid, cdf)
+    i = np.arange(1, samples + 1)
+    ks = max(float(np.max(i / samples - ref)), float(np.max(ref - (i - 1) / samples)))
+    return CheckReport(f"laplace_sum_pdf(b={b:g})", ks, ks_threshold, ks < ks_threshold, samples)
+
+
+def one_shot_expected_draws(b, samples, rng) -> CheckReport:
+    y = sample_laplace(b, rng, size=samples) + sample_laplace(b, rng, size=samples)
+    counts = rng.generator.geometric(accept_probability(y, 2.0 * b)).astype(np.float64)
+    stat = float(counts.mean())
+    threshold = 4.0 + 3.0 * float(counts.std(ddof=1)) / math.sqrt(samples)
+    return CheckReport(f"expected_draws(b={b:g})", stat, threshold, stat <= threshold, samples)
+
+
+def one_shot_planar_laplace_mean(dim, eps, samples, rng) -> CheckReport:
+    mean = float(np.linalg.norm(sample_planar_laplace(dim, eps, rng, size=samples), axis=1).mean())
+    stat = abs(mean * eps / dim - 1.0)
+    tol = 4.0 / math.sqrt(dim * samples)
+    return CheckReport(f"planar_laplace_mean(d={dim},eps={eps:g})", stat, tol, stat < tol, samples)

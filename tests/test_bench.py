@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import geopriv
-from geopriv import bench
+from geopriv import bench, statcheck
 from geopriv.bench import (
     ExperimentConfig,
     ResultRow,
@@ -54,6 +54,9 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(trials=0)
+        for samples in (0, -1):
+            with pytest.raises(ValueError, match="samples"):
+                ExperimentConfig(task="verify", samples=samples)
         with pytest.raises(ValueError):
             ExperimentConfig(n_grid=[])
         with pytest.raises(ValueError):
@@ -306,6 +309,11 @@ class TestCli:
         rows = list(csv.reader(out.read_text().splitlines()))
         assert len(rows) == 28 and all(len(r) == 10 for r in rows)
 
+    def test_verify_without_samples_is_refused(self):
+        # it used to die in the binomial band with ZeroDivisionError
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            main(["verify", "--samples", "0"])
+
     def test_verify_without_out_writes_only_csv(self, capsys):
         rc = main(["verify", "--samples", "20000", "--seed", "1"])
         out, err = capsys.readouterr()
@@ -458,6 +466,53 @@ class TestTrialPool:
         before = threading.active_count()
         with pytest.raises(RuntimeError) as raised:
             _bounded(run_sweep, small_cfg(task="identity", trials=4, collections=2))
+        assert raised.value is error
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("extra_workers", [0, 2], ids=["machine", "oversubscribed"])
+    def test_verify_rows_do_not_depend_on_the_worker_count(self, monkeypatch, extra_workers):
+        cfg = ExperimentConfig(task="verify", seed=4, samples=20_000)
+        monkeypatch.setattr(bench, "_cores", lambda: 2 + extra_workers)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to shake out any order dependence
+        try:
+            pooled = _bounded(run_verify, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        monkeypatch.setattr(bench, "_cores", lambda: 1)
+        assert _bounded(run_verify, cfg) == pooled
+
+    def test_verify_checks_run_on_one_thread_per_core(self, monkeypatch):
+        monkeypatch.setattr(bench, "_cores", lambda: 2)
+        seen = set()
+        real = statcheck.check_renyi_gaussian
+
+        def spy(*args):
+            seen.add(threading.get_ident())
+            time.sleep(0.002)  # a held worker leaves the next check to another thread
+            return real(*args)
+
+        monkeypatch.setattr(statcheck, "check_renyi_gaussian", spy)
+        assert _bounded(run_verify, ExperimentConfig(task="verify", seed=4, samples=2000))[1]
+        assert len(seen) == 2
+
+    def test_a_failing_check_raises_and_leaves_no_thread(self, monkeypatch):
+        monkeypatch.setattr(bench, "_cores", lambda: 2)
+        error = RuntimeError("second laplace sum")
+        calls = itertools.count(1)
+        real = statcheck.check_laplace_sum_pdf
+
+        def flaky(*args):
+            if next(calls) == 2:
+                raise error
+            return real(*args)
+
+        monkeypatch.setattr(statcheck, "check_laplace_sum_pdf", flaky)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            _bounded(run_verify, ExperimentConfig(task="verify", seed=4, samples=2000))
         assert raised.value is error
         assert threading.active_count() == before
 

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from geopriv import statcheck
-from geopriv.noise import RandomStream, laplace_sum_quantile, sample_laplace
+from geopriv.noise import RandomStream, laplace_sum_quantile, sample_laplace, sample_planar_laplace
 from geopriv.statcheck import (
     accept_probability,
     adaptive_simpson,
@@ -17,6 +18,14 @@ from geopriv.statcheck import (
     check_renyi_gaussian,
     laplace_sum_cdf_numeric,
     renyi_divergence_gaussian_quadrature,
+)
+
+from helpers import (
+    one_shot_cgp_radial_tail,
+    one_shot_expected_draws,
+    one_shot_gp_radial_tail,
+    one_shot_laplace_sum_pdf,
+    one_shot_planar_laplace_mean,
 )
 
 SAMPLES = 10**5  # module tests run the battery at reduced size; acceptance uses 1e6
@@ -185,3 +194,92 @@ class TestPlanarLaplaceMean:
         rep = check_planar_laplace_mean(2, 1.0, 10**6, RandomStream(22))
         assert rep.statistic < 0.01
         assert not rep.passed
+
+
+CHUNK = statcheck._CHUNK
+# one short of a chunk, exactly one, one over, and two chunks and a short third
+EDGES = (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
+
+
+class TestChunkedDraws:
+    """The sampling checks draw in chunks of ``_CHUNK`` rows: wherever the
+    chunks continue the one-shot draw stream, the reports are the one-shot
+    reports bit for bit."""
+
+    @pytest.mark.parametrize("samples", EDGES)
+    def test_gaussian_tail_is_the_one_shot_check(self, samples):
+        got = check_cgp_radial_tail(0.7, (0.5, 1.0, 1.5), samples, RandomStream(3, 1))
+        assert got == one_shot_cgp_radial_tail(0.7, (0.5, 1.0, 1.5), samples, RandomStream(3, 1))
+
+    @pytest.mark.parametrize("samples", EDGES)
+    def test_laplace_sum_is_the_one_shot_check(self, samples):
+        got = check_laplace_sum_pdf(1.5, samples, RandomStream(3, 2))
+        assert got == one_shot_laplace_sum_pdf(1.5, samples, RandomStream(3, 2))
+
+    @pytest.mark.parametrize("samples", EDGES)
+    def test_expected_draws_is_the_one_shot_check(self, samples):
+        got = check_expected_draws(0.5, samples, RandomStream(3, 3))
+        assert got == one_shot_expected_draws(0.5, samples, RandomStream(3, 3))
+
+    @pytest.mark.parametrize("samples", [1, 2, 1000, CHUNK - 1, CHUNK])
+    def test_planar_checks_in_one_chunk_are_the_one_shot_checks(self, samples):
+        got = check_gp_radial_tail(0.5, (1.0, 3.0, 5.0), samples, RandomStream(3, 4))
+        assert got == one_shot_gp_radial_tail(0.5, (1.0, 3.0, 5.0), samples, RandomStream(3, 4))
+        got = check_planar_laplace_mean(3, 2.0, samples, RandomStream(3, 5))
+        assert got == one_shot_planar_laplace_mean(3, 2.0, samples, RandomStream(3, 5))
+
+    def test_planar_mean_draws_normals_then_gammas_per_chunk(self):
+        # above one chunk the stream differs from one draw of every row
+        samples = CHUNK + 5
+        rng = RandomStream(3, 6)
+        sums = [float(np.linalg.norm(sample_planar_laplace(2, 1.0, rng, size=n), axis=1).sum()) for n in (CHUNK, 5)]
+        got = check_planar_laplace_mean(2, 1.0, samples, RandomStream(3, 6))
+        assert got.statistic == abs((sums[0] + sums[1]) / samples * 1.0 / 2 - 1.0)
+        assert got != one_shot_planar_laplace_mean(2, 1.0, samples, RandomStream(3, 6))
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda n, rng: check_gp_radial_tail(1.0, (1.0,), n, rng),
+            lambda n, rng: check_cgp_radial_tail(1.0, (1.0,), n, rng),
+            lambda n, rng: check_laplace_sum_pdf(1.0, n, rng),
+            lambda n, rng: check_planar_laplace_mean(2, 1.0, n, rng),
+            lambda n, rng: check_expected_draws(1.0, n, rng),
+        ],
+        ids=["gp_tail", "cgp_tail", "laplace_sum", "planar_mean", "expected_draws"],
+    )
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples_is_refused_before_any_draw(self, check, samples):
+        rng = RandomStream(3, 7)
+        state = rng.generator.bit_generator.state
+        with pytest.raises(ValueError, match="samples"):
+            check(samples, rng)
+        assert rng.generator.bit_generator.state == state
+
+    def test_expected_draws_needs_two_samples(self):
+        # one sample has no standard error: the threshold would be nan
+        rng = RandomStream(3, 8)
+        state = rng.generator.bit_generator.state
+        with pytest.raises(ValueError, match="at least 2"):
+            check_expected_draws(1.0, 1, rng)
+        assert rng.generator.bit_generator.state == state
+        assert check_expected_draws(1.0, 2, rng).samples == 2
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda rng: check_gp_radial_tail(1.0, (1.0, 3.0, 5.0), 10**6, rng),
+            lambda rng: check_planar_laplace_mean(5, 1.0, 10**6, rng),
+        ],
+        ids=["gp_tail", "planar_mean_d5"],
+    )
+    def test_a_million_samples_hold_a_few_mib(self, check):
+        # one-shot, these held 31-54 MiB of numpy buffers
+        tracemalloc.start()
+        try:
+            rep = check(RandomStream(3, 9))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.passed and rep.samples == 10**6
+        assert peak < 8 * 2**20
