@@ -13,11 +13,10 @@ identity sweep runs its trials on a thread pool, one worker per available
 core, with the same bytes; knn and hull, which scan, run on one thread.
 ``verify`` maps its checks over a pool of the same size.
 
-Everything is deterministic under a fixed seed: data, query points and each
-mechanism invocation draw from disjoint stream ids derived from the config.
-A mechanism's stream id is keyed by its position in the task table, the
-(n, k) cell, the collection and the trial, but not by the budget, so every
-budget of the grid shares the same draws (common random numbers).
+Everything is deterministic under a fixed seed: each stream is keyed by a
+tuple, a tag naming what it draws and then its indices, such as a sample's
+``(_SAMPLE, ci, ni)``.  A mechanism's key ``(_MECH, ni, ki, mi, ci, t)``
+holds no budget, so every budget shares its draws (common random numbers).
 """
 
 from __future__ import annotations
@@ -60,17 +59,8 @@ logger = logging.getLogger(__name__)
 # Python's last-resort handler would print each warning a second time
 logger.addHandler(logging.NullHandler())
 
-_DATA_BASE = 1_000_000_000
-_SAMPLE_BASE = 1_500_000_000
-_QUERY_BASE = 2_000_000_000
-_MECH_BASE = 3_000_000_000
-_VERIFY_BASE = 4_000_000_000
-# Stream-id strides: a sample id is ``ci * _SAMPLE_STRIDE + n_index`` and a
-# query id ``ci * _QUERY_STRIDE + trial``, so configs past these limits
-# would reuse ids and are refused.
-_SAMPLE_STRIDE = 64
-_QUERY_STRIDE = 100_000
-_MAX_QUERY_COLLECTIONS = (_MECH_BASE - _QUERY_BASE) // _QUERY_STRIDE
+# the first element of every stream key: what the stream draws
+_DATA, _CHOICE, _SAMPLE, _QUERY, _VERIFY, _MECH = range(6)
 
 _WALK_STEP_M = 50.0
 
@@ -102,26 +92,25 @@ class ExperimentConfig:
             self.rho_grid = [1e-4, 1e-3, 1e-2]
         for name in ("rho_grid", "eps_grid", "n_grid", "k_grid"):
             grid = getattr(self, name)
-            if grid is not None and len(grid) == 0:
+            if grid is None:
+                continue
+            if len(grid) == 0:
                 raise ValueError(f"{name} must be nonempty")
+            # before any draw: a k of 0 would skip every knn trial, a rate of 0 fail mid-sweep
+            if not all(v > 0 for v in grid):
+                raise ValueError(f"{name} entries must be positive, got {grid}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.collections < 1:
             raise ValueError(f"collections must be at least 1, got {self.collections}")
-        if self.samples < 1:
-            raise ValueError(f"samples must be at least 1, got {self.samples}")
+        # at 2 samples the KS thresholds, 1.63 / sqrt(samples), pass any statistic;
+        # 1000 is the floor the battery already puts on its expected-draws count
+        min_samples = 1000 if self.task == "verify" else 1
+        if self.samples < min_samples:
+            raise ValueError(f"samples must be at least {min_samples} for {self.task}, got {self.samples}")
         if self.rho_grid is not None and self.eps_grid is not None:
             if len(self.rho_grid) != len(self.eps_grid):
                 raise ValueError("rho_grid and eps_grid must have equal lengths when both given")
-        if self.task != "verify" and len(self.n_grid) > _SAMPLE_STRIDE:
-            raise ValueError(f"n_grid holds at most {_SAMPLE_STRIDE} sizes, got {len(self.n_grid)}")
-        if self.task == "knn":
-            if self.trials > _QUERY_STRIDE:
-                raise ValueError(f"knn runs at most {_QUERY_STRIDE} trials, got {self.trials}")
-            if self.collections > _MAX_QUERY_COLLECTIONS:
-                raise ValueError(
-                    f"knn runs at most {_MAX_QUERY_COLLECTIONS} collections, got {self.collections}"
-                )
 
 
 @dataclass(frozen=True)
@@ -154,19 +143,14 @@ def _budget_pairs(cfg: ExperimentConfig) -> list[tuple[float, float, float]]:
     return out
 
 
-def _stream(cfg: ExperimentConfig, base: int, offset: int) -> RandomStream:
-    return RandomStream(cfg.seed, base + offset)
-
-
-def _mech_stream(cfg: ExperimentConfig, cell: int, mech: int, coll: int, trial: int) -> RandomStream:
-    """The only stream ``--zero-noise`` silences: data and query draws stay noisy."""
-    offset = ((cell * 8 + mech) * cfg.collections + coll) * cfg.trials + trial
-    return RandomStream(cfg.seed, _MECH_BASE + offset, zero_noise=cfg.zero_noise)
+def _stream(cfg: ExperimentConfig, *key: int) -> RandomStream:
+    """``--zero-noise`` silences only mechanism streams: data and query draws stay noisy."""
+    return RandomStream(cfg.seed, key, zero_noise=cfg.zero_noise and key[0] == _MECH)
 
 
 def _synthetic_collection(cfg: ExperimentConfig, index: int) -> PointTuple:
     size = max(cfg.n_grid)
-    gen = _stream(cfg, _DATA_BASE, index).generator
+    gen = _stream(cfg, _DATA, index).generator
     if cfg.input == "synthetic-walk":
         start = gen.random(2) * cfg.extent
         heading = gen.random(size) * 2.0 * math.pi
@@ -190,7 +174,7 @@ def _collections(cfg: ExperimentConfig) -> list[PointTuple]:
         path = Path(cfg.input)
         traces = load_traces(path) if path.exists() else []
         if len(traces) > cfg.collections:
-            gen = _stream(cfg, _DATA_BASE, 999_999_999).generator
+            gen = _stream(cfg, _CHOICE).generator
             chosen = np.sort(gen.choice(len(traces), size=cfg.collections, replace=False))
             return [traces[i] for i in chosen]
         if traces:
@@ -201,7 +185,7 @@ def _collections(cfg: ExperimentConfig) -> list[PointTuple]:
 
 def _sampled(cfg: ExperimentConfig, colls: list[PointTuple], n_index: int, n: int) -> list[PointTuple]:
     return [
-        sample_points(c, n, _stream(cfg, _SAMPLE_BASE, ci * _SAMPLE_STRIDE + n_index))
+        sample_points(c, n, _stream(cfg, _SAMPLE, ci, n_index))
         for ci, c in enumerate(colls)
     ]
 
@@ -241,7 +225,7 @@ class _Trial:
 
 @dataclass(frozen=True)
 class _Task:
-    """One sweep.  ``mechanisms`` maps each name, in stream-id order, to
+    """One sweep.  ``mechanisms`` maps each name, in stream-key order, to
     ``(cfg, trial, rng) -> output``; ``score(trial, output)`` gives one value
     per name in ``metrics``.  The lambdas look mechanisms up at call time, so
     rebinding a module attribute (as a tracer does) reaches every call.
@@ -360,21 +344,20 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
                 if knn and k > n:
                     _warn(f"skipping k={k} > n={n}")
                     continue
-                cell = ni * len(k_grid) + ki
                 for budget, rho, eps in _budget_pairs(cfg):
 
                     def scores(ci: int, t: int):
                         """Each mechanism's metric values on one trial, or None if skipped."""
                         trial = _Trial(data[ci], rho, eps, k, hulls[ci])
                         if knn:
-                            qgen = _stream(cfg, _QUERY_BASE, ci * _QUERY_STRIDE + t).generator
+                            qgen = _stream(cfg, _QUERY, ci, t).generator
                             trial.query = query_pool[int(qgen.integers(len(query_pool)))]
                             d_true = query_dists(trial.x.points, trial.query)
                             trial.true_sum = float(np.sort(d_true, kind="stable")[:k].sum())
                             if trial.true_sum <= 0.0:
                                 return None
                         return [
-                            task.score(trial, release(cfg, trial, _mech_stream(cfg, cell, mi, ci, t)))
+                            task.score(trial, release(cfg, trial, _stream(cfg, _MECH, ni, ki, mi, ci, t)))
                             for mi, release in enumerate(task.mechanisms.values())
                         ]
 
@@ -391,15 +374,15 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
 
 def _verify_battery(cfg: ExperimentConfig) -> list[statcheck.CheckReport]:
     """Every check's report, in battery order.  The checks are built as
-    thunks with their stream ids fixed in that order, then mapped like the
+    thunks with their stream keys fixed in that order, then mapped like the
     identity sweep's trials (see ``_pool_map``); each draws only from its own
     stream, so the reports do not depend on the worker count."""
     samples = cfg.samples
     draws = max(samples // 10, 1000)
-    sid = iter(range(10_000))
+    sid = itertools.count()
 
     def s() -> RandomStream:
-        return _stream(cfg, _VERIFY_BASE, next(sid))
+        return _stream(cfg, _VERIFY, next(sid))
 
     checks = []
     for eps in (0.5, 1.0, 2.0):

@@ -3,11 +3,13 @@
 Every sampler draws from an explicitly passed :class:`RandomStream`, so a
 fixed ``(seed, stream_id)`` pair reproduces identical sequences and distinct
 stream ids give statistically independent streams for parallel trials.  A
-degenerate zero-noise stream is provided for deterministic testing: with it,
-every sampler returns 0 (or the zero vector), so mechanisms built on top
-become exact.  A sampler's ``dim`` and ``size`` must be integers: 2.5, 3.7
-or "3" raises ValueError before any draw rather than being truncated or
-parsed.
+stream id is an integer or a tuple of 32-bit words, so a caller can key its
+streams by position, e.g. ``(tag, collection, trial)``, without packing the
+position into one integer.  A degenerate zero-noise stream is provided for
+deterministic testing: with it, every sampler returns 0 (or the zero
+vector), so mechanisms built on top become exact.  A sampler's ``dim`` and
+``size`` must be integers: 2.5, 3.7 or "3" raises ValueError before any
+draw rather than being truncated or parsed.
 """
 
 from __future__ import annotations
@@ -18,7 +20,12 @@ import numpy as np
 
 from .geometry import _as_index
 
-_UINT64_MAX = 2**64 - 1
+
+def _as_uint(v, name: str = "stream_id element", bits: int = 32) -> int:
+    v = _as_index(v, name)
+    if not 0 <= v < 2**bits:
+        raise ValueError(f"{name} must be in [0, 2**{bits}), got {v}")
+    return v
 
 
 class RandomStream:
@@ -26,20 +33,25 @@ class RandomStream:
 
     Backed by a PCG64 generator seeded through :class:`numpy.random.SeedSequence`
     with ``stream_id`` as the spawn key, which makes streams with distinct ids
-    statistically independent.  Pass ``zero_noise=True`` to get the degenerate
-    test stream.
+    statistically independent.  ``stream_id`` is an integer ``i`` in
+    [0, 2**64), the key ``(i,)``, or a tuple of integers in [0, 2**32).
+    SeedSequence splits a larger element into 32-bit words (``(2**32,)``
+    would be the stream of ``(0, 1)``), so only one-word elements keep
+    distinct tuples distinct streams.  Pass ``zero_noise=True`` to get the
+    degenerate test stream.
     """
 
     __slots__ = ("seed", "stream_id", "zero_noise", "_generator")
 
-    def __init__(self, seed: int = 0, stream_id: int = 0, zero_noise: bool = False):
-        self.seed = _as_index(seed, "seed")
-        self.stream_id = _as_index(stream_id, "stream_id")
-        for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
-            if not 0 <= value <= _UINT64_MAX:
-                raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
+    def __init__(self, seed: int = 0, stream_id: int | tuple[int, ...] = 0, zero_noise: bool = False):
+        self.seed = _as_uint(seed, "seed", 64)
+        if isinstance(stream_id, tuple):
+            self.stream_id = key = tuple(map(_as_uint, stream_id))
+        else:
+            self.stream_id = _as_uint(stream_id, "stream_id", 64)
+            key = (self.stream_id,)
         self.zero_noise = bool(zero_noise)
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=key)
         self._generator = np.random.Generator(np.random.PCG64(ss))
 
     @property

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -65,28 +66,33 @@ class TestConfig:
             ExperimentConfig(task="bogus")
 
     @pytest.mark.parametrize(
-        "kw",
+        "argv, field",
         [
-            # query id ci * 100_000 + t: trial 100_000 is the next collection's trial 0
-            dict(task="knn", trials=100_001),
-            # query ids of collection 10_000 on reach the mechanism base
-            dict(task="knn", collections=10_001),
-            # sample id ci * 64 + n_index: a 65th size is the next collection's first
-            dict(task="identity", n_grid=list(range(1, 66))),
-            dict(task="knn", n_grid=list(range(1, 66))),
-            dict(task="hull", n_grid=list(range(1, 66))),
+            ("knn --k-grid 0", "k_grid"),
+            ("knn --k-grid 4,-1", "k_grid"),
+            ("identity --n-grid 0", "n_grid"),
+            ("hull --rho-grid 0.01,0", "rho_grid"),
+            ("knn --rho-grid=-1e-3", "rho_grid"),
+            ("identity --eps-grid 0", "eps_grid"),
+            ("knn --eps-grid 1,nan", "eps_grid"),
         ],
     )
-    def test_configs_whose_stream_ids_overlap_are_refused(self, kw):
-        with pytest.raises(ValueError):
-            ExperimentConfig(**kw)
+    def test_non_positive_grid_entries_are_refused_before_any_draw(self, monkeypatch, argv, field):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a refused config drew a stream")
 
-    def test_configs_at_the_stream_id_limits_are_accepted(self):
-        ExperimentConfig(task="knn", trials=100_000, collections=10_000, n_grid=list(range(1, 65)))
-        # only knn draws query points, and verify samples no tuples
-        for task in ("identity", "hull"):
-            ExperimentConfig(task=task, trials=100_001, collections=10_001)
-        ExperimentConfig(task="verify", n_grid=list(range(1, 66)))
+        monkeypatch.setattr(bench, "RandomStream", no_draw)
+        with pytest.raises(ValueError, match=field):
+            main(argv.split() + ["--trials", "1", "--collections", "1"])
+
+    def test_verify_needs_a_thousand_samples(self):
+        # at 1 or 2 samples a KS threshold of 1.63 / sqrt(samples) passes every statistic
+        for samples in (1, 999):
+            with pytest.raises(ValueError, match="samples must be at least 1000"):
+                main(["verify", "--samples", str(samples)])
+        assert ExperimentConfig(task="verify", samples=1000).samples == 1000
+        # the sweeps ignore samples and keep the floor of 1
+        assert ExperimentConfig(task="knn", samples=1).samples == 1
 
     def test_cli_defaults_come_from_the_config(self):
         for task in ("identity", "knn", "hull", "verify"):
@@ -114,6 +120,54 @@ class TestConfig:
         cfg = small_cfg(rho_grid=None, eps_grid=[1.0])
         rows = run_sweep(cfg)
         assert {r.budget for r in rows} == {1.0}
+
+
+class TestStreamKeys:
+    @staticmethod
+    def _record_keys(monkeypatch) -> Counter:
+        seen = Counter()
+        real = bench.RandomStream
+
+        def spy(seed, key, **kw):
+            seen[key] += 1
+            return real(seed, key, **kw)
+
+        monkeypatch.setattr(bench, "RandomStream", spy)
+        return seen
+
+    @pytest.mark.parametrize("task, k_grid", [("knn", [2, 4]), ("hull", [4])])
+    def test_a_key_repeats_only_across_budgets(self, monkeypatch, task, k_grid):
+        seen = self._record_keys(monkeypatch)
+        n_grid, budgets, colls, trials = [32, 48], [0.01, 0.02, 0.03], 2, 2
+        cfg = small_cfg(task=task, n_grid=n_grid, k_grid=k_grid, rho_grid=budgets, trials=trials, collections=colls)
+        run_sweep(cfg)
+        # hull sweeps one k, at index 0
+        cells = list(itertools.product(range(len(n_grid)), range(len(k_grid))))
+        expected = Counter()
+        for ci in range(colls):
+            expected[bench._DATA, ci] = 1
+            for ni in range(len(n_grid)):
+                expected[bench._SAMPLE, ci, ni] = 1
+            for t in range(trials):
+                if task == "knn":  # one query point per (collection, trial), in every cell
+                    expected[bench._QUERY, ci, t] = len(cells) * len(budgets)
+                for (ni, ki), mi in itertools.product(cells, range(len(bench._TASKS[task].mechanisms))):
+                    # common random numbers: every budget redraws the same stream
+                    expected[bench._MECH, ni, ki, mi, ci, t] = len(budgets)
+        assert seen == expected
+
+    def test_verify_checks_draw_from_distinct_keys(self, monkeypatch):
+        seen = self._record_keys(monkeypatch)
+        run_verify(ExperimentConfig(task="verify", seed=2, samples=2000))
+        assert seen == Counter({(bench._VERIFY, i): 1 for i in range(len(seen))})
+        assert len(seen) == 15
+
+    def test_no_grid_or_trial_count_is_capped(self):
+        # once refused: the packed integer ids of these configs overlapped
+        ExperimentConfig(task="knn", trials=100_001)
+        ExperimentConfig(task="knn", collections=10_001)
+        for task in ("identity", "knn", "hull"):
+            ExperimentConfig(task=task, n_grid=list(range(1, 66)))
 
 
 class TestZeroNoiseModes:

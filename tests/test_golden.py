@@ -38,7 +38,7 @@ CLI_CASES = {
     "identity": "identity --rho-grid 1e-3,1e-2 --n-grid 64,256 --trials 3 --collections 2 --seed 7",
     "knn": "knn --rho-grid 1e-3,1e-2 --n-grid 128 --k-grid 4,16 --trials 3 --collections 2 --seed 7",
     "knn_eps": "knn --eps-grid 0.05,0.5 --n-grid 128 --k-grid 8 --trials 3 --collections 2 --seed 7",
-    # two n: pins the cell offset ni * len(k_grid) + ki and the k > n skip
+    # two n: pins the (ni, ki) indices of the mechanism stream keys and the k > n skip
     "knn_multi_n": "knn --rho-grid 1e-3,1e-2 --n-grid 64,128 --k-grid 4,100 --trials 3 --collections 2 --seed 7",
     "knn_true_walk": (
         "knn --rho-grid 1e-3,1e-2 --n-grid 128 --k-grid 4,16 --trials 3 --collections 2 --seed 7 "

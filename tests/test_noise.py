@@ -49,10 +49,29 @@ class TestRandomStream:
         with pytest.raises(ValueError, match="is not an integer"):
             RandomStream(*key)
 
+    def test_an_int_id_is_the_one_element_tuple(self):
+        for i in (0, 7, 2**32 - 1):
+            a = RandomStream(123, i).generator.bytes(64)
+            assert a == RandomStream(123, (i,)).generator.bytes(64)
+
+    def test_distinct_tuple_keys_differ(self):
+        keys = [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (2**32 - 1,), (5, 0, 0, 1, 0, 2), (5, 0, 0, 1, 2, 0)]
+        streams = {RandomStream(3, key).generator.bytes(32) for key in keys}
+        assert len(streams) == len(keys)
+
+    @pytest.mark.parametrize("key", [(-1,), (2**32,), (0, 2**32), (1, -1), (1.0,), (0, "2"), (np.float64(1),)])
+    def test_rejects_tuple_elements_outside_one_word(self, key):
+        # SeedSequence splits 2**32 into the words (0, 1): it would be the stream (0, 1)
+        with pytest.raises(ValueError, match="stream_id element"):
+            RandomStream(0, key)
+
     def test_numpy_integer_keys(self):
         a = RandomStream(np.int64(5), np.uint32(2))
         assert (a.seed, a.stream_id) == (5, 2) and type(a.seed) is int
         assert a.generator.random() == RandomStream(5, 2).generator.random()
+        b = RandomStream(5, (np.int64(2), np.uint32(3)))
+        assert b.stream_id == (2, 3) and all(type(v) is int for v in b.stream_id)
+        assert b.generator.random() == RandomStream(5, (2, 3)).generator.random()
 
 
 class TestLaplace:
