@@ -33,12 +33,14 @@ same work.  The layers, on uniform points on a 10 km square:
 
 End-to-end sweep times and CSV hashes are ``perfbench/run.py``'s to measure.
 
-``--compare`` runs the harness on a parent checkout and on this one in two
+``--compare`` runs the harness on a parent checkout and on this one in six
 alternating subprocess rounds, keeps each layer's best time over the rounds,
 and writes both sides with their ratio, the numpy version and the core
 counts: the host's (``cores``) and this process's (``usable_cores``).
-``rounds_ms`` holds every round's time of each layer on each side: a ratio
-within the spread of a side's own rounds is noise.
+``rounds_ms`` holds every round's time of each layer on each side, and
+``quartiles_ms`` each side's first quartile, median and third quartile of
+them.  A layer is ``resolved`` when the two sides' quartile ranges do not
+overlap; the ratio of an unresolved layer is noise.
 Both sides run this file's ``measure``, so the parent must take the same
 calls: a checkout without ``geometry.query_dists``, or whose anchor stage
 takes a ``PchParams``, fails its side of the comparison.
@@ -74,7 +76,7 @@ VERIFY_SAMPLES = 10**6  # geopriv verify's default; expected_draws takes a tenth
 IDENTITY_N = 16384
 IDENTITY_RHO = 1e-3  # the middle of the identity sweep's grid
 REPEAT = 5  # timeit runs per layer; the best is kept
-ROUNDS = 2  # alternating subprocess rounds per side with --compare
+ROUNDS = 6  # alternating subprocess rounds per side with --compare
 
 
 def _time(fn) -> float:
@@ -249,10 +251,20 @@ def compare(parent: Path, tier1: bool) -> dict:
     before = {key: min(ms) for key, ms in rounds["before"].items()}
     after = {key: min(ms) for key, ms in rounds["after"].items()}
     ratio = {key: after[key] / ms for key, ms in before.items()}
+    quartiles = {
+        side: {key: np.percentile(ms, [25, 50, 75]).tolist() for key, ms in by_key.items()}
+        for side, by_key in rounds.items()
+    }
+    resolved = {
+        key: bool(q[2] < quartiles["after"][key][0] or quartiles["after"][key][2] < q[0])
+        for key, q in quartiles["before"].items()
+    }
     result = {
         "harness": "benchmarks/layers.py --compare",
         "method": f"timeit best of {REPEAT} runs (autorange call count), best over {ROUNDS} "
-                  "alternating subprocess rounds per side (each round in rounds_ms); ms per call",
+                  "alternating subprocess rounds per side (each round in rounds_ms, their "
+                  "[q1, median, q3] in quartiles_ms); ms per call; resolved: the sides' "
+                  "[q1, q3] ranges do not overlap",
         "env": {
             "cores": os.cpu_count(),
             # the cores this process may run on: the identity sweep's pool is capped here
@@ -264,6 +276,8 @@ def compare(parent: Path, tier1: bool) -> dict:
         "before_ms": before,
         "after_ms": after,
         "after_over_before": ratio,
+        "quartiles_ms": quartiles,
+        "resolved": resolved,
         "rounds_ms": rounds,
     }
     if tier1:

@@ -16,7 +16,9 @@ core, with the same bytes; knn and hull, which scan, run on one thread.
 Everything is deterministic under a fixed seed: each stream is keyed by a
 tuple, a tag naming what it draws and then its indices, such as a sample's
 ``(_SAMPLE, ci, ni)``.  A mechanism's key ``(_MECH, ni, ki, mi, ci, t)``
-holds no budget, so every budget shares its draws (common random numbers).
+holds no budget, so every budget shares its draws (common random numbers):
+the stream is built once per (n, k) cell and set back to its initial state
+before each budget's trial.
 """
 
 from __future__ import annotations
@@ -318,8 +320,8 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     trial) cell and aggregate each metric over collections x trials.
 
     knn also sweeps ``k_grid`` (skipping k > n) and draws one query point per
-    (collection, trial); a trial whose true k nearest all sit on the query is
-    skipped.  The GP budget is matched from rho unless ``eps_grid`` is given.
+    (collection, trial), for the whole sweep; a trial whose true k nearest all
+    sit on the query is skipped.  The GP budget is matched from rho unless ``eps_grid`` is given.
 
     A task without scans maps its (collection, trial) pairs over a thread
     pool of ``min(cores, pairs)`` workers (numpy's samplers and ufunc loops
@@ -331,35 +333,45 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     task = _TASKS[cfg.task]
     colls = _collections(cfg)
     knn = cfg.task == "knn"
-    query_pool = query_point_pool(colls) if knn else None
     k_grid = cfg.k_grid if knn else [None]
     # the (collection, trial) pairs, collection-major: the order scores are collected in
-    cis, ts = zip(*itertools.product(range(len(colls)), range(cfg.trials)))
+    pairs = list(itertools.product(range(len(colls)), range(cfg.trials)))
+    cis, ts = zip(*pairs)
+    if knn:
+        pool = query_point_pool(colls)
+        queries = {p: pool[int(_stream(cfg, _QUERY, *p).generator.integers(len(pool)))] for p in pairs}
     rows = []
     with _pool_map(1 if task.scans else len(cis)) as pmap:
         for ni, n in enumerate(cfg.n_grid):
             data = _sampled(cfg, colls, ni, n)
             hulls = [convex_hull(x.points) for x in data] if cfg.task == "hull" else [None] * len(data)
+            if knn:  # each trial's true distances, ascending, for every k
+                near = {p: np.sort(query_dists(data[p[0]].points, queries[p]), kind="stable") for p in pairs}
             for ki, k in enumerate(k_grid):
                 if knn and k > n:
                     _warn(f"skipping k={k} > n={n}")
                     continue
+                # each mechanism stream is built once per cell, and every budget
+                # starts it from its initial state: common random numbers
+                streams = {
+                    p: [_stream(cfg, _MECH, ni, ki, mi, *p) for mi in range(len(task.mechanisms))] for p in pairs
+                }
+                starts = {p: [rng.generator.bit_generator.state for rng in s] for p, s in streams.items()}
                 for budget, rho, eps in _budget_pairs(cfg):
 
                     def scores(ci: int, t: int):
                         """Each mechanism's metric values on one trial, or None if skipped."""
                         trial = _Trial(data[ci], rho, eps, k, hulls[ci])
                         if knn:
-                            qgen = _stream(cfg, _QUERY, ci, t).generator
-                            trial.query = query_pool[int(qgen.integers(len(query_pool)))]
-                            d_true = query_dists(trial.x.points, trial.query)
-                            trial.true_sum = float(np.sort(d_true, kind="stable")[:k].sum())
+                            trial.query = queries[ci, t]
+                            trial.true_sum = float(near[ci, t][:k].sum())
                             if trial.true_sum <= 0.0:
                                 return None
-                        return [
-                            task.score(trial, release(cfg, trial, _stream(cfg, _MECH, ni, ki, mi, ci, t)))
-                            for mi, release in enumerate(task.mechanisms.values())
-                        ]
+                        out = []
+                        for release, rng, state in zip(task.mechanisms.values(), streams[ci, t], starts[ci, t]):
+                            rng.generator.bit_generator.state = state
+                            out.append(task.score(trial, release(cfg, trial, rng)))
+                        return out
 
                     vals = {(m, metric): [] for m in task.mechanisms for metric in task.metrics}
                     # consumed here, before the budget loop rebinds what ``scores`` reads

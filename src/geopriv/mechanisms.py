@@ -25,9 +25,13 @@ output at a fixed seed, is that of such a scan.
 
 ``pnn``, each ``kpnn`` round and each anchor probe are one private
 nearest-neighbour step, ``_pnn_scan``, over distances computed once per
-query point by ``geometry.query_dists``: a ``kpnn`` round scans the
-distances of the indices not yet chosen, in ascending index order, and an
-anchor probe scans all n.
+query point by ``geometry.query_dists``.  The step cycles through its
+distances (``_cycle``): a block that does not cross the end of the array is
+a view of it, and only a block across the seam is a wrapped copy.  A
+``kpnn`` round scans the distances of the indices not yet chosen, in
+ascending index order, kept in place at the front of the array (``_kpnn``
+shifts the entries past each round's pick left by one); an anchor probe
+scans all n.
 
 Every mechanism takes an explicit RandomStream and, optionally, a
 BudgetLedger that audits its internal splits.  Each part is charged before
@@ -259,29 +263,43 @@ def _scan(
     blocks the module docstring describes.
 
     ``block(done, size)`` returns the values of queries ``done + 1`` ..
-    ``done + size``, fewer only when the query stream runs out.  A block of
+    ``done + size``, fewer only when the query stream runs out; it may
+    return a view, which the scan does not write to.  A block of
     ``min(256, max_steps - done)`` queries halts the scan at its first
     ``value + noise <= gate``.
     """
+    laplace = None if rng.zero_noise else rng.generator.laplace
     done = 0
     while done < max_steps:
         size = min(_BLOCK, max_steps - done)
         values = block(done, size)
-        if len(values) == 0:
+        n = len(values)
+        if n == 0:
             break
-        if not rng.zero_noise:
-            values = values + rng.generator.laplace(0.0, scale, size=size)[: len(values)]
-        hits = np.flatnonzero(values <= gate)
-        if hits.size:
-            steps = done + int(hits[0]) + 1
+        if laplace is not None:
+            values = laplace(0.0, scale, size)[:n] + values
+        hit = values <= gate
+        i = int(hit.argmax())
+        if hit[i]:
+            steps = done + i + 1
             return SvtOutcome(True, steps, steps)
-        done += len(values)
+        done += n
     return SvtOutcome(False, done, None)
 
 
 def _cycle(values: np.ndarray) -> Callable[[int, int], np.ndarray]:
-    """Scan blocks that cycle through ``values`` from its first entry."""
-    return lambda done, size: values.take(np.arange(done, done + size), mode="wrap")
+    """Scan blocks that cycle through ``values`` from its first entry: a
+    view ``values[start:start + size]`` (``start = done % m``) while the
+    block does not wrap, and a wrapped copy only at the seam."""
+    m = len(values)
+
+    def block(done: int, size: int) -> np.ndarray:
+        start = done % m
+        if start + size <= m:
+            return values[start : start + size]
+        return values.take(np.arange(done, done + size), mode="wrap")
+
+    return block
 
 
 def _svt(
@@ -420,6 +438,12 @@ def _kpnn(
     params: PnnParams | None,
     ledger: BudgetLedger | None,
 ) -> list[int]:
+    """``kpnn`` and ``kpnn_gp``: k ``_pnn_scan`` rounds, each charged
+    ``budget / k``.  The first m entries of ``dists`` and ``index`` hold the
+    distances and 1-based indices of the m points not yet chosen, in
+    ascending index order; after each round the entries past the chosen
+    position shift left by one, in place, and the next round scans
+    ``dists[:m - 1]``."""
     _check_positive(cal.unit, budget)
     k = _as_index(k, "k")
     if not 1 <= k <= x.n:
@@ -428,15 +452,15 @@ def _kpnn(
     rate = cal.round_rate(share)
     scan = params or PnnParams()
     dists = query_dists(x.points, query_point)
-    remaining = np.ones(x.n, dtype=bool)
+    index = np.arange(1, x.n + 1)
     chosen: list[int] = []
     for j in range(1, k + 1):
+        m = x.n - j + 1
         _charge(ledger, f"round_{j}", share)
-        left = np.flatnonzero(remaining)
-        pos, _ = _pnn_scan(dists[left], rate, rng, scan, None)
-        t = int(left[pos])
-        chosen.append(t + 1)
-        remaining[t] = False
+        pos, _ = _pnn_scan(dists[:m], rate, rng, scan, None)
+        chosen.append(int(index[pos]))
+        dists[pos : m - 1] = dists[pos + 1 : m]
+        index[pos : m - 1] = index[pos + 1 : m]
     return chosen
 
 

@@ -1,12 +1,13 @@
 """Brute-force reference implementations used as independent test oracles."""
 
 import math
-from itertools import combinations
+from itertools import combinations, cycle, islice
 
 import numpy as np
 
-from geopriv.mechanisms import _CGP, _GP
-from geopriv.noise import laplace_sum_pdf, sample_laplace, sample_planar_laplace
+from geopriv.geometry import PointTuple, query_dists
+from geopriv.mechanisms import _CGP, _GP, PnnParams, _Calibration
+from geopriv.noise import RandomStream, laplace_sum_pdf, sample_laplace, sample_planar_laplace
 from geopriv.statcheck import CheckReport, _binomial_band, accept_probability
 
 
@@ -92,6 +93,30 @@ def stepwise_scan(values, gate: float, scale: float, max_steps: int, gen: np.ran
             return True, steps
         pos += 1
     return False, steps
+
+
+def mask_kpnn(cal: _Calibration, x: PointTuple, query_point, k: int, budget: float, rng: RandomStream) -> list[int]:
+    """``kpnn`` (``cal`` = ``_CGP``) or ``kpnn_gp`` (``_GP``) at the default
+    scan parameters, as k rounds over a mask of the points not yet chosen:
+    each round scans the distances of ``np.flatnonzero(remaining)``, query
+    by query (``stepwise_scan``), with pnn's threshold and svt noise."""
+    eps = cal.round_rate(budget / k)
+    dists = query_dists(x.points, query_point)
+    remaining = np.ones(x.n, dtype=bool)
+    chosen = []
+    for _ in range(k):
+        left = np.flatnonzero(remaining)
+        d = dists[left]
+        gate = float(d.min()) + sample_laplace(3.0 / eps, rng)
+        svt_eps = 2.0 * eps / 3.0
+        gate += sample_laplace(2.0 / svt_eps, rng)
+        max_steps = PnnParams().max_cycles * len(d)
+        halted, steps = stepwise_scan(islice(cycle(d), max_steps), gate, 4.0 / svt_eps, max_steps, rng.generator)
+        assert halted
+        t = int(left[(steps - 1) % len(d)])
+        chosen.append(t + 1)
+        remaining[t] = False
+    return chosen
 
 
 def random_tuple(gen: np.random.Generator, n: int, dim: int = 2, scale: float = 1.0) -> np.ndarray:

@@ -1,3 +1,4 @@
+import copy
 import csv
 import itertools
 import logging
@@ -135,26 +136,44 @@ class TestStreamKeys:
         monkeypatch.setattr(bench, "RandomStream", spy)
         return seen
 
-    @pytest.mark.parametrize("task, k_grid", [("knn", [2, 4]), ("hull", [4])])
-    def test_a_key_repeats_only_across_budgets(self, monkeypatch, task, k_grid):
+    @pytest.mark.parametrize("task, k_grid", [("knn", [2, 4]), ("hull", [4]), ("identity", [4])])
+    def test_each_key_is_built_once_and_every_budget_restarts_it(self, monkeypatch, task, k_grid):
         seen = self._record_keys(monkeypatch)
+        first_draws = Counter()
+
+        def record(release):
+            def run(cfg, trial, rng):
+                first_draws[rng.stream_id, tuple(copy.deepcopy(rng.generator).random(3))] += 1
+                return release(cfg, trial, rng)
+
+            return run
+
+        for name, release in bench._TASKS[task].mechanisms.items():
+            monkeypatch.setitem(bench._TASKS[task].mechanisms, name, record(release))
         n_grid, budgets, colls, trials = [32, 48], [0.01, 0.02, 0.03], 2, 2
         cfg = small_cfg(task=task, n_grid=n_grid, k_grid=k_grid, rho_grid=budgets, trials=trials, collections=colls)
         run_sweep(cfg)
-        # hull sweeps one k, at index 0
-        cells = list(itertools.product(range(len(n_grid)), range(len(k_grid))))
-        expected = Counter()
+        # hull and identity sweep one k, at index 0
+        cells = list(itertools.product(range(len(n_grid)), range(len(k_grid) if task == "knn" else 1)))
+        mech_keys = [
+            (bench._MECH, ni, ki, mi, ci, t)
+            for (ni, ki), mi, ci, t in itertools.product(
+                cells, range(len(bench._TASKS[task].mechanisms)), range(colls), range(trials)
+            )
+        ]
+        expected = Counter(mech_keys)
         for ci in range(colls):
             expected[bench._DATA, ci] = 1
             for ni in range(len(n_grid)):
                 expected[bench._SAMPLE, ci, ni] = 1
             for t in range(trials):
-                if task == "knn":  # one query point per (collection, trial), in every cell
-                    expected[bench._QUERY, ci, t] = len(cells) * len(budgets)
-                for (ni, ki), mi in itertools.product(cells, range(len(bench._TASKS[task].mechanisms))):
-                    # common random numbers: every budget redraws the same stream
-                    expected[bench._MECH, ni, ki, mi, ci, t] = len(budgets)
+                if task == "knn":  # one query point per (collection, trial), for the whole sweep
+                    expected[bench._QUERY, ci, t] = 1
         assert seen == expected
+        # common random numbers: every budget's trial draws first what a fresh stream of its key draws
+        assert first_draws == Counter(
+            {(key, tuple(bench.RandomStream(cfg.seed, key).generator.random(3))): len(budgets) for key in mech_keys}
+        )
 
     def test_verify_checks_draw_from_distinct_keys(self, monkeypatch):
         seen = self._record_keys(monkeypatch)

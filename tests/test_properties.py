@@ -5,7 +5,9 @@ calibration, every composite mechanism's ledger closes (also when a
 scan gives up), and under zero noise the k nearest neighbours and every
 hull anchor are exactly the brute-force ones.  The sparse vector scan is checked against a brute-force
 first-below search under zero noise, and against a query-by-query scan on
-seeded streams: same outcome, same draws.  The prefiltered convex hull is
+seeded streams: same outcome, same draws.  Its cycling blocks are checked
+against a wrapped ``take``, and seeded ``kpnn``/``kpnn_gp`` against rounds
+over a mask of the points not yet chosen, each a query-by-query scan.  The prefiltered convex hull is
 checked against point-in-triangle elimination and against a plain
 monotone chain over every point, up to the hull sweep's n = 4096.  The
 row-norm kernel is checked byte for byte against ``np.linalg.norm``."""
@@ -30,6 +32,8 @@ from geopriv.hull import (
     convex_hull,
 )
 from geopriv.mechanisms import (
+    _CGP,
+    _GP,
     NonHaltError,
     PnnParams,
     SvtOutcome,
@@ -48,6 +52,7 @@ from helpers import (
     brute_first_below,
     brute_hull_vertices,
     brute_knn,
+    mask_kpnn,
     monotone_chain,
     stepwise_scan,
 )
@@ -154,6 +159,20 @@ def test_zero_noise_knn_is_brute_force(select, case):
     assert list(got) == brute_knn(case.x.points, Q, case.k)
 
 
+@pytest.mark.parametrize("select, cal", [(kpnn, _CGP), (kpnn_gp, _GP)])
+@settings(max_examples=50, deadline=None, database=None)
+@given(case=cases())
+@example(case=LONG_SCAN_CASE)
+def test_seeded_knn_is_the_mask_rounds(select, cal, case):
+    # the in-place shrink against rounds over np.flatnonzero(remaining), each a
+    # query-by-query scan: same indices, same draws, and the tuple untouched
+    before = case.x.points.copy()
+    fast, ref = RandomStream(case.seed, 3), RandomStream(case.seed, 3)
+    assert select(case.x, Q, case.k, case.budget, fast) == mask_kpnn(cal, case.x, Q, case.k, case.budget, ref)
+    assert fast.generator.random() == ref.generator.random()
+    assert case.x.points.tobytes() == before.tobytes()
+
+
 def _hull_stage(release):
     def run(c, rng):
         out = release(c.x, c.budget, c.beta, rng, k=c.hull_k, k_clamp=(3, 24))
@@ -187,6 +206,26 @@ def test_zero_noise_anchors_are_per_probe_argmins(name, case):
 
 # max_steps around the 256-draw block edges as well as anywhere
 STEP_CAPS = st.one_of(st.integers(1, 1100), st.sampled_from([255, 256, 257, 511, 512, 513, 769]))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    m=st.integers(1, 600),
+    cycles=st.integers(0, 5),
+    offset=st.integers(0, 599),
+    size=st.integers(1, 256),
+)
+# around the block edges: 256 and 512 candidates, and blocks ending on or past a seam
+@example(m=256, cycles=1, offset=0, size=256)
+@example(m=256, cycles=2, offset=1, size=256)
+@example(m=512, cycles=0, offset=256, size=256)
+@example(m=512, cycles=3, offset=257, size=256)
+@example(m=1, cycles=5, offset=0, size=256)
+def test_cycle_blocks_are_the_wrapped_take(m, cycles, offset, size):
+    v = np.random.default_rng(m).random(m)
+    done = cycles * m + offset % m
+    got = _cycle(v)(done, size)
+    assert got.tobytes() == v.take(np.arange(done, done + size), mode="wrap").tobytes()
 
 
 @settings(max_examples=200, deadline=None, database=None)
