@@ -30,6 +30,7 @@ from geopriv.bench import (
     run_verify,
 )
 from geopriv.hull import convex_hull, jaccard
+from geopriv.noise import RandomStream
 
 HEADER = "task,mechanism,n,budget,k,metric,mean,p25,p75,trials"
 
@@ -172,7 +173,7 @@ class TestStreamKeys:
         assert seen == expected
         # common random numbers: every budget's trial draws first what a fresh stream of its key draws
         assert first_draws == Counter(
-            {(key, tuple(bench.RandomStream(cfg.seed, key).generator.random(3))): len(budgets) for key in mech_keys}
+            {(key, tuple(RandomStream(cfg.seed, key).generator.random(3))): len(budgets) for key in mech_keys}
         )
 
     def test_verify_checks_draw_from_distinct_keys(self, monkeypatch):

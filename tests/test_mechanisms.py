@@ -264,20 +264,15 @@ class TestKpnn:
         p = np.array([500.0, 500.0])
         assert kpnn(x, p, 5, 1.0, RandomStream(0, zero_noise=True)) == brute_knn(x.points, p, 5)
 
-    def test_k_equals_n_is_permutation(self):
-        x = uniform_tuple(18, 12)
-        out = kpnn(x, [0.0, 0.0], 12, 1.0, RandomStream(19))
-        assert sorted(out) == list(range(1, 13))
-
-    @pytest.mark.parametrize("mech, budget", [(kpnn, CgpBudget(10.0)), (kpnn_gp, GpBudget(10.0))])
-    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257])
-    def test_k_equals_n_scans_down_to_one_candidate(self, mech, budget, n):
+    @pytest.mark.parametrize("mech, budget", [(kpnn, CgpBudget(1.0)), (kpnn_gp, GpBudget(1.0))])
+    @pytest.mark.parametrize("n", [1, 2, 12, 255, 256, 257])
+    def test_k_equals_n_is_permutation(self, mech, budget, n):
         # the last two rounds scan 2 candidates, then 1; at n = 255, 256 and
         # 257 the first round's first block wraps, ends at the seam, or stops
         # one short of it
-        x = uniform_tuple(30 + n, n)
+        x = uniform_tuple(18, n)
         ledger = BudgetLedger(budget)
-        out = mech(x, [500.0, 500.0], n, 10.0, RandomStream(31, n), ledger=ledger)
+        out = mech(x, [0.0, 0.0], n, 1.0, RandomStream(19), ledger=ledger)
         assert sorted(out) == list(range(1, n + 1))
         assert [label for label, _ in ledger.entries] == [f"round_{j}" for j in range(1, n + 1)]
         ledger.close()
