@@ -99,8 +99,14 @@ class ExperimentConfig:
             if len(grid) == 0:
                 raise ValueError(f"{name} must be nonempty")
             # before any draw: a k of 0 would skip every knn trial, a rate of 0 fail mid-sweep
-            if not all(v > 0 for v in grid):
-                raise ValueError(f"{name} entries must be positive, got {grid}")
+            if not all(0 < v < math.inf for v in grid):
+                raise ValueError(f"{name} entries must be positive and finite, got {grid}")
+        for name in ("beta", "delta"):
+            if not 0 < getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in (0, 1), got {getattr(self, name)}")
+        for name in ("min_eps_dist", "extent"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.collections < 1:

@@ -144,16 +144,3 @@ def _validate_indices(indices: Iterable[int] | None, n: int) -> np.ndarray:
     if bad.any():
         raise ValueError(f"index {idx[bad.argmax()]} outside the valid range 1..{n}")
     return idx
-
-
-def min_dist(x: PointTuple, q, indices: Iterable[int] | None = None) -> tuple[int, float]:
-    """Index in the (1-based) subset minimizing ||x_i - q||, and that distance.
-
-    Ties break to the lowest position in the subset.  The distance itself is
-    1-Lipschitz in x under the max per-point metric.
-    """
-    dists = query_dists(x.points, q)
-    idx = _validate_indices(indices, x.n)
-    d = dists[idx - 1]
-    pos = int(np.argmin(d))
-    return int(idx[pos]), float(d[pos])

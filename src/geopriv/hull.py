@@ -1,9 +1,7 @@
-"""Exact 2-D convex-polygon geometry: hull construction, intersection areas,
-and one-sided Hausdorff-style excess for containment-with-slack checks."""
+"""Exact 2-D convex-polygon geometry: hull construction and intersection
+areas (the Jaccard similarity of two hulls)."""
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -196,44 +194,3 @@ def jaccard(a: ConvexPolygon, b: ConvexPolygon) -> float:
     if union <= 0:
         return 0.0
     return min(inter_area / union, 1.0)
-
-
-def _point_segment_dist(p, a, b) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.linalg.norm(p - a))
-    t = float((p - a) @ ab) / denom
-    t = min(max(t, 0.0), 1.0)
-    return float(np.linalg.norm(p - (a + t * ab)))
-
-
-def point_polygon_distance(p, poly: ConvexPolygon) -> float:
-    """Euclidean distance from a point to a convex polygon (0 inside)."""
-    if poly.degenerate:
-        raise ValueError("polygon is degenerate")
-    p = np.asarray(p, dtype=np.float64)
-    v = poly.vertices
-    m = len(v)
-    tol = ORIENT_EPS * _bbox_scale(v) ** 2
-    inside = True
-    best = math.inf
-    for i in range(m):
-        a, b = v[i], v[(i + 1) % m]
-        if _cross(a, b, p) < -tol:
-            inside = False
-        best = min(best, _point_segment_dist(p, a, b))
-    return 0.0 if inside else best
-
-
-def directed_excess(outer_candidate: ConvexPolygon, inner: ConvexPolygon) -> float:
-    """Smallest gamma such that ``inner`` fits inside ``outer_candidate``
-    expanded by a ball of radius gamma.
-
-    Equals the max over the inner polygon's vertices of their distance to the
-    outer polygon (the distance-to-a-convex-set function is convex, so its
-    max over a polytope is attained at a vertex); 0 when inner is contained.
-    """
-    if outer_candidate.degenerate or inner.degenerate:
-        raise ValueError("directed_excess requires non-degenerate polygons")
-    return max(point_polygon_distance(p, outer_candidate) for p in inner.vertices)

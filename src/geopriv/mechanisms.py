@@ -27,11 +27,21 @@ output at a fixed seed, is that of such a scan.
 nearest-neighbour step, ``_pnn_scan``, over distances computed once per
 query point by ``geometry.query_dists``.  The step cycles through its
 distances (``_cycle``): a block that does not cross the end of the array is
-a view of it, and only a block across the seam is a wrapped copy.  A
-``kpnn`` round scans the distances of the indices not yet chosen, in
-ascending index order, kept in place at the front of the array (``_kpnn``
-shifts the entries past each round's pick left by one); an anchor probe
-scans all n.
+a view of it, and only a block across the seam is a wrapped copy, taken
+from the block's offset ``done % m`` so that its cost does not grow with
+the cycle count.  A ``kpnn`` round scans the distances of the indices not
+yet chosen, in ascending index order, kept in place at the front of the
+array (``_kpnn`` shifts the entries past each round's pick left by one);
+an anchor probe scans all n.
+
+A mechanism takes only the paper's parameters: the tuple, a query point, k,
+a budget and beta (``svt`` also its threshold, Lipschitz constant, queries
+and step cap).  Every noise scale follows from them.  A nearest-neighbour
+step gives up with NonHaltError after ``_MAX_CYCLES`` passes over its
+candidates, and the hull's auto anchor count is clamped to 16..128.  The
+arguments are checked before any charge or draw: a budget must be positive
+and finite, a query point and ``svt``'s threshold finite, beta in (0, 1),
+and k and ``svt``'s step cap integers in range; otherwise ValueError.
 
 Every mechanism takes an explicit RandomStream and, optionally, a
 BudgetLedger that audits its internal splits.  Each part is charged before
@@ -84,25 +94,6 @@ class SvtOutcome:
     halted: bool
     steps: int
     index: int | None = None
-
-
-@dataclass(frozen=True)
-class PnnParams:
-    """Knobs for the private nearest-neighbour scan.
-
-    ``threshold_slack`` widens (or, if negative, tightens) the accept
-    threshold, trading error against scan length.  ``max_cycles`` caps the
-    number of passes over the candidate set; exceeding it raises
-    NonHaltError.  Every scan defaults to 16384 cycles (about 1.4e-7
-    aborts per scan), and the cap only guards runtime.
-    """
-
-    threshold_slack: float = 0.0
-    max_cycles: int = 16384
-
-    def __post_init__(self):
-        if _as_index(self.max_cycles, "max_cycles") < 1:
-            raise ValueError(f"max_cycles must be at least 1, got {self.max_cycles}")
 
 
 @dataclass(frozen=True)
@@ -177,8 +168,14 @@ _CGP = _Calibration(
 
 
 def _check_positive(name: str, value: float) -> None:
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value}")
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_query_point(query_point) -> None:
+    # at the public boundary, not in query_dists, so an anchor probe pays nothing
+    if not np.isfinite(np.asarray(query_point, dtype=np.float64)).all():
+        raise ValueError(f"query point must be finite, got {query_point}")
 
 
 def _charge(ledger: BudgetLedger | None, label: str, amount: float) -> None:
@@ -297,7 +294,8 @@ def _cycle(values: np.ndarray) -> Callable[[int, int], np.ndarray]:
         start = done % m
         if start + size <= m:
             return values[start : start + size]
-        return values.take(np.arange(done, done + size), mode="wrap")
+        # indices below m + 256: wrap mode's cost grows with an index's size
+        return values.take(np.arange(start, start + size), mode="wrap")
 
     return block
 
@@ -345,7 +343,9 @@ def svt(
     """
     _check_positive("eps", eps)
     _check_positive("lipschitz", lipschitz)
-    if max_steps < 1:
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
+    if _as_index(max_steps, "max_steps") < 1:
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     stream = iter(queries)
 
@@ -359,26 +359,24 @@ def svt(
 # private nearest neighbours
 
 
+# Passes over the candidates before a nearest-neighbour scan gives up with
+# NonHaltError: about 1.4e-7 aborts per scan, so the cap only guards runtime.
+_MAX_CYCLES = 16384
+
+
 def _pnn_scan(
-    dists: np.ndarray,
-    eps: float,
-    rng: RandomStream,
-    params: PnnParams,
-    ledger: BudgetLedger | None,
+    dists: np.ndarray, eps: float, rng: RandomStream, ledger: BudgetLedger | None
 ) -> tuple[int, SvtOutcome]:
     """The private nearest-neighbour step behind ``pnn``, each ``kpnn`` round
     and each anchor probe: an eps-GP scan cycling the candidate distances.
     Returns the accepted 0-based position in ``dists`` and the outcome."""
     m = len(dists)
     _charge(ledger, "pnn_threshold", eps / 3.0)
-    gate = float(dists.min()) + sample_laplace(3.0 / eps, rng) + params.threshold_slack
-    outcome = _svt(
-        _cycle(dists), 2.0 * eps / 3.0, gate, 1.0, params.max_cycles * m, rng, ledger
-    )
+    gate = float(dists.min()) + sample_laplace(3.0 / eps, rng)
+    outcome = _svt(_cycle(dists), 2.0 * eps / 3.0, gate, 1.0, _MAX_CYCLES * m, rng, ledger)
     if not outcome.halted:
         raise NonHaltError(
-            f"nearest-neighbour scan did not accept within {params.max_cycles} cycles "
-            f"over {m} candidates"
+            f"nearest-neighbour scan did not accept within {_MAX_CYCLES} cycles over {m} candidates"
         )
     return (outcome.steps - 1) % m, outcome
 
@@ -389,7 +387,6 @@ def pnn_detailed(
     indices: Iterable[int],
     eps: float,
     rng: RandomStream,
-    params: PnnParams | None = None,
     ledger: BudgetLedger | None = None,
 ) -> tuple[int, SvtOutcome]:
     """Private nearest neighbour with scan diagnostics.
@@ -405,8 +402,9 @@ def pnn_detailed(
     """
     idx = _validate_indices(indices, x.n)
     dists = query_dists(x.points[idx - 1], query_point)
+    _check_query_point(query_point)
     _check_positive("eps", eps)
-    pos, outcome = _pnn_scan(dists, eps, rng, params or PnnParams(), ledger)
+    pos, outcome = _pnn_scan(dists, eps, rng, ledger)
     return int(idx[pos]), outcome
 
 
@@ -416,7 +414,6 @@ def pnn(
     indices: Iterable[int],
     eps: float,
     rng: RandomStream,
-    params: PnnParams | None = None,
     ledger: BudgetLedger | None = None,
 ) -> int:
     """Private nearest neighbour in the given 1-based index subset; eps-GP.
@@ -425,7 +422,7 @@ def pnn(
     validated once and its distances are computed once (see
     ``pnn_detailed``).  Returns a Python int.
     """
-    return pnn_detailed(x, query_point, indices, eps, rng, params, ledger)[0]
+    return pnn_detailed(x, query_point, indices, eps, rng, ledger)[0]
 
 
 def _kpnn(
@@ -435,7 +432,6 @@ def _kpnn(
     k: int,
     budget: float,
     rng: RandomStream,
-    params: PnnParams | None,
     ledger: BudgetLedger | None,
 ) -> list[int]:
     """``kpnn`` and ``kpnn_gp``: k ``_pnn_scan`` rounds, each charged
@@ -448,16 +444,16 @@ def _kpnn(
     k = _as_index(k, "k")
     if not 1 <= k <= x.n:
         raise ValueError(f"k must be in 1..{x.n}, got {k}")
+    dists = query_dists(x.points, query_point)
+    _check_query_point(query_point)
     share = budget / k
     rate = cal.round_rate(share)
-    scan = params or PnnParams()
-    dists = query_dists(x.points, query_point)
     index = np.arange(1, x.n + 1)
     chosen: list[int] = []
     for j in range(1, k + 1):
         m = x.n - j + 1
         _charge(ledger, f"round_{j}", share)
-        pos, _ = _pnn_scan(dists[:m], rate, rng, scan, None)
+        pos, _ = _pnn_scan(dists[:m], rate, rng, None)
         chosen.append(int(index[pos]))
         dists[pos : m - 1] = dists[pos + 1 : m]
         index[pos : m - 1] = index[pos + 1 : m]
@@ -470,7 +466,6 @@ def kpnn(
     k: int,
     rho: float,
     rng: RandomStream,
-    params: PnnParams | None = None,
     ledger: BudgetLedger | None = None,
 ) -> list[int]:
     """k private nearest neighbours under rho-CGP.
@@ -480,7 +475,7 @@ def kpnn(
     every round; the k rates add to rho.  Returns the 1-based indices in
     discovery order.
     """
-    return _kpnn(_CGP, x, query_point, k, rho, rng, params, ledger)
+    return _kpnn(_CGP, x, query_point, k, rho, rng, ledger)
 
 
 def kpnn_gp(
@@ -489,23 +484,24 @@ def kpnn_gp(
     k: int,
     eps: float,
     rng: RandomStream,
-    params: PnnParams | None = None,
     ledger: BudgetLedger | None = None,
 ) -> list[int]:
     """k private nearest neighbours under eps-GP (basic composition, eps/k
     per round)."""
-    return _kpnn(_GP, x, query_point, k, eps, rng, params, ledger)
+    return _kpnn(_GP, x, query_point, k, eps, rng, ledger)
 
 
 # ---------------------------------------------------------------------------
 # private convex hull
 
 
-def _stage_args(
-    cal: _Calibration, budget: float, beta: float, k: int | str, k_clamp: tuple[int, int]
-) -> tuple[int | str, tuple[int, int]]:
+# The auto anchor count's clamp.
+_AUTO_K_MIN, _AUTO_K_MAX = 16, 128
+
+
+def _stage_args(cal: _Calibration, budget: float, beta: float, k: int | str) -> int | str:
     """Check the anchor stage's or a hull release's arguments, before anything
-    is charged; returns ``k`` and ``k_clamp`` as Python ints."""
+    is charged; returns ``k``, as a Python int unless it is "auto"."""
     _check_positive(cal.unit, budget)
     if not 0 < beta < 1:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
@@ -513,10 +509,7 @@ def _stage_args(
         k = _as_index(k, "k")
         if k < 3:
             raise ValueError(f"explicit k must be at least 3, got {k}")
-    lo, hi = (_as_index(v, "k_clamp bound") for v in k_clamp)
-    if not 1 <= lo <= hi:
-        raise ValueError(f"invalid k_clamp {k_clamp}")
-    return k, (lo, hi)
+    return k
 
 
 def _anchors(
@@ -525,7 +518,6 @@ def _anchors(
     budget: float,
     beta: float,
     k: int | str,
-    k_clamp: tuple[int, int],
     rng: RandomStream,
     ledger: BudgetLedger | None,
 ) -> tuple[list[int], PchInfo]:
@@ -544,18 +536,16 @@ def _anchors(
 
     if k == "auto":
         raw = cal.auto_k(max(r_priv, 0.0), budget, n, beta)
-        lo, hi = k_clamp
-        k = min(max(int(round(raw)), lo), hi) if math.isfinite(raw) else lo
+        k = min(max(int(round(raw)), _AUTO_K_MIN), _AUTO_K_MAX) if math.isfinite(raw) else _AUTO_K_MIN
 
     share = (budget - b0) / k
     rate = cal.round_rate(share)
-    scan = PnnParams()
     anchors: list[int] = []
     for j in range(k):
         theta = 2.0 * math.pi * j / k
         probe = c_priv + r_priv * np.array([math.cos(theta), math.sin(theta)])
         _charge(ledger, f"probe_{j + 1}", share)
-        pos, _ = _pnn_scan(query_dists(x.points, probe), rate, rng, scan, None)
+        pos, _ = _pnn_scan(query_dists(x.points, probe), rate, rng, None)
         anchors.append(pos + 1)
     return anchors, PchInfo(c_priv, float(r_priv), k, share)
 
@@ -566,7 +556,6 @@ def pch_anchors_detailed(
     beta: float,
     rng: RandomStream,
     k: int | str = "auto",
-    k_clamp: tuple[int, int] = (16, 128),
     ledger: BudgetLedger | None = None,
 ) -> tuple[list[int], PchInfo]:
     """Anchor selection for the private convex hull: the 1-based anchor
@@ -583,12 +572,11 @@ def pch_anchors_detailed(
     With ``k="auto"`` the anchor count balances the probe-selection noise
     against the circle-arc coverage gap:
     ``k = round((radius * sqrt(rho) / log(n/beta)) ** (2/3))`` clamped to
-    ``k_clamp``.  An explicit ``k`` must be an integer of at least 3, and
-    ``k_clamp`` two integers with ``1 <= lo <= hi``; otherwise ValueError,
-    with nothing charged.
+    16..128.  An explicit ``k`` must be an integer of at least 3; otherwise
+    ValueError, with nothing charged.
     """
-    k, k_clamp = _stage_args(_CGP, rho, beta, k, k_clamp)
-    return _anchors(_CGP, x, rho, beta, k, k_clamp, rng, ledger)
+    k = _stage_args(_CGP, rho, beta, k)
+    return _anchors(_CGP, x, rho, beta, k, rng, ledger)
 
 
 def _hull(
@@ -598,11 +586,10 @@ def _hull(
     beta: float,
     rng: RandomStream,
     k: int | str,
-    k_clamp: tuple[int, int],
     ledger: BudgetLedger | None,
 ) -> HullResult:
-    k, k_clamp = _stage_args(cal, budget, beta, k, k_clamp)
-    anchors, info = _anchors(cal, x, budget / 2.0, beta / 2.0, k, k_clamp, rng, ledger)
+    k = _stage_args(cal, budget, beta, k)
+    anchors, info = _anchors(cal, x, budget / 2.0, beta / 2.0, k, rng, ledger)
     for j in range(info.k):
         _charge(ledger, f"release_{j + 1}", budget / (2.0 * info.k))
     noise = cal.noise(2, budget / 2.0, rng, count=info.k, size=info.k)
@@ -615,7 +602,6 @@ def private_convex_hull(
     beta: float,
     rng: RandomStream,
     k: int | str = "auto",
-    k_clamp: tuple[int, int] = (16, 128),
     ledger: BudgetLedger | None = None,
 ) -> HullResult:
     """Privatized convex hull release under rho-CGP.
@@ -624,10 +610,10 @@ def private_convex_hull(
     ``pch_anchors_detailed`` at rho/2 and beta/2), the other half of the
     budget releases each anchor location through the Gaussian mechanism at
     rho/(2k) per anchor, i.e. per-coordinate standard deviation sqrt(k/rho).
-    ``k`` and ``k_clamp`` are checked as there.  The hull of the returned
-    points is computed by the caller as post-processing.
+    ``k`` is checked as there.  The hull of the returned points is computed
+    by the caller as post-processing.
     """
-    return _hull(_CGP, x, rho, beta, rng, k, k_clamp, ledger)
+    return _hull(_CGP, x, rho, beta, rng, k, ledger)
 
 
 def private_convex_hull_gp(
@@ -636,7 +622,6 @@ def private_convex_hull_gp(
     beta: float,
     rng: RandomStream,
     k: int | str = "auto",
-    k_clamp: tuple[int, int] = (16, 128),
     ledger: BudgetLedger | None = None,
 ) -> HullResult:
     """Privatized convex hull release under eps-GP (basic composition).
@@ -650,6 +635,6 @@ def private_convex_hull_gp(
     and Laplace(3/eps0) radius noise inflated by (3/eps0) log(2/beta).  Its
     auto anchor count balances the linear-in-k selection noise against the
     coverage gap: ``k = round(sqrt(radius * eps / log(n/beta)))`` at the
-    stage's eps and beta, clamped to ``k_clamp``.
+    stage's eps and beta, clamped to 16..128.
     """
-    return _hull(_GP, x, eps, beta, rng, k, k_clamp, ledger)
+    return _hull(_GP, x, eps, beta, rng, k, ledger)

@@ -279,11 +279,6 @@ def _laplace_sum_cdf(scale: float) -> Callable[[np.ndarray], np.ndarray]:
     return lambda points: np.interp(points, grid, cdf)
 
 
-def laplace_sum_cdf_numeric(points: np.ndarray, scale: float) -> np.ndarray:
-    """CDF of the two-Laplace sum at the given points (see ``_laplace_sum_cdf``)."""
-    return _laplace_sum_cdf(scale)(points)
-
-
 def check_laplace_sum_pdf(
     b: float,
     samples: int,

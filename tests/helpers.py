@@ -5,10 +5,11 @@ from itertools import combinations, cycle, islice
 
 import numpy as np
 
-from geopriv.geometry import PointTuple, query_dists
-from geopriv.mechanisms import _CGP, _GP, PnnParams, _Calibration
+from geopriv.geometry import PointTuple, _validate_indices, query_dists
+from geopriv.hull import ORIENT_EPS, ConvexPolygon, _bbox_scale, _cross
+from geopriv.mechanisms import _CGP, _GP, _MAX_CYCLES, _Calibration
 from geopriv.noise import RandomStream, laplace_sum_pdf, sample_laplace, sample_planar_laplace
-from geopriv.statcheck import CheckReport, _binomial_band, accept_probability
+from geopriv.statcheck import CheckReport, _binomial_band, _laplace_sum_cdf, accept_probability
 
 
 def brute_hull_vertices(pts: np.ndarray) -> np.ndarray:
@@ -110,13 +111,72 @@ def mask_kpnn(cal: _Calibration, x: PointTuple, query_point, k: int, budget: flo
         gate = float(d.min()) + sample_laplace(3.0 / eps, rng)
         svt_eps = 2.0 * eps / 3.0
         gate += sample_laplace(2.0 / svt_eps, rng)
-        max_steps = PnnParams().max_cycles * len(d)
+        max_steps = _MAX_CYCLES * len(d)
         halted, steps = stepwise_scan(islice(cycle(d), max_steps), gate, 4.0 / svt_eps, max_steps, rng.generator)
         assert halted
         t = int(left[(steps - 1) % len(d)])
         chosen.append(t + 1)
         remaining[t] = False
     return chosen
+
+
+def min_dist(x: PointTuple, q, indices=None) -> tuple[int, float]:
+    """Index in the (1-based) subset minimizing ||x_i - q||, and that distance.
+
+    Ties break to the lowest position in the subset.  The distance itself is
+    1-Lipschitz in x under the max per-point metric.
+    """
+    dists = query_dists(x.points, q)
+    idx = _validate_indices(indices, x.n)
+    d = dists[idx - 1]
+    pos = int(np.argmin(d))
+    return int(idx[pos]), float(d[pos])
+
+
+def _point_segment_dist(p, a, b) -> float:
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom == 0.0:
+        return float(np.linalg.norm(p - a))
+    t = float((p - a) @ ab) / denom
+    t = min(max(t, 0.0), 1.0)
+    return float(np.linalg.norm(p - (a + t * ab)))
+
+
+def point_polygon_distance(p, poly: ConvexPolygon) -> float:
+    """Euclidean distance from a point to a convex polygon (0 inside)."""
+    if poly.degenerate:
+        raise ValueError("polygon is degenerate")
+    p = np.asarray(p, dtype=np.float64)
+    v = poly.vertices
+    m = len(v)
+    tol = ORIENT_EPS * _bbox_scale(v) ** 2
+    inside = True
+    best = math.inf
+    for i in range(m):
+        a, b = v[i], v[(i + 1) % m]
+        if _cross(a, b, p) < -tol:
+            inside = False
+        best = min(best, _point_segment_dist(p, a, b))
+    return 0.0 if inside else best
+
+
+def directed_excess(outer_candidate: ConvexPolygon, inner: ConvexPolygon) -> float:
+    """Smallest gamma such that ``inner`` fits inside ``outer_candidate``
+    expanded by a ball of radius gamma.
+
+    Equals the max over the inner polygon's vertices of their distance to the
+    outer polygon (the distance-to-a-convex-set function is convex, so its
+    max over a polytope is attained at a vertex); 0 when inner is contained.
+    """
+    if outer_candidate.degenerate or inner.degenerate:
+        raise ValueError("directed_excess requires non-degenerate polygons")
+    return max(point_polygon_distance(p, outer_candidate) for p in inner.vertices)
+
+
+def laplace_sum_cdf_numeric(points: np.ndarray, scale: float) -> np.ndarray:
+    """CDF of the two-Laplace sum at the given points, as ``verify`` integrates it."""
+    return _laplace_sum_cdf(scale)(points)
 
 
 def random_tuple(gen: np.random.Generator, n: int, dim: int = 2, scale: float = 1.0) -> np.ndarray:

@@ -21,10 +21,9 @@ from geopriv.accounting import (
     matched_gp_budget,
 )
 from geopriv.bench import ExperimentConfig, main, run_sweep
-from geopriv.geometry import PointTuple, center, dist_inf, max_radius, min_dist
-from geopriv.hull import convex_hull, directed_excess, point_polygon_distance
+from geopriv.geometry import PointTuple, center, dist_inf, max_radius
+from geopriv.hull import convex_hull
 from geopriv.mechanisms import (
-    PnnParams,
     kpnn,
     pch_anchors_detailed,
     pnn_detailed,
@@ -40,9 +39,7 @@ from geopriv.statcheck import (
     check_planar_laplace_mean,
     renyi_divergence_gaussian_quadrature,
 )
-from helpers import brute_first_below, brute_knn
-
-SCAN = PnnParams(max_cycles=16384)
+from helpers import brute_first_below, brute_knn, directed_excess, min_dist, point_polygon_distance
 
 
 def report(num: int, name: str, passed: bool, detail: str) -> None:
@@ -202,7 +199,7 @@ def test_criterion_5_utility_bounds():
     hits, total_steps = 0, 0
     for t in range(trials):
         p = gen.random(2) * 10_000
-        got, outcome = pnn_detailed(x, p, range(1, n + 1), eps, RandomStream(1, t), params=SCAN)
+        got, outcome = pnn_detailed(x, p, range(1, n + 1), eps, RandomStream(1, t))
         h = min_dist(x, p)[1]
         hits += float(np.linalg.norm(x.points[got - 1] - p)) <= h + gamma_pnn
         total_steps += outcome.steps
@@ -218,7 +215,7 @@ def test_criterion_5_utility_bounds():
     hits = 0
     for t in range(trials):
         p = gen.random(2) * 10_000
-        got = kpnn(x, p, k, rho, RandomStream(2, t), params=SCAN)
+        got = kpnn(x, p, k, rho, RandomStream(2, t))
         truth = brute_knn(x.points, p, k)
         got_d = np.linalg.norm(x.points[np.asarray(got) - 1] - p, axis=1)
         true_d = np.linalg.norm(x.points[np.asarray(truth) - 1] - p, axis=1)

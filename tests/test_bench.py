@@ -35,6 +35,23 @@ from geopriv.noise import RandomStream
 HEADER = "task,mechanism,n,budget,k,metric,mean,p25,p75,trials"
 
 
+def test_the_package_exports_the_product_only():
+    # test oracles and tuning knobs live in tests/helpers.py, not here
+    assert geopriv.__all__ == [
+        "BudgetError", "BudgetLedger", "CgpBudget", "ConvexPolygon", "GpBudget",
+        "HullResult", "NonHaltError", "PchInfo", "PointTuple", "RandomStream",
+        "RelaxedGpBudget", "SvtOutcome", "center", "cgp_radius_quantile",
+        "cgp_to_relaxed_gp", "compose_cgp", "compose_gp", "convex_hull", "dist_2",
+        "dist_inf", "gp_radius_quantile", "gp_to_cgp", "identity_cgp_inf",
+        "identity_cgp_l2", "identity_gp_inf", "identity_gp_l2", "jaccard", "kpnn",
+        "kpnn_gp", "laplace_sum_pdf", "laplace_sum_quantile", "matched_gp_budget",
+        "max_radius", "pch_anchors_detailed", "pnn", "pnn_detailed",
+        "private_convex_hull", "private_convex_hull_gp", "sample_gaussian_vec",
+        "sample_laplace", "sample_planar_laplace", "svt",
+    ]
+    assert all(hasattr(geopriv, name) for name in geopriv.__all__)
+
+
 def small_cfg(**kw):
     base = dict(
         rho_grid=[0.01],
@@ -77,6 +94,15 @@ class TestConfig:
             ("knn --rho-grid=-1e-3", "rho_grid"),
             ("identity --eps-grid 0", "eps_grid"),
             ("knn --eps-grid 1,nan", "eps_grid"),
+            ("hull --rho-grid inf", "rho_grid"),
+            ("identity --eps-grid 1,inf", "eps_grid"),
+            ("hull --beta 2", "beta"),
+            ("hull --beta 0", "beta"),
+            ("knn --delta 2", "delta"),
+            ("knn --min-eps-dist=-1", "min_eps_dist"),
+            ("identity --extent=-5", "extent"),
+            ("identity --extent 0", "extent"),
+            ("identity --extent inf", "extent"),
         ],
     )
     def test_non_positive_grid_entries_are_refused_before_any_draw(self, monkeypatch, argv, field):

@@ -10,8 +10,8 @@ from geopriv.geometry import (
     dist_2,
     dist_inf,
     max_radius,
-    min_dist,
 )
+from helpers import min_dist
 
 
 def rand_pair(gen, n=None, dim=2, scale=1.0):

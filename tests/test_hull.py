@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from geopriv.hull import (
-    ConvexPolygon,
-    convex_hull,
-    directed_excess,
-    jaccard,
-    point_polygon_distance,
-    shoelace_area,
-)
-from helpers import brute_hull_vertices
+from geopriv.hull import convex_hull, jaccard, shoelace_area
+from helpers import brute_hull_vertices, directed_excess, point_polygon_distance
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 

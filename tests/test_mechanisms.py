@@ -4,12 +4,12 @@ import re
 import numpy as np
 import pytest
 
+from geopriv import mechanisms
 from geopriv.accounting import BudgetLedger, CgpBudget, GpBudget
-from geopriv.geometry import PointTuple, dist_inf, max_radius, min_dist
-from geopriv.hull import convex_hull, directed_excess
+from geopriv.geometry import PointTuple, dist_inf, max_radius
+from geopriv.hull import convex_hull
 from geopriv.mechanisms import (
     NonHaltError,
-    PnnParams,
     identity_cgp_inf,
     identity_cgp_l2,
     identity_gp_inf,
@@ -24,7 +24,7 @@ from geopriv.mechanisms import (
     svt,
 )
 from geopriv.noise import RandomStream
-from helpers import brute_knn
+from helpers import brute_knn, directed_excess, min_dist
 
 ZERO = RandomStream(0, zero_noise=True)
 
@@ -124,6 +124,13 @@ def value_queries(values):
     return [lambda _x, v=float(v): v for v in values]
 
 
+def force_abort(monkeypatch, cycles):
+    """Cap every nearest-neighbour scan at ``cycles`` passes and pull each
+    threshold far below every distance, so that no candidate can accept."""
+    monkeypatch.setattr(mechanisms, "_MAX_CYCLES", cycles)
+    monkeypatch.setattr(mechanisms, "sample_laplace", lambda scale, rng: -1e9)
+
+
 class TestSvt:
     def test_zero_noise_first_below_threshold(self):
         x = PointTuple([[0.0, 0.0]])
@@ -213,12 +220,12 @@ class TestPnn:
         for t in range(50):
             assert pnn(x, [500.0, 500.0], subset, 1.0, RandomStream(14, t)) in subset
 
-    def test_non_halt_with_negative_slack(self):
+    def test_non_halt_charges_the_whole_budget(self, monkeypatch):
         x = PointTuple([[4.0], [1.0], [7.0]])
-        params = PnnParams(threshold_slack=-1.0, max_cycles=3)
+        force_abort(monkeypatch, 3)
         ledger = BudgetLedger(GpBudget(1.0))
-        with pytest.raises(NonHaltError):
-            pnn(x, [0.0], [1, 2, 3], 1.0, ZERO, params=params, ledger=ledger)
+        with pytest.raises(NonHaltError, match="within 3 cycles over 3 candidates"):
+            pnn(x, [0.0], [1, 2, 3], 1.0, ZERO, ledger=ledger)
         # the aborted scan has spent its whole budget, charged up front
         assert [label for label, _ in ledger.entries] == [
             "pnn_threshold",
@@ -226,18 +233,6 @@ class TestPnn:
             "svt_queries",
         ]
         ledger.close()
-
-    @pytest.mark.parametrize("cycles", [0, 2.5, 2.0])
-    def test_max_cycles_must_be_a_positive_integer(self, cycles):
-        with pytest.raises(ValueError):
-            PnnParams(max_cycles=cycles)
-
-    def test_positive_slack_accepts_earlier(self):
-        x = PointTuple([[4.0], [1.0], [7.0]])
-        # gate h + 3.5 = 4.5 admits the first candidate already
-        assert pnn(x, [0.0], [1, 2, 3], 1.0, ZERO, params=PnnParams(threshold_slack=3.5)) == 1
-        # gate h + 2.5 = 3.5 rejects the first (4) and accepts the minimum
-        assert pnn(x, [0.0], [1, 2, 3], 1.0, ZERO, params=PnnParams(threshold_slack=2.5)) == 2
 
     def test_ledger_closes(self):
         x = uniform_tuple(15, 10)
@@ -322,13 +317,13 @@ class TestKpnn:
         ledger.close()
 
     @pytest.mark.parametrize("mech, budget", [(kpnn, CgpBudget(0.9)), (kpnn_gp, GpBudget(0.9))])
-    def test_abort_leaves_the_started_round_charged(self, mech, budget):
+    def test_abort_leaves_the_started_round_charged(self, mech, budget, monkeypatch):
         # a scan that cannot accept aborts in round 1, after its charge
         x = uniform_tuple(26, 20)
         ledger = BudgetLedger(budget)
-        params = PnnParams(threshold_slack=-1e9, max_cycles=1)
+        force_abort(monkeypatch, 1)
         with pytest.raises(NonHaltError):
-            mech(x, [0.0, 0.0], 4, 0.9, RandomStream(27), params=params, ledger=ledger)
+            mech(x, [0.0, 0.0], 4, 0.9, RandomStream(27), ledger=ledger)
         assert ledger.entries == [("round_1", 0.9 / 4)]
 
     def test_gp_variant_per_rank_error_bound(self):
@@ -410,12 +405,9 @@ class TestPchAnchors:
             (1.0, 1.0, {}),
             (1.0, 1.5, {}),
             (1.0, 0.05, {"k": 2}),
-            # a non-integer k or clamp bound is rejected, not truncated or parsed
+            # a non-integer k is rejected, not truncated or parsed
             (1.0, 0.05, {"k": 5.9}),
             (1.0, 0.05, {"k": "7"}),
-            (1.0, 0.05, {"k_clamp": (16.5, 20)}),
-            (1.0, 0.05, {"k_clamp": (0, 20)}),
-            (1.0, 0.05, {"k_clamp": (20, 16)}),
         ]
         x = uniform_tuple(42, 10)
         for stage in (pch_anchors_detailed, private_convex_hull, private_convex_hull_gp):
@@ -427,8 +419,8 @@ class TestPchAnchors:
 
     def test_integer_kinds_are_accepted(self):
         x = uniform_tuple(30, 200)
-        a = pch_anchors_detailed(x, 0.5, 0.05, ZERO, k=np.int64(8), k_clamp=(np.int32(3), 24))
-        b = pch_anchors_detailed(x, 0.5, 0.05, ZERO, k=8, k_clamp=(3, 24))
+        a = pch_anchors_detailed(x, 0.5, 0.05, ZERO, k=np.int64(8))
+        b = pch_anchors_detailed(x, 0.5, 0.05, ZERO, k=8)
         assert a[0] == b[0] and type(a[1].k) is int
 
 
@@ -519,3 +511,76 @@ def test_wrong_shaped_query_point_rejected(name, q):
     with pytest.raises(ValueError, match=re.escape(message)):
         QUERY_POINT_TAKERS[name](uniform_tuple(45, 5), q, ledger)
     assert ledger.entries == []
+
+
+class Untouchable:
+    def __getattr__(self, name):
+        raise AssertionError(f"a refused call touched the generator ({name})")
+
+
+# name -> (the arguments it takes, call(x, rng, ledger, args))
+MECHANISM_CALLS = {
+    "identity_gp_inf": (("budget",), lambda x, r, led, a: identity_gp_inf(x, a["budget"], r, led)),
+    "identity_cgp_inf": (("budget",), lambda x, r, led, a: identity_cgp_inf(x, a["budget"], r, led)),
+    "identity_gp_l2": (("budget",), lambda x, r, led, a: identity_gp_l2(x, a["budget"], r, led)),
+    "identity_cgp_l2": (("budget",), lambda x, r, led, a: identity_cgp_l2(x, a["budget"], r, led)),
+    "svt": (
+        ("budget", "threshold", "max_steps"),
+        lambda x, r, led, a: svt(
+            x, a["budget"], a["threshold"], 1.0, value_queries([1.0] * 4), a["max_steps"], r, led
+        ),
+    ),
+    "pnn": (("budget", "query"), lambda x, r, led, a: pnn(x, a["query"], [1, 2, 3], a["budget"], r, led)),
+    "pnn_detailed": (
+        ("budget", "query"),
+        lambda x, r, led, a: pnn_detailed(x, a["query"], [1, 2, 3], a["budget"], r, led),
+    ),
+    "kpnn": (("budget", "query", "k"), lambda x, r, led, a: kpnn(x, a["query"], a["k"], a["budget"], r, led)),
+    "kpnn_gp": (
+        ("budget", "query", "k"),
+        lambda x, r, led, a: kpnn_gp(x, a["query"], a["k"], a["budget"], r, led),
+    ),
+    "pch_anchors_detailed": (
+        ("budget", "beta", "k"),
+        lambda x, r, led, a: pch_anchors_detailed(x, a["budget"], a["beta"], r, a["k"], led),
+    ),
+    "private_convex_hull": (
+        ("budget", "beta", "k"),
+        lambda x, r, led, a: private_convex_hull(x, a["budget"], a["beta"], r, a["k"], led),
+    ),
+    "private_convex_hull_gp": (
+        ("budget", "beta", "k"),
+        lambda x, r, led, a: private_convex_hull_gp(x, a["budget"], a["beta"], r, a["k"], led),
+    ),
+}
+GOOD_ARGS = {"budget": 1.0, "threshold": 2.0, "max_steps": 4, "query": [500.0, 500.0], "k": 3, "beta": 0.05}
+BAD_ARGS = {
+    "budget": [math.inf, math.nan, 0.0, -1.0],
+    "threshold": [math.nan, math.inf, -math.inf],
+    "max_steps": [0, 2.5, math.inf, math.nan],
+    "query": [[math.nan, 0.0], [math.inf, 0.0], [0.0, -math.inf]],
+    "k": [0, 2.5, "3"],
+    "beta": [0.0, 1.0, math.nan],
+}
+
+
+@pytest.mark.parametrize(
+    "name, arg, value",
+    [
+        (name, arg, value)
+        for name, (takes, _) in sorted(MECHANISM_CALLS.items())
+        for arg in takes
+        for value in BAD_ARGS[arg]
+    ],
+)
+def test_bad_arguments_are_refused_before_any_charge_or_draw(name, arg, value):
+    _, call = MECHANISM_CALLS[name]
+    rng = RandomStream(0)
+    rng._generator = Untouchable()
+    ledger = BudgetLedger(GpBudget(1.0))
+    x = uniform_tuple(46, 10)
+    with pytest.raises(ValueError):
+        call(x, rng, ledger, {**GOOD_ARGS, arg: value})
+    assert ledger.entries == []
+    # with the good value the same call goes through
+    call(x, RandomStream(0), None, GOOD_ARGS)

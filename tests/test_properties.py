@@ -6,7 +6,8 @@ scan gives up), and under zero noise the k nearest neighbours and every
 hull anchor are exactly the brute-force ones.  The sparse vector scan is checked against a brute-force
 first-below search under zero noise, and against a query-by-query scan on
 seeded streams: same outcome, same draws.  Its cycling blocks are checked
-against a wrapped ``take``, and seeded ``kpnn``/``kpnn_gp`` against rounds
+against the distances at their indices modulo m, however many cycles in,
+with the seam copy's indices below m + 256, and seeded ``kpnn``/``kpnn_gp`` against rounds
 over a mask of the points not yet chosen, each a query-by-query scan.  The prefiltered convex hull is
 checked against point-in-triangle elimination and against a plain
 monotone chain over every point, up to the hull sweep's n = 4096.  The
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from geopriv import mechanisms
 from geopriv.accounting import BudgetLedger, CgpBudget, GpBudget
 from geopriv.geometry import PointTuple, row_norms
 from geopriv.hull import (
@@ -35,7 +37,6 @@ from geopriv.mechanisms import (
     _CGP,
     _GP,
     NonHaltError,
-    PnnParams,
     SvtOutcome,
     _cycle,
     _scan,
@@ -67,19 +68,19 @@ MECHANISMS = {
     "pch_anchors_detailed": (
         CgpBudget,
         lambda c, rng, led: pch_anchors_detailed(
-            c.x, c.budget, c.beta, rng, k=c.hull_k, k_clamp=(3, 24), ledger=led
+            c.x, c.budget, c.beta, rng, k=c.hull_k, ledger=led
         ),
     ),
     "private_convex_hull": (
         CgpBudget,
         lambda c, rng, led: private_convex_hull(
-            c.x, c.budget, c.beta, rng, k=c.hull_k, k_clamp=(3, 24), ledger=led
+            c.x, c.budget, c.beta, rng, k=c.hull_k, ledger=led
         ),
     ),
     "private_convex_hull_gp": (
         GpBudget,
         lambda c, rng, led: private_convex_hull_gp(
-            c.x, c.budget, c.beta, rng, k=c.hull_k, k_clamp=(3, 24), ledger=led
+            c.x, c.budget, c.beta, rng, k=c.hull_k, ledger=led
         ),
     ),
 }
@@ -142,11 +143,13 @@ def test_ledger_closes(name, case):
     ledger.close()
 
 
-def test_pnn_default_cap_outlasts_64_cycles():
+def test_pnn_default_cap_outlasts_64_cycles(monkeypatch):
     c = LONG_SCAN_CASE
     every = range(1, c.x.n + 1)
-    with pytest.raises(NonHaltError, match="within 64 cycles over 12 candidates"):
-        pnn(c.x, Q, every, c.budget, RandomStream(c.seed), PnnParams(max_cycles=64))
+    with monkeypatch.context() as patch:
+        patch.setattr(mechanisms, "_MAX_CYCLES", 64)
+        with pytest.raises(NonHaltError, match="within 64 cycles over 12 candidates"):
+            pnn(c.x, Q, every, c.budget, RandomStream(c.seed))
     assert pnn(c.x, Q, every, c.budget, RandomStream(c.seed)) == 3
 
 
@@ -175,7 +178,7 @@ def test_seeded_knn_is_the_mask_rounds(select, cal, case):
 
 def _hull_stage(release):
     def run(c, rng):
-        out = release(c.x, c.budget, c.beta, rng, k=c.hull_k, k_clamp=(3, 24))
+        out = release(c.x, c.budget, c.beta, rng, k=c.hull_k)
         # zero noise releases the anchors themselves
         assert np.array_equal(out.points, c.x.points[np.array(out.anchors) - 1])
         return out.anchors, out.info
@@ -185,7 +188,7 @@ def _hull_stage(release):
 
 ANCHOR_STAGES = {
     "pch_anchors_detailed": lambda c, rng: pch_anchors_detailed(
-        c.x, c.budget, c.beta, rng, k=c.hull_k, k_clamp=(3, 24)
+        c.x, c.budget, c.beta, rng, k=c.hull_k
     ),
     "private_convex_hull": _hull_stage(private_convex_hull),
     "private_convex_hull_gp": _hull_stage(private_convex_hull_gp),
@@ -208,10 +211,18 @@ def test_zero_noise_anchors_are_per_probe_argmins(name, case):
 STEP_CAPS = st.one_of(st.integers(1, 1100), st.sampled_from([255, 256, 257, 511, 512, 513, 769]))
 
 
+class TakeLog(np.ndarray):
+    """An array that records the largest index each ``take`` is handed."""
+
+    def take(self, indices, *args, **kwargs):
+        self.largest.append(int(np.max(indices)))
+        return np.asarray(self).take(indices, *args, **kwargs)
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(
     m=st.integers(1, 600),
-    cycles=st.integers(0, 5),
+    cycles=st.one_of(st.integers(0, 5), st.integers(0, 2**40)),
     offset=st.integers(0, 599),
     size=st.integers(1, 256),
 )
@@ -221,11 +232,17 @@ STEP_CAPS = st.one_of(st.integers(1, 1100), st.sampled_from([255, 256, 257, 511,
 @example(m=512, cycles=0, offset=256, size=256)
 @example(m=512, cycles=3, offset=257, size=256)
 @example(m=1, cycles=5, offset=0, size=256)
+# a seam after the default cap's 16384 cycles, and a block spanning many cycles
+@example(m=200, cycles=16384, offset=199, size=256)
+@example(m=3, cycles=10**9, offset=2, size=256)
 def test_cycle_blocks_are_the_wrapped_take(m, cycles, offset, size):
-    v = np.random.default_rng(m).random(m)
+    v = np.random.default_rng(m).random(m).view(TakeLog)
+    v.largest = []
     done = cycles * m + offset % m
     got = _cycle(v)(done, size)
-    assert got.tobytes() == v.take(np.arange(done, done + size), mode="wrap").tobytes()
+    assert got.tobytes() == np.asarray(v)[np.arange(done, done + size) % m].tobytes()
+    # the seam copy's work does not grow with done: its indices stay below m + 256
+    assert all(i < m + 256 for i in v.largest)
 
 
 @settings(max_examples=200, deadline=None, database=None)

@@ -16,11 +16,11 @@ from geopriv.statcheck import (
     check_laplace_sum_pdf,
     check_planar_laplace_mean,
     check_renyi_gaussian,
-    laplace_sum_cdf_numeric,
     renyi_divergence_gaussian_quadrature,
 )
 
 from helpers import (
+    laplace_sum_cdf_numeric,
     one_shot_cgp_radial_tail,
     one_shot_expected_draws,
     one_shot_gp_radial_tail,
