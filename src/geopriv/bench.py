@@ -249,10 +249,19 @@ class _Task:
     scans: bool
 
 
+def _k_smallest(values: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(values, kind="stable")[:k]`` for 1 <= k <= len(values),
+    ties included: the k first by (value, index) are all at or below the
+    k-th smallest value, so only those entries are sorted."""
+    kth = np.partition(values, k - 1)[k - 1]
+    cand = np.flatnonzero(values <= kth)
+    return cand[np.argsort(values[cand], kind="stable")[:k]]
+
+
 def _knn_baseline(cfg: ExperimentConfig, t: _Trial, released: PointTuple) -> np.ndarray:
     """The k points nearest the query by released location, at the locations
     they are scored on: released, or true with ``baseline_true_locations``."""
-    sel = np.argsort(query_dists(released.points, t.query), kind="stable")[: t.k]
+    sel = _k_smallest(query_dists(released.points, t.query), t.k)
     return (t.x if cfg.baseline_true_locations else released).points[sel]
 
 

@@ -3,6 +3,13 @@
 Index values crossing this API (arguments and return values) are 1-based, so
 they line up with the usual mathematical convention for tuples indexed by
 [n]; storage is plain 0-based numpy underneath.
+
+Reductions and broadcasts over an (n, d) point array run per column
+(``bounds``, ``query_dists``).  numpy runs ``points.min(axis=0)`` or
+``points - q`` with an inner loop of length d, which at d = 2 makes them
+about ten times slower on a few thousand points than the same work done on
+each column in turn.  Each element's arithmetic is unchanged, so the
+results are the same bytes.
 """
 
 from __future__ import annotations
@@ -83,6 +90,17 @@ def dist_2(x: PointTuple, y: PointTuple) -> float:
     return float(np.sqrt((_per_point_dists(x, y) ** 2).sum()))
 
 
+def bounds(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's min and max of an (n, d) array: the values of
+    ``points.min(axis=0)`` and ``points.max(axis=0)``.  Of 0.0 and -0.0,
+    either may come back, as from numpy's own reductions."""
+    cols = [points[:, j] for j in range(points.shape[1])]
+    # the ufunc reductions skip ndarray.min's Python wrapper
+    lo = np.array([np.minimum.reduce(c) for c in cols])
+    hi = np.array([np.maximum.reduce(c) for c in cols])
+    return lo, hi
+
+
 def center(x: PointTuple) -> np.ndarray:
     """Per-coordinate midpoint between min and max coordinate (2-D only).
 
@@ -91,17 +109,31 @@ def center(x: PointTuple) -> np.ndarray:
     """
     if x.dim != 2:
         raise ValueError(f"center is defined for 2-D tuples, got dim {x.dim}")
-    return 0.5 * (x.points.min(axis=0) + x.points.max(axis=0))
+    lo, hi = bounds(x.points)
+    return 0.5 * (lo + hi)
 
 
 def query_dists(points: np.ndarray, q) -> np.ndarray:
     """Distances ||p_i - q|| from each row of an (n, d) array to the query
-    point q, which must have shape (d,)."""
+    point q, which must have shape (d,).
+
+    The bytes of ``row_norms(points - q)``: below 8 columns that subtracts,
+    squares and sums column by column, so doing the same per column skips
+    the (n, d) difference.
+    """
     q = np.asarray(q, dtype=np.float64)
     d = points.shape[1]
     if q.shape != (d,):
         raise ValueError(f"query point must have shape ({d},), got {q.shape}")
-    return row_norms(points - q)
+    if d >= 8:
+        return row_norms(points - q)
+    s = points[:, 0] - q[0]
+    s *= s
+    for j in range(1, d):
+        t = points[:, j] - q[j]
+        t *= t
+        s += t
+    return np.sqrt(s, out=s)
 
 
 def max_radius(x: PointTuple, q) -> float:

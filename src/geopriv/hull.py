@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import bounds
+
 # orientation tolerance, relative to the bounding-box scale of the input
 ORIENT_EPS = 1e-9
 
@@ -16,7 +18,7 @@ class ConvexPolygon:
     polygon (a point or a segment) flagged via ``degenerate``.
     """
 
-    __slots__ = ("vertices", "degenerate")
+    __slots__ = ("vertices", "degenerate", "_area")
 
     def __init__(self, vertices, degenerate: bool = False):
         arr = np.array(vertices, dtype=np.float64)
@@ -25,12 +27,11 @@ class ConvexPolygon:
         arr.setflags(write=False)
         self.vertices = arr
         self.degenerate = bool(degenerate)
+        self._area = 0.0 if self.degenerate else shoelace_area(arr)
 
     @property
     def area(self) -> float:
-        if self.degenerate:
-            return 0.0
-        return shoelace_area(self.vertices)
+        return self._area
 
     def __len__(self) -> int:
         return self.vertices.shape[0]
@@ -46,15 +47,22 @@ def shoelace_area(vertices: np.ndarray) -> float:
     v = np.asarray(vertices, dtype=np.float64)
     if len(v) < 3:
         return 0.0
-    v = v - v.min(axis=0)
+    v = v - bounds(v)[0]
+    # strided views: np.dot sums a contiguous copy in another order
     x, y = v[:, 0], v[:, 1]
-    s = np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)
+    s = np.dot(x, _roll(y, -1)) - np.dot(_roll(x, -1), y)
     return abs(s) / 2.0
 
 
+def _roll(a: np.ndarray, shift: int) -> np.ndarray:
+    """``np.roll(a, shift, axis=0)`` for ``|shift| < len(a)``, without
+    np.roll's general-case overhead; like it, a new contiguous array."""
+    return np.concatenate((a[-shift:], a[:-shift]))
+
+
 def _bbox_scale(pts: np.ndarray) -> float:
-    span = pts.max(axis=0) - pts.min(axis=0)
-    return float(span.max())
+    lo, hi = bounds(pts)
+    return float((hi - lo).max())
 
 
 def _cross(o, a, b) -> float:
@@ -74,14 +82,35 @@ def _drop_interior(pts: np.ndarray, margin: float) -> np.ndarray:
     """Akl-Toussaint filter: ``pts`` without those strictly inside the
     polygon of extreme points by more than ``margin`` against every edge."""
     ext = pts[np.argmax(_FILTER_DIRS @ pts.T, axis=1)]  # counter-clockwise
-    ext = ext[np.any(ext != np.roll(ext, 1, axis=0), axis=1)]
+    ext = ext[np.any(ext != _roll(ext, 1), axis=1)]
     if len(ext) < 3:
         return pts
-    x, y = pts[:, 0], pts[:, 1]
+    # per edge: ex * (y - oy) - ey * (x - ox) > margin, on contiguous columns
+    x, y = pts.T.copy()
+    t, u = np.empty_like(x), np.empty_like(x)
     inside = np.ones(len(pts), dtype=bool)
-    for (ox, oy), (ex, ey) in zip(ext, np.roll(ext, -1, axis=0) - ext):
-        inside &= ex * (y - oy) - ey * (x - ox) > margin
+    for (ox, oy), (ex, ey) in zip(ext.tolist(), (_roll(ext, -1) - ext).tolist()):
+        np.subtract(y, oy, out=t)
+        t *= ex
+        np.subtract(x, ox, out=u)
+        u *= ey
+        t -= u
+        inside &= t > margin
     return pts[~inside]
+
+
+def _unique_rows(pts: np.ndarray) -> np.ndarray:
+    """``np.unique(pts, axis=0)`` for an (n, 2) array: the distinct rows,
+    sorted by x, then y, by a lexsort and a row diff done per column.  Of
+    rows equal but for a zero's sign it keeps the first; np.unique's
+    unstable sort keeps either."""
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    x, y = pts[order, 0], pts[order, 1]
+    keep = np.empty(len(order), dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    keep[1:] |= y[1:] != y[:-1]
+    return pts[order[keep]]
 
 
 def convex_hull(points) -> ConvexPolygon:
@@ -118,7 +147,7 @@ def convex_hull(points) -> ConvexPolygon:
     tol = ORIENT_EPS * _bbox_scale(pts) ** 2
     if len(pts) >= _FILTER_MIN_N:
         pts = _drop_interior(pts, _FILTER_MARGIN * tol)
-    pts = np.unique(pts, axis=0)  # also sorts lexicographically
+    pts = _unique_rows(pts)  # also sorts lexicographically
     if len(pts) == 1:
         return ConvexPolygon(pts, degenerate=True)
 
@@ -130,8 +159,9 @@ def convex_hull(points) -> ConvexPolygon:
             out.append(p)
         return out
 
-    lower = chain(pts)
-    upper = chain(pts[::-1])
+    rows = pts.tolist()  # Python floats: the same arithmetic, cheaper per step
+    lower = chain(rows)
+    upper = chain(rows[::-1])
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:
         return ConvexPolygon(np.array([pts[0], pts[-1]]), degenerate=True)
@@ -140,7 +170,7 @@ def convex_hull(points) -> ConvexPolygon:
 
 def _clip_convex(subject: np.ndarray, clip: np.ndarray, tol: float) -> np.ndarray:
     """Sutherland-Hodgman clip of a convex subject by a CCW convex clip polygon."""
-    out = [tuple(p) for p in subject]
+    out, clip = subject.tolist(), clip.tolist()  # Python floats, as in convex_hull
     m = len(clip)
     for i in range(m):
         if not out:
@@ -171,8 +201,8 @@ def _clip_convex(subject: np.ndarray, clip: np.ndarray, tol: float) -> np.ndarra
 
 
 def _degenerate_equal(a: ConvexPolygon, b: ConvexPolygon) -> bool:
-    va = np.unique(a.vertices, axis=0)
-    vb = np.unique(b.vertices, axis=0)
+    va = _unique_rows(a.vertices)
+    vb = _unique_rows(b.vertices)
     return va.shape == vb.shape and np.array_equal(va, vb)
 
 
@@ -186,9 +216,9 @@ def jaccard(a: ConvexPolygon, b: ConvexPolygon) -> float:
     """
     if a.degenerate or b.degenerate:
         return 1.0 if (a.degenerate and b.degenerate and _degenerate_equal(a, b)) else 0.0
-    both = np.vstack([a.vertices, b.vertices])
-    lo = both.min(axis=0)
-    inter = _clip_convex(a.vertices - lo, b.vertices - lo, ORIENT_EPS * _bbox_scale(both) ** 2)
+    lo, hi = bounds(np.vstack([a.vertices, b.vertices]))
+    tol = ORIENT_EPS * float((hi - lo).max()) ** 2
+    inter = _clip_convex(a.vertices - lo, b.vertices - lo, tol)
     inter_area = shoelace_area(inter) if len(inter) >= 3 else 0.0
     union = a.area + b.area - inter_area
     if union <= 0:

@@ -40,13 +40,16 @@ and step cap).  Every noise scale follows from them.  A nearest-neighbour
 step gives up with NonHaltError after ``_MAX_CYCLES`` passes over its
 candidates, and the hull's auto anchor count is clamped to 16..128.  The
 arguments are checked before any charge or draw: a budget must be positive
-and finite, a query point and ``svt``'s threshold finite, beta in (0, 1),
-and k and ``svt``'s step cap integers in range; otherwise ValueError.
+and finite, and so must every noise scale it buys (a subnormal budget's
+overflow), a query point and ``svt``'s threshold must be finite, beta in
+(0, 1), and k and ``svt``'s step cap integers in range; otherwise
+ValueError.
 
 Every mechanism takes an explicit RandomStream and, optionally, a
 BudgetLedger that audits its internal splits.  Each part is charged before
 the scan or draw that spends it, so an aborted scan leaves its budget on
-record.  The labels are:
+record; only an identity release draws first, since its sampler is what
+refuses an infinite scale.  The labels are:
 
 - identity releases: ``points`` (max metric) or ``tuple`` (l2 metric)
 - ``svt``: ``svt_threshold``, ``svt_queries``; ``pnn``: ``pnn_threshold``
@@ -192,8 +195,10 @@ def _identity_inf(
 ) -> PointTuple:
     _check_positive(cal.unit, budget)
     n = len(x)
+    noise = cal.noise(x.dim, budget, rng, count=n, size=n)  # refuses an infinite scale
     _charge(ledger, "points", budget)
-    return PointTuple(x.points + cal.noise(x.dim, budget, rng, count=n, size=n))
+    noise += x.points
+    return PointTuple(noise)
 
 
 def identity_gp_inf(
@@ -222,8 +227,10 @@ def _identity_l2(
     cal: _Calibration, x: PointTuple, budget: float, rng: RandomStream, ledger: BudgetLedger | None
 ) -> PointTuple:
     _check_positive(cal.unit, budget)
+    noise = cal.noise(x.n * x.dim, budget, rng).reshape(x.n, x.dim)  # refuses an infinite scale
     _charge(ledger, "tuple", budget)
-    return PointTuple(x.points + cal.noise(x.n * x.dim, budget, rng).reshape(x.n, x.dim))
+    noise += x.points
+    return PointTuple(noise)
 
 
 def identity_gp_l2(
@@ -343,6 +350,7 @@ def svt(
     """
     _check_positive("eps", eps)
     _check_positive("lipschitz", lipschitz)
+    _check_positive("query noise scale 4K/eps", 4.0 * lipschitz / eps)
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
     if _as_index(max_steps, "max_steps") < 1:
@@ -362,6 +370,14 @@ def svt(
 # Passes over the candidates before a nearest-neighbour scan gives up with
 # NonHaltError: about 1.4e-7 aborts per scan, so the cap only guards runtime.
 _MAX_CYCLES = 16384
+
+
+def _check_step_rate(rate: float) -> None:
+    """Refuse, before anything is charged, a nearest-neighbour step rate at
+    which its largest noise scale, the scan's 6/rate, overflows."""
+    svt_eps = 2.0 * rate / 3.0  # as _pnn_scan splits it; > 0 whenever rate > 0
+    if not (svt_eps > 0 and 4.0 / svt_eps < math.inf):
+        raise ValueError(f"a nearest-neighbour step at rate {rate} has an infinite noise scale")
 
 
 def _pnn_scan(
@@ -404,6 +420,7 @@ def pnn_detailed(
     dists = query_dists(x.points[idx - 1], query_point)
     _check_query_point(query_point)
     _check_positive("eps", eps)
+    _check_step_rate(eps)
     pos, outcome = _pnn_scan(dists, eps, rng, ledger)
     return int(idx[pos]), outcome
 
@@ -448,6 +465,7 @@ def _kpnn(
     _check_query_point(query_point)
     share = budget / k
     rate = cal.round_rate(share)
+    _check_step_rate(rate)
     index = np.arange(1, x.n + 1)
     chosen: list[int] = []
     for j in range(1, k + 1):
@@ -527,6 +545,12 @@ def _anchors(
         raise ValueError(f"the convex hull pipeline is 2-D only, got dim {x.dim}")
     n = len(x)
     b0 = budget / 20.0
+    # Before the first charge, at the largest k: every other share of the
+    # stage and of the hull's release is at least budget / (60 k) per row
+    # (the radius's b0 / 3 = budget / 60, a release row's budget / k).
+    k_max = _AUTO_K_MAX if k == "auto" else k
+    _check_positive("noise scale 60k/budget", 60.0 * k_max / budget)
+    _check_step_rate(cal.round_rate((budget - b0) / k_max))
 
     _charge(ledger, "centre", 2.0 * b0 / 3.0)
     c_priv = center(x) + cal.noise(2, 2.0 * b0 / 3.0, rng, lipschitz=math.sqrt(2.0))

@@ -9,7 +9,9 @@ position into one integer.  A degenerate zero-noise stream is provided for
 deterministic testing: with it, every sampler returns 0 (or the zero
 vector), so mechanisms built on top become exact.  A sampler's ``dim`` and
 ``size`` must be integers: 2.5, 3.7 or "3" raises ValueError before any
-draw rather than being truncated or parsed.
+draw rather than being truncated or parsed.  Its scale must be positive and
+finite; so must planar Laplace's rate and its scale 1/eps, which overflows
+for a subnormal rate.
 """
 
 from __future__ import annotations
@@ -72,8 +74,8 @@ def _as_dim(dim) -> int:
 
 def sample_laplace(scale: float, rng: RandomStream, size: int | None = None):
     """Draw from Laplace(0, scale), pdf ``exp(-|y|/scale) / (2*scale)``."""
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not 0 < scale < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     size = None if size is None else _as_index(size, "size")
     if rng.zero_noise:
         return 0.0 if size is None else np.zeros(size)
@@ -88,8 +90,8 @@ def sample_gaussian_vec(dim: int, sigma: float, rng: RandomStream, size: int | N
     With ``size`` given, returns a ``(size, dim)`` array of independent draws.
     """
     dim = _as_dim(dim)
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     size = None if size is None else _as_index(size, "size")
     if rng.zero_noise:
         return np.zeros(dim) if size is None else np.zeros((size, dim))
@@ -110,8 +112,8 @@ def sample_planar_laplace(dim: int, eps: float, rng: RandomStream, size: int | N
     then the n gammas, and scales the normals in place.
     """
     dim = _as_dim(dim)
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (0 < eps < math.inf and 1.0 / float(eps) < math.inf):
+        raise ValueError(f"eps must be positive and finite with a finite scale 1/eps, got {eps}")
     size = None if size is None else _as_index(size, "size")
     if rng.zero_noise:
         return np.zeros(dim) if size is None else np.zeros((size, dim))

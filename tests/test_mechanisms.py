@@ -555,7 +555,8 @@ MECHANISM_CALLS = {
 }
 GOOD_ARGS = {"budget": 1.0, "threshold": 2.0, "max_steps": 4, "query": [500.0, 500.0], "k": 3, "beta": 0.05}
 BAD_ARGS = {
-    "budget": [math.inf, math.nan, 0.0, -1.0],
+    # 1e-320 is subnormal: a noise scale it buys overflows to inf
+    "budget": [math.inf, math.nan, 0.0, -1.0, 1e-320],
     "threshold": [math.nan, math.inf, -math.inf],
     "max_steps": [0, 2.5, math.inf, math.nan],
     "query": [[math.nan, 0.0], [math.inf, 0.0], [0.0, -math.inf]],
@@ -571,6 +572,8 @@ BAD_ARGS = {
         for name, (takes, _) in sorted(MECHANISM_CALLS.items())
         for arg in takes
         for value in BAD_ARGS[arg]
+        # kpnn's scan rate sqrt(2 rho / k) keeps its scales finite at 1e-320
+        if (name, value) != ("kpnn", 1e-320)
     ],
 )
 def test_bad_arguments_are_refused_before_any_charge_or_draw(name, arg, value):

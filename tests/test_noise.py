@@ -194,8 +194,31 @@ NON_INTEGER_ARGUMENTS = {
     "planar_laplace size=2.0": lambda rng: sample_planar_laplace(2, 1.0, rng, size=2.0),
 }
 
+# Scales that are not positive and finite, and planar rates whose scale
+# 1/eps is not: a subnormal rate overflows it.
+BAD_SCALES = {
+    **{f"laplace scale={v}": (lambda v: lambda rng: sample_laplace(v, rng, size=3))(v)
+       for v in (0.0, -1.0, math.nan, math.inf)},
+    **{f"gaussian_vec sigma={v}": (lambda v: lambda rng: sample_gaussian_vec(2, v, rng))(v)
+       for v in (0.0, -1.0, math.nan, math.inf)},
+    **{f"planar_laplace eps={v!r}": (lambda v: lambda rng: sample_planar_laplace(2, v, rng, size=3))(v)
+       for v in (0.0, -1.0, math.nan, math.inf, 1e-320, np.float64(1e-320), 5e-324)},
+}
+
 
 class TestSamplerArguments:
+    @pytest.mark.parametrize("zero_noise", [False, True])
+    @pytest.mark.parametrize("call", BAD_SCALES.values(), ids=BAD_SCALES.keys())
+    def test_a_scale_that_is_not_positive_and_finite_raises_before_any_draw(self, call, zero_noise):
+        rng = RandomStream(0, zero_noise=zero_noise)
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            call(rng)
+        assert rng.generator.random() == RandomStream(0).generator.random()
+
+    def test_the_smallest_normal_rate_is_accepted(self):
+        eps = float(np.finfo(np.float64).tiny)
+        assert np.array_equal(sample_planar_laplace(2, eps, RandomStream(0, zero_noise=True)), np.zeros(2))
+
     @pytest.mark.parametrize("zero_noise", [False, True])
     @pytest.mark.parametrize("call", NON_INTEGER_ARGUMENTS.values(), ids=NON_INTEGER_ARGUMENTS.keys())
     def test_non_integer_dim_or_size_raises_before_any_draw(self, call, zero_noise):

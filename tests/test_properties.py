@@ -11,7 +11,12 @@ with the seam copy's indices below m + 256, and seeded ``kpnn``/``kpnn_gp`` agai
 over a mask of the points not yet chosen, each a query-by-query scan.  The prefiltered convex hull is
 checked against point-in-triangle elimination and against a plain
 monotone chain over every point, up to the hull sweep's n = 4096.  The
-row-norm kernel is checked byte for byte against ``np.linalg.norm``."""
+row-norm kernel is checked byte for byte against ``np.linalg.norm``, and
+each column-wise kernel against the numpy expression it replaces: query
+distances, bounds, the box centre and scale, the row dedup, the
+prefilter's edge loop and the cached hull area.  The clip on Python floats
+is checked against the same clip on numpy scalars, and the knn baseline's
+partial selection against a stable argsort."""
 
 import math
 from itertools import cycle, islice
@@ -19,19 +24,23 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from geopriv import mechanisms
 from geopriv.accounting import BudgetLedger, CgpBudget, GpBudget
-from geopriv.geometry import PointTuple, row_norms
+from geopriv.bench import _k_smallest
+from geopriv.geometry import PointTuple, bounds, center, query_dists, row_norms
 from geopriv.hull import (
     _FILTER_DIRS,
     _FILTER_MARGIN,
     ORIENT_EPS,
     _bbox_scale,
+    _clip_convex,
     _drop_interior,
+    _unique_rows,
     convex_hull,
+    shoelace_area,
 )
 from geopriv.mechanisms import (
     _CGP,
@@ -334,6 +343,12 @@ def _hull_points(kind, n, gen):
         pts *= 1e-7  # a 1 mm square
     elif kind == "3mm":
         pts *= 3e-7  # a 3 mm square
+    elif kind == "grid":
+        pts = np.floor(pts / 2e3)  # a 5 x 5 grid: duplicate and collinear rows
+    elif kind == "zeros":
+        # a 2 x 2 grid whose zero coordinates are 0.0 or -0.0 at random
+        pts = np.floor(pts / 5e3)
+        pts[pts == 0] = np.where(gen.random(n * 2) < 0.5, 0.0, -0.0)[: np.count_nonzero(pts == 0)]
     return pts
 
 
@@ -392,3 +407,162 @@ def test_row_norms_are_numpy_norm_bytes(cols, rows, offset, layout, seed):
     v = np.random.default_rng(seed).standard_normal((2 * rows, cols)) * 1e3 + offset
     v = {"C": v[:rows], "F": np.asfortranarray(v[:rows]), "strided": v[::2]}[layout]
     assert row_norms(v).tobytes() == np.linalg.norm(v, axis=1).tobytes()
+
+
+def _layout(v, rows, layout):
+    """v, of 2 * rows rows and a spare first column, as ``rows`` rows
+    without that column: C-ordered, F-ordered or a strided slice of v."""
+    return {
+        "C": np.ascontiguousarray(v[:rows, 1:]),
+        "F": np.asfortranarray(v[:rows, 1:]),
+        "sliced": v[::2, 1:],
+    }[layout]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    cols=st.integers(1, 9),
+    rows=st.integers(1, 300),
+    offset=st.sampled_from([0.0, 1e7]),
+    layout=st.sampled_from(["C", "F", "sliced"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(cols=7, rows=300, offset=1e7, layout="C", seed=0)
+@example(cols=8, rows=300, offset=1e7, layout="C", seed=0)
+def test_query_dists_are_the_bytes_of_row_norms_of_the_difference(cols, rows, offset, layout, seed):
+    gen = np.random.default_rng(seed)
+    v = _layout(gen.standard_normal((2 * rows, cols + 1)) * 1e3 + offset, rows, layout)
+    q = gen.standard_normal(cols) * 1e3 + offset
+    assert query_dists(v, q).tobytes() == row_norms(v - q).tobytes()
+    assert query_dists(v, list(q)).tobytes() == row_norms(v - q).tobytes()
+
+
+def _with_signed_zeros(v, gen):
+    """v with about a third of its entries set to 0.0 or -0.0."""
+    v = v.copy()
+    mask = gen.random(v.shape) < 1 / 3
+    v[mask] = np.where(gen.random(v.shape) < 0.5, 0.0, -0.0)[mask]
+    return v
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    cols=st.integers(1, 4),
+    rows=st.integers(1, 300),
+    offset=st.sampled_from([0.0, 1e7, -1e7]),
+    zeros=st.booleans(),
+    layout=st.sampled_from(["C", "F", "sliced"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bounds_center_and_scale_are_the_axis_reductions(cols, rows, offset, zeros, layout, seed):
+    gen = np.random.default_rng(seed)
+    v = gen.standard_normal((2 * rows, cols + 1)) * 1e3 + offset
+    if zeros:
+        v = _with_signed_zeros(v, gen)
+    v = _layout(v, rows, layout)
+
+    def raw(a):
+        # Of 0.0 and -0.0, a column reduction and an axis-0 one may return
+        # either; adding 0.0 maps -0.0 to 0.0 and leaves every other value.
+        a = np.asarray(a, dtype=np.float64)
+        return (a + 0.0 if zeros else a).tobytes()
+
+    lo, hi = bounds(v)
+    assert raw(lo) == raw(v.min(axis=0))
+    assert raw(hi) == raw(v.max(axis=0))
+    if cols == 2:
+        assert raw(center(PointTuple(v))) == raw(0.5 * (v.min(axis=0) + v.max(axis=0)))
+        assert raw(_bbox_scale(v)) == raw(float((v.max(axis=0) - v.min(axis=0)).max()))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    pts=hull_points(1, 600, HULL_KINDS + ["grid", "zeros"]),
+    layout=st.sampled_from(["C", "sliced"]),
+)
+@example(pts=np.array([[3.0, -2.0]]), layout="C")
+@example(pts=np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [-0.0, -0.0]] * 5), layout="C")
+@example(pts=_hull_points("zeros", 600, np.random.default_rng(0)), layout="sliced")
+def test_unique_rows_are_numpy_unique(pts, layout):
+    if layout == "sliced":
+        pts = np.repeat(pts, 2, axis=0)[::2]
+    got, want = _unique_rows(pts), np.unique(pts, axis=0)
+    assert got.shape == want.shape
+    if not np.any(np.signbit(pts) & (pts == 0)):
+        assert got.tobytes() == want.tobytes()
+        return
+    # Rows equal but for a zero's sign: np.unique's sort is not stable, so
+    # it keeps either; _unique_rows keeps the first.  Adding 0.0 maps -0.0
+    # to 0.0 and leaves every other value.
+    assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+    for row in got:
+        first = pts[np.flatnonzero((pts == row).all(axis=1))[0]]
+        assert row.tobytes() == first.tobytes()
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(pts=hull_points(32, 4096, HULL_KINDS))
+def test_prefilter_edge_loop_is_the_strided_expression(pts):
+    margin = _FILTER_MARGIN * ORIENT_EPS * _bbox_scale(pts) ** 2
+    ext = pts[np.argmax(_FILTER_DIRS @ pts.T, axis=1)]
+    ext = ext[np.any(ext != np.roll(ext, 1, axis=0), axis=1)]
+    want = pts
+    if len(ext) >= 3:
+        x, y = pts[:, 0], pts[:, 1]
+        inside = np.ones(len(pts), dtype=bool)
+        for (ox, oy), (ex, ey) in zip(ext, np.roll(ext, -1, axis=0) - ext):
+            inside &= ex * (y - oy) - ey * (x - ox) > margin
+        want = pts[~inside]
+    assert _drop_interior(pts, margin).tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(pts=hull_points(1, 600, HULL_KINDS))
+def test_cached_hull_area_is_the_shoelace_area(pts):
+    hull = convex_hull(pts)
+    want = 0.0 if hull.degenerate else shoelace_area(hull.vertices)
+    assert np.float64(hull.area).tobytes() == np.float64(want).tobytes()
+    # the shoelace sum as it stood: np.roll of strided views
+    v = hull.vertices - hull.vertices.min(axis=0)
+    x, y = v[:, 0], v[:, 1]
+    old = abs(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)) / 2.0
+    if not hull.degenerate:
+        assert np.float64(hull.area).tobytes() == np.float64(old).tobytes()
+
+
+def _numpy_scalars(a):
+    """a as an object array of np.float64 scalars, which ``tolist`` hands
+    back as they are: code that calls it then runs on numpy scalars."""
+    out = np.empty(a.shape, dtype=object)
+    out[...] = [[np.float64(v) for v in row] for row in a.tolist()]
+    return out
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(pts=hull_points(6, 200, ["uniform", "gauss", "cauchy", "duplicates", "small", "1mm"]))
+def test_clip_on_python_floats_is_the_clip_on_numpy_scalars(pts):
+    # two overlapping hulls, clipped as jaccard clips them
+    a, b = convex_hull(pts[::2]), convex_hull(pts[1::2])
+    assume(not (a.degenerate or b.degenerate))
+    lo, hi = bounds(np.vstack([a.vertices, b.vertices]))
+    tol = ORIENT_EPS * float((hi - lo).max()) ** 2
+    subject, clip = a.vertices - lo, b.vertices - lo
+    got = _clip_convex(subject, clip, tol)
+    want = _clip_convex(_numpy_scalars(subject), _numpy_scalars(clip), np.float64(tol))
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    n=st.integers(1, 3000),
+    levels=st.integers(1, 50),
+    k=st.sampled_from([1, 16, 64, "n"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=2000, levels=3, k=64, seed=0)
+@example(n=64, levels=1, k="n", seed=0)
+def test_k_smallest_is_the_stable_argsort_prefix(n, levels, k, seed):
+    # few distinct levels: many ties, also across the k-th value
+    k = n if k == "n" else min(k, n)
+    values = np.random.default_rng(seed).integers(0, levels, n) * 0.5
+    assert np.array_equal(_k_smallest(values, k), np.argsort(values, kind="stable")[:k])
