@@ -43,7 +43,10 @@ arguments are checked before any charge or draw: a budget must be positive
 and finite, and so must every noise scale it buys (a subnormal budget's
 overflow), a query point and ``svt``'s threshold must be finite, beta in
 (0, 1), and k and ``svt``'s step cap integers in range; otherwise
-ValueError.
+ValueError.  One overflow shows only in the draws: a finite noise scale
+near the largest double can draw a privatized bounding circle whose centre
+or radius is not finite.  The anchor stage raises ValueError for it after
+``centre`` and ``radius`` are charged, before any probe is charged.
 
 Every mechanism takes an explicit RandomStream and, optionally, a
 BudgetLedger that audits its internal splits.  Each part is charged before
@@ -557,6 +560,10 @@ def _anchors(
     _charge(ledger, "radius", b0 / 3.0)
     r_noise = float(cal.noise(1, b0 / 3.0, rng)[0])
     r_priv = max_radius(x, c_priv) + cal.radius_slack(b0, beta) + r_noise
+    # a finite noise scale near the largest double can draw a circle that
+    # overflows; its probes would be nan, and no scan at them could halt
+    if not (np.isfinite(c_priv).all() and math.isfinite(r_priv)):
+        raise ValueError(f"the privatized circle overflows: centre {c_priv}, radius {r_priv}")
 
     if k == "auto":
         raw = cal.auto_k(max(r_priv, 0.0), budget, n, beta)

@@ -6,8 +6,11 @@ statistic even on pass, and uses thresholds derived from binomial/KS
 sampling theory rather than tuned constants.
 
 The sampling checks draw in chunks of ``_CHUNK`` rows and fold each chunk
-into their statistic, so a check holds a few MiB at 10^6 samples rather
-than tens.  Survival counts and the KS maximum are exact under chunking,
+into their statistic, so at 10^6 samples a check holds 2-3.5 MiB rather
+than tens.  The Laplace-sum KS check must keep its sorted sums (8 MB) and
+its reference CDF, which it builds before drawing so that the reference's
+build temporaries are gone before the sums exist; it holds about 16 MiB.
+Survival counts and the KS maximum are exact under chunking,
 and chunked draws of one distribution continue one stream, so the
 Gaussian, Laplace-sum and expected-draws checks give the one-shot bytes.
 Planar Laplace noise draws its normals, then its gammas, per chunk, so
@@ -17,9 +20,10 @@ draw stream; it is not a tuning knob.  Every sampling check raises
 ValueError before any draw when ``samples`` is below 1 (2 for the
 expected-draws check, which needs a standard error).
 
-``geopriv verify`` runs the battery on a thread pool, one worker per usable
-core; each check draws from its own stream, so the reports do not depend on
-the worker count.
+``geopriv verify`` runs the three KS checks one after another on the
+calling thread and the rest of the battery on a thread pool, one worker per
+usable core; each check draws from its own stream, so the reports do not
+depend on the worker count.
 """
 
 from __future__ import annotations
@@ -297,9 +301,11 @@ def check_laplace_sum_pdf(
     samples = _samples(samples)
     if ks_threshold is None:
         ks_threshold = max(0.005, 1.63 / math.sqrt(samples))
+    # the reference draws nothing: built first, its grid temporaries are
+    # freed before the sums exist
+    cdf = _laplace_sum_cdf(b)
     y = _laplace_sum(b, samples, rng)
     y.sort()
-    cdf = _laplace_sum_cdf(b)
     ks = 0.0  # the maximum is exact whatever the chunking
     for start, stop in _chunks(samples):
         ref = cdf(y[start:stop])

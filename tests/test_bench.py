@@ -598,6 +598,31 @@ class TestTrialPool:
         assert _bounded(run_verify, ExperimentConfig(task="verify", seed=4, samples=2000))[1]
         assert len(seen) == 2
 
+    @pytest.mark.parametrize("cores", [2, 4])
+    def test_ks_checks_run_one_at_a_time_on_the_calling_thread(self, monkeypatch, cores):
+        monkeypatch.setattr(bench, "_cores", lambda: cores)
+        real = statcheck.check_laplace_sum_pdf
+        running, calls = [], []  # threads of the calls in flight; that list at each call's entry
+
+        def spy(*args):
+            running.append(threading.get_ident())
+            calls.append(tuple(running))
+            time.sleep(0.002)  # a second call in flight would find this one
+            try:
+                return real(*args)
+            finally:
+                running.remove(threading.get_ident())
+
+        monkeypatch.setattr(statcheck, "check_laplace_sum_pdf", spy)
+        caller = []
+
+        def verify():
+            caller.append(threading.get_ident())
+            return run_verify(ExperimentConfig(task="verify", seed=4, samples=2000))
+
+        assert _bounded(verify)[1]
+        assert calls == [tuple(caller)] * 3
+
     def test_a_failing_check_raises_and_leaves_no_thread(self, monkeypatch):
         monkeypatch.setattr(bench, "_cores", lambda: 2)
         error = RuntimeError("second laplace sum")

@@ -465,6 +465,13 @@ class TestPrivateConvexHull:
         assert a.anchors == b.anchors == [1, 2, 3, 4]
         assert np.array_equal(b.points, DIAMOND.points)
 
+    def test_an_overflowing_circle_raises_before_any_probe_is_charged(self):
+        # every scale is finite (about 1e307), but the circle's draws overflow
+        ledger = BudgetLedger(GpBudget(1e-305))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="circle overflows"):
+            private_convex_hull_gp(uniform_tuple(47, 10), 1e-305, 0.05, RandomStream(0), k=3, ledger=ledger)
+        assert [label for label, _ in ledger.entries] == ["centre", "radius"]
+
     def test_parameter_errors(self):
         x = uniform_tuple(42, 10)
         with pytest.raises(ValueError):
