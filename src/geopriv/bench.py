@@ -7,18 +7,21 @@ over collections x trials.  ``verify`` runs the statistical check battery
 and exits nonzero on any failure.
 
 The three sweeps are one driver, :func:`run_sweep`, over a task table: each
-entry names its mechanisms, its metrics and a scorer that rates one output
-against the trial's reference (the true tuple, k nearest or hull).  The
-identity sweep runs its trials on a thread pool, one worker per available
-core, with the same bytes; knn and hull, which scan, run on one thread.
-``verify`` maps its checks over a pool of the same size.
+entry names its mechanisms, its metrics, a scorer that rates one output
+against the trial's reference and a hook that builds that reference (the
+true tuple, k nearest or hull).  The identity sweep runs its trials on a
+thread pool, one worker per available core, with the same bytes; knn and
+hull, which scan, run on one thread.  ``verify`` maps its checks over a pool
+of the same size.
 
 Everything is deterministic under a fixed seed: each stream is keyed by a
 tuple, a tag naming what it draws and then its indices, such as a sample's
 ``(_SAMPLE, ci, ni)``.  A mechanism's key ``(_MECH, ni, ki, mi, ci, t)``
 holds no budget, so every budget shares its draws (common random numbers):
-the stream is built once per (n, k) cell and set back to its initial state
-before each budget's trial.
+the stream is built once per (cell, pair, mechanism), taped on the first
+budget and replayed on the rest (see :mod:`geopriv.noise`), so a noise
+array is drawn once per trial, not once per budget.  A grid of one budget
+has nothing to replay and is not taped.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import numpy as np
 
 from .accounting import matched_gp_budget
 from .dataset import load_traces, query_point_pool, sample_points
-from .geometry import PointTuple, dist_2, dist_inf, query_dists
+from .geometry import PointTuple, _as_index, dist_2, dist_inf, query_dists
 from .hull import convex_hull, jaccard
 from .mechanisms import (
     identity_cgp_inf,
@@ -92,12 +95,18 @@ class ExperimentConfig:
             raise ValueError(f"task must be one of {', '.join(_TASKS)} or verify, got {self.task!r}")
         if self.rho_grid is None and self.eps_grid is None:
             self.rho_grid = [1e-4, 1e-3, 1e-2]
+        # before any draw: 2.5 trials or points would fail mid-sweep, not be rounded
+        for name in ("trials", "collections", "samples"):
+            _as_index(getattr(self, name), name)
         for name in ("rho_grid", "eps_grid", "n_grid", "k_grid"):
             grid = getattr(self, name)
             if grid is None:
                 continue
             if len(grid) == 0:
                 raise ValueError(f"{name} must be nonempty")
+            if name in ("n_grid", "k_grid"):
+                for v in grid:
+                    _as_index(v, name)
             # before any draw: a k of 0 would skip every knn trial, a rate of 0 fail mid-sweep
             if not all(0 < v < math.inf for v in grid):
                 raise ValueError(f"{name} entries must be positive and finite, got {grid}")
@@ -220,13 +229,12 @@ def _row_key(r: ResultRow):
 
 @dataclass
 class _Trial:
-    """What one trial's mechanisms release from and are scored against."""
+    """What one trial's mechanisms release from and are scored against, at
+    every budget."""
 
     x: PointTuple
-    rho: float
-    eps: float
     k: int | None
-    true_hull: np.ndarray | None
+    true_hull: np.ndarray | None = None
     query: np.ndarray | None = None
     true_sum: float = 0.0  # sum of the k true nearest distances to ``query``
 
@@ -234,9 +242,16 @@ class _Trial:
 @dataclass(frozen=True)
 class _Task:
     """One sweep.  ``mechanisms`` maps each name, in stream-key order, to
-    ``(cfg, trial, rng) -> output``; ``score(trial, output)`` gives one value
-    per name in ``metrics``.  The lambdas look mechanisms up at call time, so
-    rebinding a module attribute (as a tracer does) reaches every call.
+    ``(cfg, trial, rho, eps, rng) -> output``; ``score(trial, output)`` gives
+    one value per name in ``metrics``.  The lambdas look mechanisms up at
+    call time, so rebinding a module attribute (as a tracer does) reaches
+    every call.
+
+    ``references(cfg, colls, pairs)`` is the reference hook, called once
+    per sweep.  It returns ``cell(data, k)``, which builds the :class:`_Trial`
+    of every (collection, trial) pair of one (n, k) cell, in pair order, or
+    None for a trial skipped under every budget.  ``sweeps_k`` says whether
+    the cells run over ``cfg.k_grid`` (else k is None).
 
     ``scans`` says whether some mechanism makes a sparse-vector scan.  A scan
     takes and releases the GIL every draw block, so such trials run on the
@@ -247,6 +262,8 @@ class _Task:
     metrics: tuple[str, ...]
     score: Callable
     scans: bool
+    references: Callable
+    sweeps_k: bool = False
 
 
 def _k_smallest(values: np.ndarray, k: int) -> np.ndarray:
@@ -270,41 +287,77 @@ def _knn_score(t: _Trial, reported: np.ndarray) -> tuple[float, float]:
     return s / t.true_sum, (s - t.true_sum) / t.k
 
 
+def _identity_references(cfg: ExperimentConfig, colls: list[PointTuple], pairs: list[tuple[int, int]]):
+    return lambda data, k: [_Trial(data[ci], k) for ci, _ in pairs]
+
+
+def _knn_references(cfg: ExperimentConfig, colls: list[PointTuple], pairs: list[tuple[int, int]]):
+    """One query point per pair, for the whole sweep; per cell, the sum of
+    each trial's k true nearest distances.  A trial whose k true nearest all
+    sit on the query (a sum of 0) is skipped."""
+    pool = query_point_pool(colls)
+    queries = [pool[int(_stream(cfg, _QUERY, *p).generator.integers(len(pool)))] for p in pairs]
+
+    def cell(data: list[PointTuple], k: int) -> list[_Trial | None]:
+        trials = []
+        for (ci, _), query in zip(pairs, queries):
+            dists = query_dists(data[ci].points, query)
+            true_sum = float(dists[_k_smallest(dists, k)].sum())  # ascending, as a sorted prefix
+            trials.append(_Trial(data[ci], k, query=query, true_sum=true_sum) if true_sum > 0.0 else None)
+        return trials
+
+    return cell
+
+
+def _hull_references(cfg: ExperimentConfig, colls: list[PointTuple], pairs: list[tuple[int, int]]):
+    """Each collection's true hull, built once per cell and shared by its trials."""
+
+    def cell(data: list[PointTuple], k: int | None) -> list[_Trial]:
+        hulls = [convex_hull(x.points) for x in data]
+        return [_Trial(data[ci], k, true_hull=hulls[ci]) for ci, _ in pairs]
+
+    return cell
+
+
 _TASKS = {
     # Whole-tuple release: max single-point error and l2 error.
     "identity": _Task(
         {
-            "gp_basic": lambda cfg, t, rng: identity_gp_inf(t.x, t.eps, rng),
-            "cgp_basic": lambda cfg, t, rng: identity_cgp_inf(t.x, t.rho, rng),
+            "gp_basic": lambda cfg, t, rho, eps, rng: identity_gp_inf(t.x, eps, rng),
+            "cgp_basic": lambda cfg, t, rho, eps, rng: identity_cgp_inf(t.x, rho, rng),
         },
         ("max_point_err", "l2_err"),
         lambda t, y: (dist_inf(y, t.x), dist_2(y, t.x)),
         scans=False,
+        references=_identity_references,
     ),
     # k nearest neighbours of a query point: the reported points' distance sum
     # over the true k nearest's, and the per-rank mean excess.
     "knn": _Task(
         {
-            "gp_basic": lambda cfg, t, rng: _knn_baseline(cfg, t, identity_gp_inf(t.x, t.eps, rng)),
-            "cgp_basic": lambda cfg, t, rng: _knn_baseline(cfg, t, identity_cgp_inf(t.x, t.rho, rng)),
-            "gp_pnn": lambda cfg, t, rng: t.x.points[np.asarray(kpnn_gp(t.x, t.query, t.k, t.eps, rng)) - 1],
-            "cgp_pnn": lambda cfg, t, rng: t.x.points[np.asarray(kpnn(t.x, t.query, t.k, t.rho, rng)) - 1],
+            "gp_basic": lambda cfg, t, rho, eps, rng: _knn_baseline(cfg, t, identity_gp_inf(t.x, eps, rng)),
+            "cgp_basic": lambda cfg, t, rho, eps, rng: _knn_baseline(cfg, t, identity_cgp_inf(t.x, rho, rng)),
+            "gp_pnn": lambda cfg, t, rho, eps, rng: t.x.points[np.asarray(kpnn_gp(t.x, t.query, t.k, eps, rng)) - 1],
+            "cgp_pnn": lambda cfg, t, rho, eps, rng: t.x.points[np.asarray(kpnn(t.x, t.query, t.k, rho, rng)) - 1],
         },
         ("norm_sum_dist", "mean_rank_excess"),
         _knn_score,
         scans=True,
+        references=_knn_references,
+        sweeps_k=True,
     ),
     # Convex hull: Jaccard similarity to the true hull (higher is better).
     "hull": _Task(
         {
-            "gp_basic": lambda cfg, t, rng: identity_gp_inf(t.x, t.eps, rng),
-            "cgp_basic": lambda cfg, t, rng: identity_cgp_inf(t.x, t.rho, rng),
-            "gp_pch": lambda cfg, t, rng: private_convex_hull_gp(t.x, t.eps, cfg.beta, rng),
-            "cgp_pch": lambda cfg, t, rng: private_convex_hull(t.x, t.rho, cfg.beta, rng),
+            "gp_basic": lambda cfg, t, rho, eps, rng: identity_gp_inf(t.x, eps, rng),
+            "cgp_basic": lambda cfg, t, rho, eps, rng: identity_cgp_inf(t.x, rho, rng),
+            "gp_pch": lambda cfg, t, rho, eps, rng: private_convex_hull_gp(t.x, eps, cfg.beta, rng),
+            "cgp_pch": lambda cfg, t, rho, eps, rng: private_convex_hull(t.x, rho, cfg.beta, rng),
         },
         ("jaccard",),
         lambda t, out: (jaccard(convex_hull(out.points), t.true_hull),),
         scans=True,
+        references=_hull_references,
     ),
 }
 
@@ -336,66 +389,60 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
 
     knn also sweeps ``k_grid`` (skipping k > n) and draws one query point per
     (collection, trial), for the whole sweep; a trial whose true k nearest all
-    sit on the query is skipped.  The GP budget is matched from rho unless ``eps_grid`` is given.
+    sit on the query is skipped under every budget.  The GP budget is matched
+    from rho unless ``eps_grid`` is given.
 
-    A task without scans maps its (collection, trial) pairs over a thread
-    pool of ``min(cores, pairs)`` workers (numpy's samplers and ufunc loops
-    release the GIL), shut down when the sweep returns or raises; with one
-    worker, or for a scanning task, the pairs are mapped on the calling
-    thread.  Each trial draws only from its own streams and the scores are
-    collected in pair order, so the rows do not depend on the worker count.
+    The loop is pair-outer, budget-inner: one job per (collection, trial)
+    pair of a cell builds each mechanism's stream, tapes it on the first
+    budget and replays it on the rest (a grid of one budget is not taped),
+    and returns the scores of every budget; the tape lives for one trial.
+    A task without scans maps its pair jobs over a thread pool of
+    ``min(cores, pairs)`` workers (numpy's samplers and ufunc loops release
+    the GIL), shut down when the sweep returns or raises; with one worker,
+    or for a scanning task, the jobs run on the calling thread.  Each trial
+    draws only from its own streams and the scores are collected in pair
+    order, so the rows do not depend on the worker count.
     """
     task = _TASKS[cfg.task]
     colls = _collections(cfg)
-    knn = cfg.task == "knn"
-    k_grid = cfg.k_grid if knn else [None]
     # the (collection, trial) pairs, collection-major: the order scores are collected in
     pairs = list(itertools.product(range(len(colls)), range(cfg.trials)))
-    cis, ts = zip(*pairs)
-    if knn:
-        pool = query_point_pool(colls)
-        queries = {p: pool[int(_stream(cfg, _QUERY, *p).generator.integers(len(pool)))] for p in pairs}
+    references = task.references(cfg, colls, pairs)
+    budgets = _budget_pairs(cfg)
+    # the order of a trial's scores: mechanism-major, then budget
+    slots = list(itertools.product(task.mechanisms, range(len(budgets))))
     rows = []
-    with _pool_map(1 if task.scans else len(cis)) as pmap:
+    with _pool_map(1 if task.scans else len(pairs)) as pmap:
         for ni, n in enumerate(cfg.n_grid):
             data = _sampled(cfg, colls, ni, n)
-            hulls = [convex_hull(x.points) for x in data] if cfg.task == "hull" else [None] * len(data)
-            if knn:  # each trial's true distances, ascending, for every k
-                near = {p: np.sort(query_dists(data[p[0]].points, queries[p]), kind="stable") for p in pairs}
-            for ki, k in enumerate(k_grid):
-                if knn and k > n:
+            for ki, k in enumerate(cfg.k_grid if task.sweeps_k else [None]):
+                if k is not None and k > n:
                     _warn(f"skipping k={k} > n={n}")
                     continue
-                # each mechanism stream is built once per cell, and every budget
-                # starts it from its initial state: common random numbers
-                streams = {
-                    p: [_stream(cfg, _MECH, ni, ki, mi, *p) for mi in range(len(task.mechanisms))] for p in pairs
-                }
-                starts = {p: [rng.generator.bit_generator.state for rng in s] for p, s in streams.items()}
-                for budget, rho, eps in _budget_pairs(cfg):
 
-                    def scores(ci: int, t: int):
-                        """Each mechanism's metric values on one trial, or None if skipped."""
-                        trial = _Trial(data[ci], rho, eps, k, hulls[ci])
-                        if knn:
-                            trial.query = queries[ci, t]
-                            trial.true_sum = float(near[ci, t][:k].sum())
-                            if trial.true_sum <= 0.0:
-                                return None
-                        out = []
-                        for release, rng, state in zip(task.mechanisms.values(), streams[ci, t], starts[ci, t]):
-                            rng.generator.bit_generator.state = state
-                            out.append(task.score(trial, release(cfg, trial, rng)))
-                        return out
+                def scores(pair: tuple[int, int], trial: _Trial | None):
+                    """Each mechanism's metric values on one trial at every budget, or None if skipped."""
+                    if trial is None:
+                        return None
+                    out = []
+                    for mi, release in enumerate(task.mechanisms.values()):
+                        rng = _stream(cfg, _MECH, ni, ki, mi, *pair)
+                        # one budget has nothing to replay, and recording it cost hull-sweep 7%
+                        with rng.taped() if len(budgets) > 1 else contextlib.nullcontext():
+                            for bi, (_, rho, eps) in enumerate(budgets):
+                                if bi:
+                                    rng.rewind()
+                                out.append(task.score(trial, release(cfg, trial, rho, eps, rng)))
+                    return out
 
-                    vals = {(m, metric): [] for m in task.mechanisms for metric in task.metrics}
-                    # consumed here, before the budget loop rebinds what ``scores`` reads
-                    for trial_scores in pmap(scores, cis, ts):
-                        for m, values in zip(task.mechanisms, trial_scores or ()):
-                            for metric, v in zip(task.metrics, values):
-                                vals[m, metric].append(v)
-                    for (m, metric), v in vals.items():
-                        rows.append(_aggregate(cfg.task, m, n, budget, k, metric, v))
+                vals = {(m, bi, metric): [] for m, bi in slots for metric in task.metrics}
+                # consumed here, before the cell loop rebinds what ``scores`` reads
+                for trial_scores in pmap(scores, pairs, references(data, k)):
+                    for (m, bi), values in zip(slots, trial_scores or ()):
+                        for metric, v in zip(task.metrics, values):
+                            vals[m, bi, metric].append(v)
+                for (m, bi, metric), v in vals.items():
+                    rows.append(_aggregate(cfg.task, m, n, budgets[bi][0], k, metric, v))
     return sorted(rows, key=_row_key)
 
 

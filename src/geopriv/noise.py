@@ -12,10 +12,28 @@ vector), so mechanisms built on top become exact.  A sampler's ``dim`` and
 draw rather than being truncated or parsed.  Its scale must be positive and
 finite; so must planar Laplace's rate and its scale 1/eps, which overflows
 for a subnormal rate.
+
+Common random numbers are replayed, not redrawn.  Inside
+``with rng.taped():`` the stream records every normal and gamma array that
+``sample_planar_laplace`` and ``sample_gaussian_vec`` take through it, with
+the generator state after each.  After ``rng.rewind()`` a request equal to
+the next recorded one (same method, same arguments) is served from the
+tape, as a read-only array the sampler scales into a fresh buffer, so the
+tape is never written to.  The first request that differs, a request past
+the end of the tape, any use of ``rng.generator`` (``sample_laplace``, the
+scan's noise blocks, a caller's own draws) and leaving the scope end the
+replay: the generator is set to the state after the last served entry, so
+what follows is drawn exactly as a fresh stream of the same key would draw
+it, and every byte stays the same.  Nothing drawn after a use of
+``rng.generator`` in one pass is recorded, since a replay would skip that
+use.  Outside the scope a stream keeps no reference to its draws.  The
+budget sweeps tape each trial's streams; ``verify`` never does, as it
+draws each stream once, in 64k-row chunks a tape would only hold on to.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -43,7 +61,7 @@ class RandomStream:
     degenerate test stream.
     """
 
-    __slots__ = ("seed", "stream_id", "zero_noise", "_generator")
+    __slots__ = ("seed", "stream_id", "zero_noise", "_generator", "_tape")
 
     def __init__(self, seed: int = 0, stream_id: int | tuple[int, ...] = 0, zero_noise: bool = False):
         self.seed = _as_uint(seed, "seed", 64)
@@ -55,14 +73,90 @@ class RandomStream:
         self.zero_noise = bool(zero_noise)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=key)
         self._generator = np.random.Generator(np.random.PCG64(ss))
+        self._tape = None
 
     @property
     def generator(self) -> np.random.Generator:
+        """The generator, for draws the tape does not see: inside ``taped()``
+        this ends a replay and stops recording until the next ``rewind()``."""
+        tape = self._tape
+        if tape is not None:
+            if tape.replaying:
+                self._end_replay()
+            tape.recording = False
         return self._generator
+
+    @contextlib.contextmanager
+    def taped(self):
+        """Record this stream's sampler draws until the scope ends (see the
+        module docstring); the tape is dropped on exit."""
+        if self._tape is not None:
+            raise RuntimeError("stream is already taped")
+        self._tape = _Tape(self._generator.bit_generator.state)
+        try:
+            yield self
+        finally:
+            if self._tape.replaying:
+                self._end_replay()
+            self._tape = None
+
+    def rewind(self) -> None:
+        """Restart the taped stream from its state at ``taped()``: matching
+        sampler requests are served from the tape."""
+        tape = self._tape
+        if tape is None:
+            raise RuntimeError("rewind() needs a taped() stream")
+        tape.pos, tape.replaying, tape.recording = 0, True, True
+
+    def _end_replay(self) -> None:
+        tape = self._tape
+        del tape.entries[tape.pos :]
+        self._generator.bit_generator.state = tape.entries[-1][2] if tape.entries else tape.start
+        tape.replaying = False
+
+    def _draw(self, method: str, *args) -> np.ndarray:
+        """``generator.<method>(*args)``, recorded or replayed inside ``taped()``.
+        A taped array is read-only: a sampler must scale it into a new buffer."""
+        tape = self._tape
+        if tape is None:
+            return getattr(self._generator, method)(*args)
+        request = (method, args)
+        if tape.replaying:
+            if tape.pos < len(tape.entries) and tape.entries[tape.pos][0] == request:
+                tape.pos += 1
+                return tape.entries[tape.pos - 1][1]
+            self._end_replay()
+        out = getattr(self._generator, method)(*args)
+        if tape.recording:
+            out.flags.writeable = False
+            tape.entries.append((request, out, self._generator.bit_generator.state))
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = ", zero_noise=True" if self.zero_noise else ""
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id}{tag})"
+
+
+class _Tape:
+    """One ``taped()`` scope: the generator state at its start and a
+    ``(request, array, state after)`` entry per recorded draw.  While
+    ``replaying``, entries before ``pos`` have been served and the generator
+    is behind; ``recording`` is off after a direct use of the generator."""
+
+    __slots__ = ("start", "entries", "pos", "replaying", "recording")
+
+    def __init__(self, start: dict):
+        self.start = start
+        self.entries = []
+        self.pos = 0
+        self.replaying = False
+        self.recording = True
+
+
+def _buffer(draw: np.ndarray) -> np.ndarray:
+    """Where a sampler scales ``draw``: the fresh draw itself, or a new
+    buffer in its place for a taped, read-only one."""
+    return draw if draw.flags.writeable else np.empty_like(draw)
 
 
 def _as_dim(dim) -> int:
@@ -95,9 +189,8 @@ def sample_gaussian_vec(dim: int, sigma: float, rng: RandomStream, size: int | N
     size = None if size is None else _as_index(size, "size")
     if rng.zero_noise:
         return np.zeros(dim) if size is None else np.zeros((size, dim))
-    if size is None:
-        return sigma * rng.generator.standard_normal(dim)
-    return sigma * rng.generator.standard_normal((size, dim))
+    z = rng._draw("standard_normal", dim if size is None else (size, dim))
+    return np.multiply(z, sigma, out=_buffer(z))
 
 
 def sample_planar_laplace(dim: int, eps: float, rng: RandomStream, size: int | None = None):
@@ -109,7 +202,8 @@ def sample_planar_laplace(dim: int, eps: float, rng: RandomStream, size: int | N
     mixture (Andrews & Mallows, JRSS B 1974): ``sqrt(2 V) * Z / eps`` with
     Z ~ N(0, I_d) and V ~ Gamma((d+1)/2, 1) has exactly this law, and at
     d = 1 it is Laplace(1/eps).  Each call draws the (n, d) normals first,
-    then the n gammas, and scales the normals in place.
+    then the n gammas, and scales the normals in place (into a fresh buffer
+    when they come from a tape).
     """
     dim = _as_dim(dim)
     if not (0 < eps < math.inf and 1.0 / float(eps) < math.inf):
@@ -118,14 +212,16 @@ def sample_planar_laplace(dim: int, eps: float, rng: RandomStream, size: int | N
     if rng.zero_noise:
         return np.zeros(dim) if size is None else np.zeros((size, dim))
     n = 1 if size is None else size
-    # normals before the gamma: the other way round, one identity sweep at
-    # n = 16384 takes about 13k minor page faults instead of single digits
-    y = rng.generator.standard_normal((n, dim))
-    scale = rng.generator.standard_gamma((dim + 1) / 2, n)
-    scale *= 2.0
+    # the normals' buffer before the gamma's: the other way round, one
+    # identity sweep at n = 16384 takes about 13k minor page faults instead
+    # of single digits
+    z = rng._draw("standard_normal", (n, dim))
+    y = _buffer(z)
+    v = rng._draw("standard_gamma", (dim + 1) / 2, n)
+    scale = np.multiply(v, 2.0, out=_buffer(v))
     np.sqrt(scale, out=scale)
     scale /= eps
-    y *= scale[:, None]
+    np.multiply(z, scale[:, None], out=y)
     return y[0] if size is None else y
 
 

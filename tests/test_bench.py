@@ -1,4 +1,3 @@
-import copy
 import csv
 import itertools
 import logging
@@ -103,6 +102,15 @@ class TestConfig:
             ("identity --extent=-5", "extent"),
             ("identity --extent 0", "extent"),
             ("identity --extent inf", "extent"),
+            # the CLI parses sizes as integers; through the API, a size that is
+            # not one used to fail mid-sweep with TypeError
+            (dict(task="identity", n_grid=[2.5]), "n_grid"),
+            (dict(task="hull", n_grid=[64, 64.0]), "n_grid"),
+            (dict(task="knn", k_grid=[2.5]), "k_grid"),
+            (dict(task="knn", k_grid=["4"]), "k_grid"),
+            (dict(task="identity", trials=2.5), "trials"),
+            (dict(task="knn", collections=1.5), "collections"),
+            (dict(task="verify", samples=1000.5), "samples"),
         ],
     )
     def test_non_positive_grid_entries_are_refused_before_any_draw(self, monkeypatch, argv, field):
@@ -111,7 +119,11 @@ class TestConfig:
 
         monkeypatch.setattr(bench, "RandomStream", no_draw)
         with pytest.raises(ValueError, match=field):
-            main(argv.split() + ["--trials", "1", "--collections", "1"])
+            if isinstance(argv, dict):
+                cfg = ExperimentConfig(**{"trials": 1, "collections": 1, **argv})
+                run_verify(cfg) if cfg.task == "verify" else run_sweep(cfg)
+            else:
+                main(argv.split() + ["--trials", "1", "--collections", "1"])
 
     def test_verify_needs_a_thousand_samples(self):
         # at 1 or 2 samples a KS threshold of 1.63 / sqrt(samples) passes every statistic
@@ -166,12 +178,15 @@ class TestStreamKeys:
     @pytest.mark.parametrize("task, k_grid", [("knn", [2, 4]), ("hull", [4]), ("identity", [4])])
     def test_each_key_is_built_once_and_every_budget_restarts_it(self, monkeypatch, task, k_grid):
         seen = self._record_keys(monkeypatch)
-        first_draws = Counter()
+        releases = Counter()  # (key, budget, whether the release is a fresh stream's of its key)
 
         def record(release):
-            def run(cfg, trial, rng):
-                first_draws[rng.stream_id, tuple(copy.deepcopy(rng.generator).random(3))] += 1
-                return release(cfg, trial, rng)
+            def run(cfg, trial, rho, eps, rng):
+                out = release(cfg, trial, rho, eps, rng)
+                fresh = release(cfg, trial, rho, eps, RandomStream(cfg.seed, rng.stream_id))
+                same = np.array_equal(getattr(out, "points", out), getattr(fresh, "points", fresh))
+                releases[rng.stream_id, rho, same] += 1
+                return out
 
             return run
 
@@ -197,10 +212,31 @@ class TestStreamKeys:
                 if task == "knn":  # one query point per (collection, trial), for the whole sweep
                     expected[bench._QUERY, ci, t] = 1
         assert seen == expected
-        # common random numbers: every budget's trial draws first what a fresh stream of its key draws
-        assert first_draws == Counter(
-            {(key, tuple(RandomStream(cfg.seed, key).generator.random(3))): len(budgets) for key in mech_keys}
-        )
+        # common random numbers: at every budget, each release is the one a fresh stream of its key makes
+        assert releases == Counter({(key, rho, True): 1 for key in mech_keys for rho in budgets})
+
+    def test_a_knn_trial_on_its_query_is_dropped_from_every_budget(self, monkeypatch):
+        # at k = 1 a query on a data point has a true nearest distance sum of 0
+        budgets, trials = [1e-3, 1e-2, 1e-1], 6
+        cfg = small_cfg(task="knn", n_grid=[64], k_grid=[1, 2], rho_grid=budgets, trials=trials)
+        on_point = _collections(cfg)[0].points[5]  # in collection 0's data: n is the collection's size
+        monkeypatch.setattr(bench, "query_point_pool", lambda colls: np.array([on_point, on_point + 0.25]))
+        on = [
+            t for t in range(trials) if RandomStream(cfg.seed, (bench._QUERY, 0, t)).generator.integers(2) == 0
+        ]
+        assert 0 < len(on) < trials
+        rows = run_sweep(cfg)
+        assert len(rows) == 2 * len(budgets) * 4 * 2  # every k, budget, mechanism and metric
+        pairs = cfg.collections * trials
+        assert all(r.trials == (pairs - len(on) if r.k == 1 else pairs) for r in rows)
+        assert all(math.isfinite(v) for r in rows for v in (r.mean, r.p25, r.p75))
+
+    def test_verify_never_tapes_a_stream(self, monkeypatch):
+        def no_tape(self):
+            raise AssertionError("verify taped a stream")
+
+        monkeypatch.setattr(RandomStream, "taped", no_tape)
+        assert run_verify(ExperimentConfig(task="verify", seed=2, samples=2000))[1]
 
     def test_verify_checks_draw_from_distinct_keys(self, monkeypatch):
         seen = self._record_keys(monkeypatch)
@@ -468,6 +504,17 @@ class TestCli:
         )
         assert done.returncode == 0, done.stderr
 
+    @pytest.mark.parametrize("task", ["identity", "knn", "hull"])
+    def test_the_csv_does_not_depend_on_the_budget_order(self, tmp_path, task):
+        # the first budget records each trial's draws and the others replay them
+        argv = f"{task} --n-grid 48 --k-grid 4 --trials 2 --collections 2 --seed 3".split()
+        texts = set()
+        for i, grid in enumerate(("1e-3,1e-2,1e-1", "1e-1,1e-3,1e-2", "1e-2,1e-1,1e-3")):
+            out = tmp_path / f"{i}.csv"
+            assert main(argv + ["--rho-grid", grid, "--out", str(out)]) == 0
+            texts.add(out.read_bytes())
+        assert len(texts) == 1
+
     def test_walk_input_mode(self):
         rows = run_sweep(small_cfg(input="synthetic-walk"))
         assert rows
@@ -521,6 +568,24 @@ class TestTrialPool:
         assert threading.active_count() == before
         monkeypatch.setattr(bench, "_cores", lambda: 1)
         assert render_csv(_bounded(run_sweep, cfg)) == pooled
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "identity --n-grid 1 --rho-grid 1e-3,1e-2",
+            "knn --n-grid 16 --k-grid 4,16 --rho-grid 1e-3,1e-2",
+        ],
+        ids=["identity_n1", "knn_k_is_n"],
+    )
+    def test_edge_cells_have_the_serial_bytes_pooled(self, monkeypatch, tmp_path, argv):
+        texts = []
+        for cores in (bench._cores() + 2, 1):
+            monkeypatch.setattr(bench, "_cores", lambda: cores)
+            out = tmp_path / f"{cores}.csv"
+            args = argv.split() + ["--trials", "3", "--collections", "2", "--seed", "4", "--out", str(out)]
+            assert _bounded(main, args) == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
 
     def test_identity_trials_run_on_one_thread_per_core(self, monkeypatch):
         seen = set()

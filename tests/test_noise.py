@@ -1,7 +1,10 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammainc, lambertw
 from scipy.stats import chi2
 
@@ -72,6 +75,115 @@ class TestRandomStream:
         b = RandomStream(5, (np.int64(2), np.uint32(3)))
         assert b.stream_id == (2, 3) and all(type(v) is int for v in b.stream_id)
         assert b.generator.random() == RandomStream(5, (2, 3)).generator.random()
+
+
+# Requests a stream serves: planar Laplace and Gaussian vectors, which go
+# through the tape, and scalar Laplace and the caller's own draws, which use
+# the generator directly.
+REQUESTS = st.one_of(
+    st.tuples(st.just("planar"), st.integers(1, 5), st.none() | st.integers(0, 6), st.sampled_from([0.5, 1.0, 3.0])),
+    st.tuples(st.just("gaussian"), st.integers(1, 5), st.none() | st.integers(0, 6), st.sampled_from([0.5, 2.0])),
+    st.tuples(st.just("laplace"), st.none() | st.integers(1, 4)),
+    st.tuples(st.just("generator"), st.integers(1, 4)),
+)
+
+
+def _serve(request, rng):
+    kind, *args = request
+    if kind == "planar":
+        dim, size, eps = args
+        return sample_planar_laplace(dim, eps, rng, size=size)
+    if kind == "gaussian":
+        dim, size, sigma = args
+        return sample_gaussian_vec(dim, sigma, rng, size=size)
+    if kind == "laplace":
+        return sample_laplace(1.5, rng, size=args[0])
+    return rng.generator.random(args[0])
+
+
+def _same(got, want) -> bool:
+    return type(got) is type(want) and np.shape(got) == np.shape(want) and np.array_equal(got, want)
+
+
+class TestTape:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        passes=st.lists(st.tuples(st.integers(0, 8), st.lists(REQUESTS, max_size=6)), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_pass_draws_what_a_fresh_stream_of_its_key_draws(self, passes, seed):
+        # each pass after the first rewinds and keeps a prefix of the last
+        # pass's requests, then diverges; a kept prefix as long as the last
+        # pass, with nothing added, repeats it
+        rng = RandomStream(seed, 3)
+        requests = []
+        with rng.taped():
+            for i, (keep, added) in enumerate(passes):
+                if i:
+                    rng.rewind()
+                requests = requests[:keep] + added
+                fresh = RandomStream(seed, 3)
+                for request in requests:
+                    got = _serve(request, rng)
+                    assert _same(got, _serve(request, fresh)), request
+                    assert not isinstance(got, np.ndarray) or got.flags.writeable
+        assert rng.generator.bit_generator.state == fresh.generator.bit_generator.state
+
+    def test_a_replay_is_served_from_the_tape(self):
+        class Spy:
+            def __init__(self, generator):
+                self.generator, self.used = generator, []
+
+            def __getattr__(self, name):
+                self.used.append(name)
+                return getattr(self.generator, name)
+
+        rng = RandomStream(2, 5)
+        with rng.taped():
+            first = sample_planar_laplace(2, 1.0, rng, size=8), sample_gaussian_vec(3, 2.0, rng, size=4)
+            rng.rewind()
+            rng._generator = spy = Spy(rng._generator)
+            # the same requests at other scales: the recorded draws, scaled anew
+            again = sample_planar_laplace(2, 4.0, rng, size=8), sample_gaussian_vec(3, 1.0, rng, size=4)
+            assert spy.used == []
+        assert np.allclose(again[0], first[0] / 4.0, rtol=1e-15) and np.array_equal(again[1], first[1] / 2.0)
+
+    def test_a_mutated_output_does_not_corrupt_the_tape(self):
+        rng, fresh = RandomStream(4, 2), RandomStream(4, 2)
+        want = sample_planar_laplace(2, 1.0, fresh, size=5), sample_gaussian_vec(3, 2.0, fresh, size=4)
+        with rng.taped():
+            for _ in range(3):  # the recorded outputs, then two replayed ones
+                got = sample_planar_laplace(2, 1.0, rng, size=5), sample_gaussian_vec(3, 2.0, rng, size=4)
+                assert all(map(np.array_equal, got, want))
+                got[0][:] = 0.0
+                got[1][:] += 1.0
+                rng.rewind()
+
+    def test_an_untaped_stream_keeps_no_reference_to_its_draws(self):
+        # so verify's 64k-row chunks are dropped as soon as they are folded
+        rng = RandomStream(1)
+        for draw in (
+            lambda: sample_planar_laplace(2, 1.0, rng, size=65536),
+            lambda: sample_gaussian_vec(2, 1.0, rng, size=65536),
+        ):
+            y = draw()
+            ref = weakref.ref(y)
+            del y
+            assert ref() is None
+        with rng.taped():
+            pass
+        y = sample_planar_laplace(2, 1.0, rng, size=4)
+        ref = weakref.ref(y)
+        del y
+        assert ref() is None
+
+    def test_scope_errors(self):
+        rng = RandomStream(0)
+        with pytest.raises(RuntimeError, match="taped"):
+            rng.rewind()
+        with rng.taped(), pytest.raises(RuntimeError, match="already taped"):
+            with rng.taped():
+                pass
 
 
 class TestLaplace:
