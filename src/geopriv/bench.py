@@ -389,8 +389,9 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
 
     knn also sweeps ``k_grid`` (skipping k > n) and draws one query point per
     (collection, trial), for the whole sweep; a trial whose true k nearest all
-    sit on the query is skipped under every budget.  The GP budget is matched
-    from rho unless ``eps_grid`` is given.
+    sit on the query is skipped under every budget, and a cell whose every
+    trial is skipped gives no rows.  The GP budget is matched from rho unless
+    ``eps_grid`` is given.
 
     The loop is pair-outer, budget-inner: one job per (collection, trial)
     pair of a cell builds each mechanism's stream, tapes it on the first
@@ -419,6 +420,10 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
                 if k is not None and k > n:
                     _warn(f"skipping k={k} > n={n}")
                     continue
+                trials = references(data, k)
+                if not any(trials):  # no value to aggregate: no rows
+                    _warn(f"skipping n={n}, k={k}: every trial was skipped")
+                    continue
 
                 def scores(pair: tuple[int, int], trial: _Trial | None):
                     """Each mechanism's metric values on one trial at every budget, or None if skipped."""
@@ -437,7 +442,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
 
                 vals = {(m, bi, metric): [] for m, bi in slots for metric in task.metrics}
                 # consumed here, before the cell loop rebinds what ``scores`` reads
-                for trial_scores in pmap(scores, pairs, references(data, k)):
+                for trial_scores in pmap(scores, pairs, trials):
                     for (m, bi), values in zip(slots, trial_scores or ()):
                         for metric, v in zip(task.metrics, values):
                             vals[m, bi, metric].append(v)

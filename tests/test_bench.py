@@ -231,6 +231,16 @@ class TestStreamKeys:
         assert all(r.trials == (pairs - len(on) if r.k == 1 else pairs) for r in rows)
         assert all(math.isfinite(v) for r in rows for v in (r.mean, r.p25, r.p75))
 
+    def test_a_knn_cell_with_every_trial_skipped_gives_no_rows(self, monkeypatch, caplog):
+        # it used to raise IndexError from np.percentile over no values
+        cfg = small_cfg(task="knn", n_grid=[64], k_grid=[1, 2], trials=1, collections=1)
+        on_point = _collections(cfg)[0].points[5]
+        monkeypatch.setattr(bench, "query_point_pool", lambda colls: np.array([on_point]))
+        with pytest.warns(UserWarning, match="skipping"), caplog.at_level(logging.WARNING, logger="geopriv.bench"):
+            rows = run_sweep(cfg)
+        assert {r.k for r in rows} == {2}
+        assert [r.getMessage() for r in caplog.records] == ["skipping n=64, k=1: every trial was skipped"]
+
     def test_verify_never_tapes_a_stream(self, monkeypatch):
         def no_tape(self):
             raise AssertionError("verify taped a stream")
