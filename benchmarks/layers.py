@@ -2,7 +2,6 @@
 
     python benchmarks/layers.py                        # this checkout, JSON to stdout
     python benchmarks/layers.py --src OTHER/src        # another checkout's source
-    python benchmarks/layers.py --compare PARENT_ROOT --out BENCH.json [--tier1]
 
 Each layer is timed with stdlib ``timeit``: ``autorange`` picks the call
 count, and the best of 5 runs is reported in milliseconds per call.
@@ -31,32 +30,19 @@ same work.  The layers, on uniform points on a 10 km square:
   keeps one span stack for all threads, so under the battery's thread pool
   its per-check times are not per-check; these layers are.
 
-End-to-end sweep times and CSV hashes are ``perfbench/run.py``'s to measure.
-
-``--compare`` runs the harness on a parent checkout and on this one in six
-alternating subprocess rounds, keeps each layer's best time over the rounds,
-and writes both sides with their ratio, the numpy version and the core
-counts: the host's (``cores``) and this process's (``usable_cores``).
-``rounds_ms`` holds every round's time of each layer on each side, and
-``quartiles_ms`` each side's first quartile, median and third quartile of
-them.  A layer is ``resolved`` when the two sides' quartile ranges do not
-overlap; the ratio of an unresolved layer is noise.
-Both sides run this file's ``measure``, so the parent must take the same
-calls: a checkout without ``geometry.query_dists``, or whose anchor stage
-takes a ``PchParams``, fails its side of the comparison.
-``--tier1`` adds the wall time of each side's tier-1 suite.  The module is
-not a test file, so the test suite does not collect it.
+End-to-end sweep times, CSV hashes and before/after comparisons are
+``perfbench/run.py``'s to measure, in alternating pairs.  To compare one
+layer across two checkouts, time each one's ``--src`` in alternating
+rounds and keep every round: one best-of figure per side cannot tell a
+change from the host's run-to-run spread.  The module is not a test file,
+so the test suite does not collect it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
-import subprocess
 import sys
-import time
 import timeit
 from pathlib import Path
 
@@ -76,7 +62,6 @@ VERIFY_SAMPLES = 10**6  # geopriv verify's default; expected_draws takes a tenth
 IDENTITY_N = 16384
 IDENTITY_RHO = 1e-3  # the middle of the identity sweep's grid
 REPEAT = 5  # timeit runs per layer; the best is kept
-ROUNDS = 6  # alternating subprocess rounds per side with --compare
 
 
 def _time(fn) -> float:
@@ -222,82 +207,13 @@ def measure() -> dict:
     return {"ms": ms}
 
 
-def _run_side(root: Path) -> dict:
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--src", str(root / "src")]
-    done = subprocess.run(cmd, check=True, capture_output=True, text=True)
-    return json.loads(done.stdout)
-
-
-def _tier1_s(root: Path) -> float:
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    t0 = time.perf_counter()
-    subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"],
-        cwd=root, env=env, check=False, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
-    return time.perf_counter() - t0
-
-
-def compare(parent: Path, tier1: bool) -> dict:
-    """Before/after timings of a parent checkout and this one."""
-    import numpy as np
-
-    runs = {"before": [], "after": []}
-    for r in range(ROUNDS):
-        order = [("before", parent), ("after", ROOT)]
-        for side, root in order if r % 2 == 0 else order[::-1]:
-            runs[side].append(_run_side(root))
-    rounds = {side: {key: [run["ms"][key] for run in done] for key in done[0]["ms"]} for side, done in runs.items()}
-    before = {key: min(ms) for key, ms in rounds["before"].items()}
-    after = {key: min(ms) for key, ms in rounds["after"].items()}
-    ratio = {key: after[key] / ms for key, ms in before.items()}
-    quartiles = {
-        side: {key: np.percentile(ms, [25, 50, 75]).tolist() for key, ms in by_key.items()}
-        for side, by_key in rounds.items()
-    }
-    resolved = {
-        key: bool(q[2] < quartiles["after"][key][0] or quartiles["after"][key][2] < q[0])
-        for key, q in quartiles["before"].items()
-    }
-    result = {
-        "harness": "benchmarks/layers.py --compare",
-        "method": f"timeit best of {REPEAT} runs (autorange call count), best over {ROUNDS} "
-                  "alternating subprocess rounds per side (each round in rounds_ms, their "
-                  "[q1, median, q3] in quartiles_ms); ms per call; resolved: the sides' "
-                  "[q1, q3] ranges do not overlap",
-        "env": {
-            "cores": os.cpu_count(),
-            # the cores this process may run on: the identity sweep's pool is capped here
-            "usable_cores": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
-            "cpu": platform.processor() or platform.machine(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
-        "before_ms": before,
-        "after_ms": after,
-        "after_over_before": ratio,
-        "quartiles_ms": quartiles,
-        "resolved": resolved,
-        "rounds_ms": rounds,
-    }
-    if tier1:
-        result["tier1_s"] = {"before": _tier1_s(parent), "after": _tier1_s(ROOT)}
-    return result
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="geopriv source to time")
-    parser.add_argument("--compare", type=Path, metavar="PARENT_ROOT", help="checkout to time against")
-    parser.add_argument("--tier1", action="store_true", help="also time each side's tier-1 suite")
     parser.add_argument("--out", type=Path, help="write the JSON here instead of stdout")
     args = parser.parse_args(argv)
-    if args.compare is not None:
-        result = compare(args.compare.resolve(), args.tier1)
-    else:
-        sys.path.insert(0, str(args.src.resolve()))
-        result = measure()
-    text = json.dumps(result, indent=2) + "\n"
+    sys.path.insert(0, str(args.src.resolve()))
+    text = json.dumps(measure(), indent=2) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:

@@ -294,16 +294,24 @@ def _identity_references(cfg: ExperimentConfig, colls: list[PointTuple], pairs: 
 def _knn_references(cfg: ExperimentConfig, colls: list[PointTuple], pairs: list[tuple[int, int]]):
     """One query point per pair, for the whole sweep; per cell, the sum of
     each trial's k true nearest distances.  A trial whose k true nearest all
-    sit on the query (a sum of 0) is skipped."""
+    sit on the query (a sum of 0) is skipped, and so, with one warning per
+    cell, is a trial on a loaded trace of fewer than k points."""
     pool = query_point_pool(colls)
     queries = [pool[int(_stream(cfg, _QUERY, *p).generator.integers(len(pool)))] for p in pairs]
 
     def cell(data: list[PointTuple], k: int) -> list[_Trial | None]:
         trials = []
+        short = 0
         for (ci, _), query in zip(pairs, queries):
+            if len(data[ci]) < k:  # sample_points returns a short trace whole
+                short += 1
+                trials.append(None)
+                continue
             dists = query_dists(data[ci].points, query)
             true_sum = float(dists[_k_smallest(dists, k)].sum())  # ascending, as a sorted prefix
             trials.append(_Trial(data[ci], k, query=query, true_sum=true_sum) if true_sum > 0.0 else None)
+        if short:
+            _warn(f"skipping {short} trials at k={k}: their trace has fewer than k points")
         return trials
 
     return cell
@@ -389,8 +397,9 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
 
     knn also sweeps ``k_grid`` (skipping k > n) and draws one query point per
     (collection, trial), for the whole sweep; a trial whose true k nearest all
-    sit on the query is skipped under every budget, and a cell whose every
-    trial is skipped gives no rows.  The GP budget is matched from rho unless
+    sit on the query, or whose loaded trace holds fewer than k points, is
+    skipped under every budget, and a cell whose every trial is skipped
+    gives no rows.  The GP budget is matched from rho unless
     ``eps_grid`` is given.
 
     The loop is pair-outer, budget-inner: one job per (collection, trial)

@@ -1,10 +1,9 @@
-"""Taxi-trace ingestion, Mercator projection, subsampling, and query pools."""
+"""Taxi traces as Mercator point tuples, subsampling, and query pools."""
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -17,16 +16,6 @@ logger = logging.getLogger(__name__)
 
 EARTH_RADIUS_M = 6378137.0  # WGS-84 equatorial radius
 MAX_ABS_LATITUDE = 85.06  # Mercator validity cutoff, degrees
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One GPS fix: position in degrees, occupancy flag, epoch seconds."""
-
-    latitude: float
-    longitude: float
-    occupied: bool
-    timestamp: float
 
 
 def mercator(lat, lon):
@@ -49,19 +38,10 @@ def mercator(lat, lon):
     return x, y
 
 
-def inverse_mercator(x, y):
-    """Invert the Mercator projection back to (latitude, longitude) degrees."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    lat = np.degrees(np.arctan(np.sinh(y / EARTH_RADIUS_M)))
-    lon = np.degrees(x / EARTH_RADIUS_M)
-    if x.ndim == 0:
-        return float(lat), float(lon)
-    return lat, lon
-
-
-def _parse_trace_file(path: Path) -> tuple[list[TraceRecord], int]:
-    records: list[TraceRecord] = []
+def _parse_trace_file(path: Path) -> tuple[list[tuple[float, float, float]], int]:
+    """The ``(lat, lon, timestamp)`` fixes of one file in time order, ties in
+    file order, and the count of lines skipped as malformed or out of domain."""
+    fixes = []
     skipped = 0
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for line in fh:
@@ -72,7 +52,7 @@ def _parse_trace_file(path: Path) -> tuple[list[TraceRecord], int]:
                 continue
             try:
                 lat, lon = float(parts[0]), float(parts[1])
-                occ = bool(int(parts[2]))
+                int(parts[2])  # the occupancy flag: unused, but a line without one is malformed
                 ts = float(parts[3])
             except ValueError:
                 skipped += 1
@@ -82,19 +62,19 @@ def _parse_trace_file(path: Path) -> tuple[list[TraceRecord], int]:
             ):
                 skipped += 1
                 continue
-            records.append(TraceRecord(lat, lon, occ, ts))
-    records.sort(key=lambda r: r.timestamp)
-    return records, skipped
+            fixes.append((lat, lon, ts))
+    fixes.sort(key=lambda f: f[2])  # stable
+    return fixes, skipped
 
 
-def load_cab_traces(path) -> list[tuple[str, PointTuple, np.ndarray]]:
-    """Load plain-text traces as (cab_id, projected points, timestamps) triples.
+def load_traces(path) -> list[PointTuple]:
+    """Projected point tuples, one per cab.
 
     ``path`` may be a single file or a directory of per-cab files (``*.txt``,
-    one ``latitude longitude occupancy timestamp`` record per line).
-    Malformed or out-of-domain lines are skipped with a logged count; cabs
-    left with no valid record are dropped.  Points are in Mercator meters,
-    chronologically ordered.
+    read in name order, one ``latitude longitude occupancy timestamp``
+    record per line).  Malformed or out-of-domain lines are skipped with a
+    logged count; cabs left with no valid record are dropped.  Points are in
+    Mercator meters, chronologically ordered.
     """
     p = Path(path)
     if p.is_dir():
@@ -107,23 +87,14 @@ def load_cab_traces(path) -> list[tuple[str, PointTuple, np.ndarray]]:
     out = []
     total_skipped = 0
     for f in files:
-        records, skipped = _parse_trace_file(f)
+        fixes, skipped = _parse_trace_file(f)
         total_skipped += skipped
-        if not records:
-            continue
-        lat = np.array([r.latitude for r in records])
-        lon = np.array([r.longitude for r in records])
-        xs, ys = mercator(lat, lon)
-        ts = np.array([r.timestamp for r in records])
-        out.append((f.stem, PointTuple(np.column_stack([xs, ys])), ts))
+        if fixes:
+            lat, lon, _ = np.array(fixes).T
+            out.append(PointTuple(np.column_stack(mercator(lat, lon))))
     if total_skipped:
         logger.warning("skipped %d malformed or out-of-domain lines in %s", total_skipped, path)
     return out
-
-
-def load_traces(path) -> list[PointTuple]:
-    """Projected point tuples, one per cab (see load_cab_traces)."""
-    return [points for _, points, _ in load_cab_traces(path)]
 
 
 def sample_points(trace: PointTuple, n: int, rng: RandomStream) -> PointTuple:

@@ -3,6 +3,8 @@ areas (the Jaccard similarity of two hulls)."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .geometry import bounds
@@ -65,6 +67,17 @@ def _bbox_scale(pts: np.ndarray) -> float:
     return float((hi - lo).max())
 
 
+def _orient_tol(span: float) -> float:
+    """``ORIENT_EPS * span**2``, refused once the square overflows (from a
+    span of about 1.34e154; an infinite span squares to inf unraised)."""
+    try:
+        if (square := span**2) < math.inf:
+            return ORIENT_EPS * square
+    except OverflowError:
+        pass
+    raise ValueError(f"the points span {span:g}, whose square overflows")
+
+
 def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
@@ -118,10 +131,11 @@ def convex_hull(points) -> ConvexPolygon:
 
     Collinear points are dropped (orientation tolerance ORIENT_EPS relative
     to the bounding-box scale); inputs whose hull has fewer than 3 vertices
-    come back flagged degenerate.  The chain emits the vertices
-    counter-clockwise by construction; the shoelace sum of the raw
-    coordinates is no check of that, because at Mercator offsets (~1e7 m)
-    rounding can flip its sign for small hulls.
+    come back flagged degenerate.  Points whose bounding box spans about
+    1.34e154 or more are refused: the tolerance's square would overflow.
+    The chain emits the vertices counter-clockwise by construction; the
+    shoelace sum of the raw coordinates is no check of that, because at
+    Mercator offsets (~1e7 m) rounding can flip its sign for small hulls.
 
     From ``_FILTER_MIN_N`` points on, an Akl-Toussaint filter runs first.
     The extreme points in 16 evenly spaced directions span a convex polygon
@@ -144,7 +158,7 @@ def convex_hull(points) -> ConvexPolygon:
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
 
-    tol = ORIENT_EPS * _bbox_scale(pts) ** 2
+    tol = _orient_tol(_bbox_scale(pts))
     if len(pts) >= _FILTER_MIN_N:
         pts = _drop_interior(pts, _FILTER_MARGIN * tol)
     pts = _unique_rows(pts)  # also sorts lexicographically
@@ -212,12 +226,13 @@ def jaccard(a: ConvexPolygon, b: ConvexPolygon) -> float:
     Degenerate polygons score 0 against anything except an identical
     degenerate polygon, which scores 1.  The clip runs on both polygons
     translated by their common bounding-box minimum, so its edge tests keep
-    their precision at Mercator offsets.
+    their precision at Mercator offsets.  Polygons spanning about 1.34e154
+    or more are refused, as in :func:`convex_hull`.
     """
     if a.degenerate or b.degenerate:
         return 1.0 if (a.degenerate and b.degenerate and _degenerate_equal(a, b)) else 0.0
     lo, hi = bounds(np.vstack([a.vertices, b.vertices]))
-    tol = ORIENT_EPS * float((hi - lo).max()) ** 2
+    tol = _orient_tol(float((hi - lo).max()))
     inter = _clip_convex(a.vertices - lo, b.vertices - lo, tol)
     inter_area = shoelace_area(inter) if len(inter) >= 3 else 0.0
     union = a.area + b.area - inter_area

@@ -1,4 +1,4 @@
-"""Seedable noise samplers and closed-form tail/quantile helpers.
+"""Seedable noise samplers and the two-Laplace-sum density.
 
 Every sampler draws from an explicitly passed :class:`RandomStream`, so a
 fixed ``(seed, stream_id)`` pair reproduces identical sequences and distinct
@@ -225,32 +225,6 @@ def sample_planar_laplace(dim: int, eps: float, rng: RandomStream, size: int | N
     return y[0] if size is None else y
 
 
-def gp_radius_quantile(beta: float, eps: float) -> float:
-    """Radius r with Pr[||noise|| > r] <= beta for 2-D planar Laplace at rate eps.
-
-    Returns the closed-form Lambert-W upper bound
-    ``(sqrt(2*log(1/beta)) + log(1/beta)) / eps`` rather than the exact
-    inverse of the tail ``(1 + r*eps) * exp(-r*eps)``; the bound is monotone,
-    cheap and conservative.
-    """
-    if not 0 < beta < 1:
-        raise ValueError(f"beta must be in (0, 1), got {beta}")
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    u = math.log(1.0 / beta)
-    return (math.sqrt(2.0 * u) + u) / eps
-
-
-def cgp_radius_quantile(beta: float, rho: float) -> float:
-    """Exact radius r with Pr[||noise|| > r] = beta for the 2-D Gaussian
-    mechanism at rate rho, whose radial survival is ``exp(-rho * r**2)``."""
-    if not 0 < beta < 1:
-        raise ValueError(f"beta must be in (0, 1), got {beta}")
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    return math.sqrt(math.log(1.0 / beta) / rho)
-
-
 def laplace_sum_pdf(y, scale: float):
     """Density of the sum of two iid Laplace(scale) variables:
     ``(scale + |y|) * exp(-|y|/scale) / (4 * scale**2)``."""
@@ -259,14 +233,3 @@ def laplace_sum_pdf(y, scale: float):
     a = np.abs(np.asarray(y, dtype=np.float64))
     out = (scale + a) * np.exp(-a / scale) / (4.0 * scale**2)
     return float(out) if np.isscalar(y) or out.ndim == 0 else out
-
-
-def laplace_sum_quantile(beta: float, scale: float) -> float:
-    """Bound t with Pr[|Z + W| > t] <= beta for Z, W iid Laplace(scale):
-    ``scale * (sqrt(2*log(1/beta)) + log(1/beta))``."""
-    if not 0 < beta < 1:
-        raise ValueError(f"beta must be in (0, 1), got {beta}")
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    u = math.log(1.0 / beta)
-    return scale * (math.sqrt(2.0 * u) + u)

@@ -125,40 +125,24 @@ def _survival_check(
     return CheckReport(name, worst, 1.0, worst < 1.0, samples)
 
 
-def check_gp_radial_tail(
-    eps: float,
-    r_grid: Sequence[float],
-    samples: int,
-    rng: RandomStream,
-    survival: Callable[[float], float] | None = None,
-) -> CheckReport:
+def check_gp_radial_tail(eps: float, r_grid: Sequence[float], samples: int, rng: RandomStream) -> CheckReport:
     """Empirical norm survival of the GP release noise (``_GP.noise``) in
-    2-D at ``eps`` against ``(1 + r*eps) * exp(-r*eps)``.
-
-    ``survival`` overrides the reference formula (fault-injection hook for
-    testing the harness itself).
-    """
+    2-D at ``eps`` against ``(1 + r*eps) * exp(-r*eps)``."""
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     samples = _samples(samples)
-    ref = survival or (lambda r: (1.0 + r * eps) * math.exp(-r * eps))
+    ref = lambda r: (1.0 + r * eps) * math.exp(-r * eps)
     draw = lambda size: _GP.noise(2, eps, rng, size=size)
     return _survival_check(f"gp_radial_tail(eps={eps:g})", draw, samples, r_grid, ref)
 
 
-def check_cgp_radial_tail(
-    rho: float,
-    r_grid: Sequence[float],
-    samples: int,
-    rng: RandomStream,
-    survival: Callable[[float], float] | None = None,
-) -> CheckReport:
+def check_cgp_radial_tail(rho: float, r_grid: Sequence[float], samples: int, rng: RandomStream) -> CheckReport:
     """Empirical norm survival of the CGP release noise (``_CGP.noise``)
-    in 2-D at ``rho`` against ``exp(-rho * r**2)``; ``survival`` as above."""
+    in 2-D at ``rho`` against ``exp(-rho * r**2)``."""
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     samples = _samples(samples)
-    ref = survival or (lambda r: math.exp(-rho * r * r))
+    ref = lambda r: math.exp(-rho * r * r)
     draw = lambda size: _CGP.noise(2, rho, rng, size=size)
     return _survival_check(f"cgp_radial_tail(rho={rho:g})", draw, samples, r_grid, ref)
 
@@ -283,24 +267,17 @@ def _laplace_sum_cdf(scale: float) -> Callable[[np.ndarray], np.ndarray]:
     return lambda points: np.interp(points, grid, cdf)
 
 
-def check_laplace_sum_pdf(
-    b: float,
-    samples: int,
-    rng: RandomStream,
-    ks_threshold: float | None = None,
-) -> CheckReport:
+def check_laplace_sum_pdf(b: float, samples: int, rng: RandomStream) -> CheckReport:
     """KS distance between an empirical two-Laplace sum and the numerically
     integrated density of its closed form.
 
-    The default threshold is the larger of 0.005 and the one-sample KS 99%
-    critical value 1.63/sqrt(samples); at 10^6 samples the 0.005 floor
-    governs.
+    The threshold is the larger of 0.005 and the one-sample KS 99% critical
+    value 1.63/sqrt(samples); at 10^6 samples the 0.005 floor governs.
     """
     if not b > 0:
         raise ValueError(f"b must be positive, got {b}")
     samples = _samples(samples)
-    if ks_threshold is None:
-        ks_threshold = max(0.005, 1.63 / math.sqrt(samples))
+    ks_threshold = max(0.005, 1.63 / math.sqrt(samples))
     # the reference draws nothing: built first, its grid temporaries are
     # freed before the sums exist
     cdf = _laplace_sum_cdf(b)

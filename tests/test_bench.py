@@ -39,14 +39,13 @@ def test_the_package_exports_the_product_only():
     assert geopriv.__all__ == [
         "BudgetError", "BudgetLedger", "CgpBudget", "ConvexPolygon", "GpBudget",
         "HullResult", "NonHaltError", "PchInfo", "PointTuple", "RandomStream",
-        "RelaxedGpBudget", "SvtOutcome", "center", "cgp_radius_quantile",
-        "cgp_to_relaxed_gp", "compose_cgp", "compose_gp", "convex_hull", "dist_2",
-        "dist_inf", "gp_radius_quantile", "gp_to_cgp", "identity_cgp_inf",
-        "identity_cgp_l2", "identity_gp_inf", "identity_gp_l2", "jaccard", "kpnn",
-        "kpnn_gp", "laplace_sum_pdf", "laplace_sum_quantile", "matched_gp_budget",
-        "max_radius", "pch_anchors_detailed", "pnn", "pnn_detailed",
-        "private_convex_hull", "private_convex_hull_gp", "sample_gaussian_vec",
-        "sample_laplace", "sample_planar_laplace", "svt",
+        "RelaxedGpBudget", "SvtOutcome", "center", "cgp_to_relaxed_gp",
+        "compose_cgp", "compose_gp", "convex_hull", "dist_2", "dist_inf",
+        "gp_to_cgp", "identity_cgp_inf", "identity_cgp_l2", "identity_gp_inf",
+        "identity_gp_l2", "jaccard", "kpnn", "kpnn_gp", "laplace_sum_pdf",
+        "matched_gp_budget", "max_radius", "pch_anchors_detailed", "pnn",
+        "pnn_detailed", "private_convex_hull", "private_convex_hull_gp",
+        "sample_gaussian_vec", "sample_laplace", "sample_planar_laplace", "svt",
     ]
     assert all(hasattr(geopriv, name) for name in geopriv.__all__)
 
@@ -240,6 +239,24 @@ class TestStreamKeys:
             rows = run_sweep(cfg)
         assert {r.k for r in rows} == {2}
         assert [r.getMessage() for r in caplog.records] == ["skipping n=64, k=1: every trial was skipped"]
+
+    def test_a_knn_trial_on_a_trace_shorter_than_k_is_dropped_from_every_budget(self, tmp_path, caplog):
+        # sample_points returns the 40-fix cab whole: at k = 64 it has no k nearest
+        gen = np.random.default_rng(0)
+        for name, fixes in (("new_a", 40), ("new_b", 300)):
+            lat, lon = 37.7 + 0.05 * gen.random(fixes), -122.45 + 0.05 * gen.random(fixes)
+            lines = (f"{a:.6f} {o:.6f} 0 {t}\n" for t, (a, o) in enumerate(zip(lat, lon)))
+            (tmp_path / f"{name}.txt").write_text("".join(lines))
+        cfg = small_cfg(
+            task="knn", input=str(tmp_path), n_grid=[200], k_grid=[16, 64], rho_grid=[1e-3, 1e-2], trials=2
+        )
+        with pytest.warns(UserWarning, match="skipping"), caplog.at_level(logging.WARNING, logger="geopriv.bench"):
+            rows = run_sweep(cfg)
+        assert len(rows) == 2 * 2 * 4 * 2  # every k, budget, mechanism and metric
+        assert {(r.k, r.trials) for r in rows} == {(16, 4), (64, 2)}
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipping 2 trials at k=64: their trace has fewer than k points"
+        ]
 
     def test_verify_never_tapes_a_stream(self, monkeypatch):
         def no_tape(self):

@@ -5,8 +5,6 @@ import pytest
 
 from geopriv.dataset import (
     EARTH_RADIUS_M,
-    inverse_mercator,
-    load_cab_traces,
     load_traces,
     mercator,
     query_point_pool,
@@ -40,14 +38,12 @@ class TestMercator:
         with pytest.raises(ValueError):
             mercator(0.0, 180.5)
 
-    def test_round_trip(self):
-        gen = np.random.default_rng(0)
-        lat = gen.uniform(-85.0, 85.0, 1000)
-        lon = gen.uniform(-180.0, 180.0, 1000)
-        x, y = mercator(lat, lon)
-        lat2, lon2 = inverse_mercator(x, y)
-        assert np.max(np.abs(lat2 - lat)) < 1e-9
-        assert np.max(np.abs(lon2 - lon)) < 1e-9
+    def test_y_is_the_textbook_formula(self):
+        # computed as R * asinh(tan(lat)); the textbook form agrees within 3e-8 m
+        lat = np.random.default_rng(0).uniform(-85.0, 85.0, 1000)
+        _, y = mercator(lat, np.zeros_like(lat))
+        textbook = EARTH_RADIUS_M * np.log(np.tan(np.pi / 4 + np.radians(lat) / 2))
+        assert np.max(np.abs(y - textbook)) < 1e-6
 
 
 class TestLoader:
@@ -58,17 +54,19 @@ class TestLoader:
         assert len(traces) == 1
         assert np.array_equal(traces[0].points, [[0.0, 0.0]])
 
-    def test_chronological_order_and_fields(self, tmp_path):
+    def test_chronological_order(self, tmp_path):
         f = tmp_path / "new_cab.txt"
         f.write_text(
             "37.75 -122.39 0 300\n"
             "37.76 -122.40 1 100\n"
             "37.74 -122.38 0 200\n"
+            "37.73 -122.37 0 100\n"
         )
-        (cab_id, pts, ts), = load_cab_traces(f)
-        assert cab_id == "new_cab"
-        assert list(ts) == [100.0, 200.0, 300.0]
-        assert np.allclose(pts.points[0], mercator(37.76, -122.40))
+        (pts,) = load_traces(f)
+        # by time, and a tie in file order
+        fixes = [(37.76, -122.40), (37.73, -122.37), (37.74, -122.38), (37.75, -122.39)]
+        expect = [mercator(lat, lon) for lat, lon in fixes]
+        assert np.array_equal(pts.points, expect)
 
     def test_malformed_lines_skipped(self, tmp_path):
         f = tmp_path / "new_cab.txt"
@@ -77,6 +75,8 @@ class TestLoader:
             "garbage line here\n"
             "85.06 0.0 0 100\n"
             "37.75 -122.39 0\n"
+            "37.74 -122.38 yes 350\n"
+            "37.73 -122.37 0.5 360\n"
             "37.76 -122.40 1 400\n"
         )
         traces = load_traces(f)
@@ -88,11 +88,16 @@ class TestLoader:
         f.write_text("")
         assert load_traces(f) == []
 
-    def test_directory_of_cabs(self, tmp_path):
-        (tmp_path / "new_a.txt").write_text("1.0 1.0 0 1\n2.0 2.0 0 2\n")
+    def test_directory_of_cabs(self, tmp_path, caplog):
+        # read in name order; a cab with no valid line is dropped
         (tmp_path / "new_b.txt").write_text("3.0 3.0 1 1\n")
-        traces = load_cab_traces(tmp_path)
-        assert [t[0] for t in traces] == ["new_a", "new_b"]
+        (tmp_path / "new_a.txt").write_text("1.0 1.0 0 1\n2.0 2.0 0 2\n")
+        (tmp_path / "new_c.txt").write_text("garbage\n")
+        (tmp_path / "notes.csv").write_text("4.0 4.0 0 1\n")
+        traces = load_traces(tmp_path)
+        assert [len(t) for t in traces] == [2, 1]
+        assert np.array_equal(traces[1].points, [mercator(3.0, 3.0)])
+        assert "skipped 1 malformed or out-of-domain lines" in caplog.text
 
     def test_missing_path(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from geopriv.hull import convex_hull, jaccard, shoelace_area
+from geopriv import hull
+from geopriv.hull import ConvexPolygon, convex_hull, jaccard, shoelace_area
 from helpers import brute_hull_vertices, directed_excess, point_polygon_distance
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -31,6 +32,18 @@ class TestConvexHull:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             convex_hull(np.empty((0, 2)))
+
+    @pytest.mark.parametrize("span", [1.35e154, 1e155, 1e300])
+    def test_a_span_whose_square_overflows_is_refused_before_the_chain(self, span, monkeypatch):
+        # refused with the tolerance, before the prefilter or the chain reads a point
+        monkeypatch.setattr(hull, "_unique_rows", None)
+        with pytest.raises(ValueError, match="whose square overflows"):
+            convex_hull(SQUARE * span)
+        with pytest.raises(ValueError, match="whose square overflows"):
+            convex_hull(np.vstack([SQUARE] * 10) * span)  # through the prefilter's path
+
+    def test_a_span_whose_square_is_finite_is_kept(self):
+        assert convex_hull(SQUARE * 1e150).area == pytest.approx(1e300, rel=1e-12)
 
     def test_matches_brute_force_elimination(self):
         gen = np.random.default_rng(0)
@@ -95,6 +108,16 @@ class TestJaccard:
         at_origin = jaccard(convex_hull(a - 1e7), convex_hull(b - 1e7))  # exact shift
         assert 0.2 < at_origin < 0.8
         assert jaccard(convex_hull(a), convex_hull(b)) == pytest.approx(at_origin, rel=1e-9)
+
+    @pytest.mark.parametrize("offset", [1e155, 1e160])
+    def test_a_span_whose_square_overflows_is_refused_before_the_clip(self, offset, monkeypatch):
+        # each polygon is small; the two together span 2 * offset
+        a = ConvexPolygon(SQUARE * (offset / 1e15) - offset)
+        b = ConvexPolygon(SQUARE * (offset / 1e15) + offset)
+        assert not (a.degenerate or b.degenerate) and a.area > 0
+        monkeypatch.setattr(hull, "_clip_convex", None)
+        with pytest.raises(ValueError, match="whose square overflows"):
+            jaccard(a, b)
 
     def test_degenerate_rules(self):
         seg = convex_hull([[0.0, 0.0], [1.0, 1.0]])

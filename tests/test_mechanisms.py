@@ -345,6 +345,30 @@ class TestKpnn:
         assert hits / trials >= 1 - beta
 
 
+class TestRadiusSlack:
+    """The anchor stage draws its radius noise as ``cal.noise(1, b0 / 3)``:
+    Laplace(3/b0) for GP (planar Laplace at d = 1) and N(0, 3/(2 b0)) for
+    CGP.  The slack added to the radius bounds that noise's lower tail by
+    beta/2, so the privatized circle holds the tuple with that chance."""
+
+    @pytest.mark.parametrize("beta", [0.5, 0.05, 1e-6])
+    @pytest.mark.parametrize("b0", [1e-4, 1e-2, 1.0])
+    def test_gp_slack_bounds_the_laplace_tail(self, b0, beta):
+        slack = mechanisms._GP.radius_slack(b0, beta)
+        tail = 0.5 * math.exp(-slack / (3.0 / b0))  # Pr[L < -slack]
+        assert tail <= beta / 2
+        assert tail / (beta / 2) == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.5, 0.05, 1e-6])
+    @pytest.mark.parametrize("b0", [1e-4, 1e-2, 1.0])
+    def test_cgp_slack_bounds_the_gaussian_tail(self, b0, beta):
+        slack = mechanisms._CGP.radius_slack(b0, beta)
+        sigma = math.sqrt(3.0 / (2.0 * b0))
+        tail = 0.5 * math.erfc(slack / (sigma * math.sqrt(2.0)))  # Pr[Z < -slack]
+        assert tail <= beta / 2
+        assert 0.05 < tail / (beta / 2) < 0.2
+
+
 class TestPchAnchors:
     def test_zero_noise_diamond_hits_each_corner(self):
         anchors, _ = pch_anchors_detailed(DIAMOND, 1.0, 0.05, RandomStream(0, zero_noise=True), k=4)

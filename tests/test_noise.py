@@ -10,10 +10,7 @@ from scipy.stats import chi2
 
 from geopriv.noise import (
     RandomStream,
-    cgp_radius_quantile,
-    gp_radius_quantile,
     laplace_sum_pdf,
-    laplace_sum_quantile,
     sample_gaussian_vec,
     sample_laplace,
     sample_planar_laplace,
@@ -350,37 +347,6 @@ class TestSamplerArguments:
         assert np.shape(sample_planar_laplace(3, 1.0, rng, size=size)) == rows + (3,)
 
 
-class TestQuantiles:
-    def test_gp_radius_quantile_value(self):
-        u = math.log(20.0)
-        assert gp_radius_quantile(0.05, 1.0) == pytest.approx(math.sqrt(2 * u) + u, rel=1e-12)
-        assert gp_radius_quantile(0.05, 1.0) == pytest.approx(5.4435, abs=1e-4)
-
-    @pytest.mark.parametrize("beta,eps", [(0.3, 1.0), (0.05, 1.0), (0.01, 2.0), (1e-6, 0.5)])
-    def test_gp_radius_quantile_dominates_tail(self, beta, eps):
-        r = gp_radius_quantile(beta, eps)
-        assert (1 + r * eps) * math.exp(-r * eps) <= beta
-
-    def test_gp_radius_quantile_vanishes_as_beta_to_one(self):
-        assert 0 < gp_radius_quantile(1 - 1e-12, 1.0) < 1e-5
-
-    def test_cgp_radius_quantile(self):
-        assert cgp_radius_quantile(math.exp(-1.0), 1.0) == pytest.approx(1.0, rel=1e-12)
-        assert cgp_radius_quantile(0.05, 1.0) == pytest.approx(1.7308, abs=1e-4)
-        assert cgp_radius_quantile(0.05, 4.0) == pytest.approx(
-            cgp_radius_quantile(0.05, 1.0) / 2, rel=1e-12
-        )
-
-    def test_quantile_domain_errors(self):
-        for fn in (gp_radius_quantile, cgp_radius_quantile):
-            with pytest.raises(ValueError):
-                fn(0.0, 1.0)
-            with pytest.raises(ValueError):
-                fn(1.0, 1.0)
-            with pytest.raises(ValueError):
-                fn(0.5, 0.0)
-
-
 class TestLaplaceSum:
     def test_pdf_at_zero(self):
         assert laplace_sum_pdf(0.0, 1.0) == pytest.approx(0.25, rel=1e-12)
@@ -398,24 +364,11 @@ class TestLaplaceSum:
         cdf = np.where(ys >= 0, 1 - surv / 2, surv / 2)
         assert ks_statistic(ys, cdf) < 0.005
 
-    def test_quantile_value(self):
-        assert laplace_sum_quantile(math.exp(-2.0), 1.0) == pytest.approx(4.0, rel=1e-12)
-
-    def test_quantile_dominates_tail(self):
-        # analytic tail at the returned bound: e^{-r/b}(1 + r/b) evaluated at r=4, b=1
-        assert 5 * math.exp(-4.0) == pytest.approx(0.0916, abs=2e-4)
-        assert 5 * math.exp(-4.0) <= math.exp(-2.0)
-
-    def test_quantile_scale_equivariance(self):
-        assert laplace_sum_quantile(0.05, 2.0) == pytest.approx(
-            2 * laplace_sum_quantile(0.05, 1.0), rel=1e-12
-        )
-
 
 class TestLambertBounds:
     @pytest.mark.parametrize("u", [0.1, 1.0, 10.0])
     def test_inverse_sandwich(self, u):
         # lower-branch w of w * e^w = -e^{-u-1}, the inverse behind the
-        # closed-form radius quantiles
+        # closed-form GP radius bound the identity tests use
         w = float(lambertw(-math.exp(-u - 1.0), k=-1).real)
         assert -1 - math.sqrt(2 * u) - u < w < -1 - math.sqrt(2 * u) - 2 * u / 3

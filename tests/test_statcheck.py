@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from geopriv import statcheck
-from geopriv.noise import RandomStream, laplace_sum_quantile, sample_laplace, sample_planar_laplace
+from geopriv.noise import RandomStream, sample_laplace, sample_planar_laplace
 from geopriv.statcheck import (
     accept_probability,
     adaptive_simpson,
@@ -29,6 +30,15 @@ from helpers import (
 )
 
 SAMPLES = 10**5  # module tests run the battery at reduced size; acceptance uses 1e6
+
+
+def too_fast(cal):
+    """``cal`` with its noise drawn at 1.5 times the rate: a faulty calibration."""
+    return dataclasses.replace(
+        cal, noise=lambda dim, budget, rng, count=1, lipschitz=1.0, size=None: cal.noise(
+            dim, 1.5 * budget, rng, count, lipschitz, size
+        )
+    )
 
 
 class TestAdaptiveSimpson:
@@ -55,10 +65,9 @@ class TestRadialTails:
         b = check_gp_radial_tail(1.0, (2.0, 4.0), SAMPLES, RandomStream(2))
         assert a.passed and b.passed
 
-    def test_gp_tail_fault_injection_fails(self):
-        rep = check_gp_radial_tail(
-            1.0, (1.0, 3.0), SAMPLES, RandomStream(3), survival=lambda r: math.exp(-r)
-        )
+    def test_gp_tail_fault_injection_fails(self, monkeypatch):
+        monkeypatch.setattr(statcheck, "_GP", too_fast(statcheck._GP))
+        rep = check_gp_radial_tail(1.0, (1.0, 3.0), SAMPLES, RandomStream(3))
         assert not rep.passed
 
     def test_cgp_tail_passes(self):
@@ -70,10 +79,9 @@ class TestRadialTails:
         b = check_cgp_radial_tail(1.0, (1.0,), SAMPLES, RandomStream(5))
         assert a.passed and b.passed
 
-    def test_cgp_tail_fault_injection_fails(self):
-        rep = check_cgp_radial_tail(
-            1.0, (0.5, 1.0), SAMPLES, RandomStream(6), survival=lambda r: math.exp(-r)
-        )
+    def test_cgp_tail_fault_injection_fails(self, monkeypatch):
+        monkeypatch.setattr(statcheck, "_CGP", too_fast(statcheck._CGP))
+        rep = check_cgp_radial_tail(1.0, (0.5, 1.0), SAMPLES, RandomStream(6))
         assert not rep.passed
 
     def test_determinism(self):
@@ -136,20 +144,15 @@ class TestGaussianMechDivergence:
 
 class TestLaplaceSumCheck:
     def test_ks_passes(self):
-        rep = check_laplace_sum_pdf(1.0, SAMPLES, RandomStream(11), ks_threshold=0.01)
+        # at 10^5 samples the 99% critical value 1.63/sqrt(n) = 0.00515 is above the 0.005 floor
+        rep = check_laplace_sum_pdf(1.0, SAMPLES, RandomStream(11))
+        assert rep.threshold == 1.63 / math.sqrt(SAMPLES)
         assert rep.passed
 
     def test_empirical_mean_near_zero(self):
         rng = RandomStream(12)
         y = sample_laplace(1.0, rng, size=SAMPLES) + sample_laplace(1.0, rng, size=SAMPLES)
         assert abs(float(y.mean())) < 0.02
-
-    @pytest.mark.parametrize("beta", [0.1, 0.01])
-    def test_quantile_formula_is_conservative(self, beta):
-        rng = RandomStream(13)
-        y = sample_laplace(1.0, rng, size=10**6) + sample_laplace(1.0, rng, size=10**6)
-        bound = laplace_sum_quantile(beta, 1.0)
-        assert float((np.abs(y) > bound).mean()) <= beta
 
     def test_numeric_cdf_monotone_normalized(self):
         pts = np.linspace(-35, 35, 101)
