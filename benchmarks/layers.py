@@ -12,8 +12,10 @@ same work.  The layers, on uniform points on a 10 km square:
   ``dist_2`` between the tuple and its CGP release at rho 1e-3, and
   ``identity_gp_inf`` (at the matched eps) and ``identity_cgp_inf``;
 - ``kpnn``/``kpnn_gp`` at k in {16, 64}, n = 2000 and two budgets;
-- ``pnn`` over every index, ``pch_anchors_detailed`` and the query
-  distances ``query_dists`` at n in {1k, 4k, 16k, 64k};
+- ``pnn`` over every index, the hull sweep's anchor stage and the query
+  distances ``query_dists`` at n in {1k, 4k, 16k, 64k}; the anchor stage
+  is timed through ``private_convex_hull`` at the sweep's budget and beta,
+  which runs the stage at half of each and adds one k-row release draw;
 - ``sample_planar_laplace`` and ``sample_gaussian_vec`` in 2-D at
   n = 16384 (the identity sweep's batch) and n = 10^6 (the verify batch);
 - ``convex_hull`` at n in {1k, 4k, 16k, 64k} of the uniform tuple and of
@@ -85,7 +87,6 @@ def measure() -> dict:
         identity_gp_inf,
         kpnn,
         kpnn_gp,
-        pch_anchors_detailed,
         pnn,
         private_convex_hull,
         private_convex_hull_gp,
@@ -131,14 +132,13 @@ def measure() -> dict:
                 f"kpnn_gp k={k} n={KNN_N} eps={eps:.4g}",
                 lambda: kpnn_gp(x, q, k, eps, RandomStream(1)),
             )
-    stage_rho, stage_beta = HULL_RHO / 2.0, HULL_BETA / 2.0
     for n in SCAN_N:
         x = uniform(n)
         every = range(1, n + 1)
         time_layer(f"pnn n={n} eps={PNN_EPS:g}", lambda: pnn(x, q, every, PNN_EPS, RandomStream(2)))
         time_layer(
-            f"pch_anchors_detailed n={n} rho={stage_rho:g}",
-            lambda: pch_anchors_detailed(x, stage_rho, stage_beta, RandomStream(3)),
+            f"anchor_stage n={n} rho={HULL_RHO / 2.0:g}",
+            lambda: private_convex_hull(x, HULL_RHO, HULL_BETA, RandomStream(3)),
         )
         time_layer(f"query_dists n={n}", lambda: geometry.query_dists(x.points, q))
     for n in NOISE_N:

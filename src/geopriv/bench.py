@@ -46,7 +46,7 @@ import numpy as np
 
 from .accounting import matched_gp_budget
 from .dataset import load_traces, query_point_pool, sample_points
-from .geometry import PointTuple, _as_index, dist_2, dist_inf, query_dists
+from .geometry import MAX_SPAN, PointTuple, _as_index, dist_2, dist_inf, query_dists
 from .hull import convex_hull, jaccard
 from .mechanisms import (
     identity_cgp_inf,
@@ -116,6 +116,9 @@ class ExperimentConfig:
         for name in ("min_eps_dist", "extent"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        # a hull over the square would be refused after the data had drawn
+        if self.extent > MAX_SPAN:
+            raise ValueError(f"extent must be at most {MAX_SPAN:g}, got {self.extent}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.collections < 1:

@@ -124,6 +124,6 @@ def query_point_pool(traces: Iterable[PointTuple], cell: float = 1.0) -> np.ndar
     if not cell > 0:
         raise ValueError(f"cell must be positive, got {cell}")
     pts = np.vstack([t.points for t in traces])
-    cells = np.floor(pts / cell).astype(np.int64)
+    cells = np.floor(pts / cell)  # as floats: an int64 cast fails from about 9.2e18
     uniq = np.unique(cells, axis=0)
     return (uniq + 0.5) * cell

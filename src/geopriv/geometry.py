@@ -19,6 +19,12 @@ from typing import Iterable
 
 import numpy as np
 
+# The largest coordinate span the hull pipeline takes: the orientation
+# tolerance squares a span, and the shoelace area sums products of two
+# spans, which overflow before the square does (from about 1e154 on).  At
+# 1e150 a product is at most 1e300, so a sum of up to ~1e8 stays finite.
+MAX_SPAN = 1e150
+
 
 class PointTuple:
     """Ordered tuple of n points in d-dimensional Euclidean space."""

@@ -3,11 +3,9 @@ areas (the Jaccard similarity of two hulls)."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .geometry import bounds
+from .geometry import MAX_SPAN, bounds
 
 # orientation tolerance, relative to the bounding-box scale of the input
 ORIENT_EPS = 1e-9
@@ -68,14 +66,11 @@ def _bbox_scale(pts: np.ndarray) -> float:
 
 
 def _orient_tol(span: float) -> float:
-    """``ORIENT_EPS * span**2``, refused once the square overflows (from a
-    span of about 1.34e154; an infinite span squares to inf unraised)."""
-    try:
-        if (square := span**2) < math.inf:
-            return ORIENT_EPS * square
-    except OverflowError:
-        pass
-    raise ValueError(f"the points span {span:g}, whose square overflows")
+    """``ORIENT_EPS * span**2``, refused for a span above ``MAX_SPAN``
+    (an infinite one included)."""
+    if not span <= MAX_SPAN:
+        raise ValueError(f"the points span {span:g}, more than the largest span {MAX_SPAN:g}")
+    return ORIENT_EPS * span**2
 
 
 def _cross(o, a, b) -> float:
@@ -131,8 +126,9 @@ def convex_hull(points) -> ConvexPolygon:
 
     Collinear points are dropped (orientation tolerance ORIENT_EPS relative
     to the bounding-box scale); inputs whose hull has fewer than 3 vertices
-    come back flagged degenerate.  Points whose bounding box spans about
-    1.34e154 or more are refused: the tolerance's square would overflow.
+    come back flagged degenerate.  Points whose bounding box spans more
+    than ``geometry.MAX_SPAN`` (1e150) are refused: the area's shoelace
+    sums could overflow.
     The chain emits the vertices counter-clockwise by construction; the
     shoelace sum of the raw coordinates is no check of that, because at
     Mercator offsets (~1e7 m) rounding can flip its sign for small hulls.
@@ -226,8 +222,8 @@ def jaccard(a: ConvexPolygon, b: ConvexPolygon) -> float:
     Degenerate polygons score 0 against anything except an identical
     degenerate polygon, which scores 1.  The clip runs on both polygons
     translated by their common bounding-box minimum, so its edge tests keep
-    their precision at Mercator offsets.  Polygons spanning about 1.34e154
-    or more are refused, as in :func:`convex_hull`.
+    their precision at Mercator offsets.  Polygons that together span more
+    than ``geometry.MAX_SPAN`` are refused, as in :func:`convex_hull`.
     """
     if a.degenerate or b.degenerate:
         return 1.0 if (a.degenerate and b.degenerate and _degenerate_equal(a, b)) else 0.0

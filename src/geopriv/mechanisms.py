@@ -24,8 +24,9 @@ the ones a query-by-query scan would draw, so the draw stream, and every
 output at a fixed seed, is that of such a scan.
 
 ``pnn``, each ``kpnn`` round and each anchor probe are one private
-nearest-neighbour step, ``_pnn_scan``, over distances computed once per
-query point by ``geometry.query_dists``.  The step cycles through its
+nearest-neighbour step, ``_pnn_scan(dists, rate, rng) -> (pos, steps)``,
+over distances computed once per query point by ``geometry.query_dists``;
+the step charges nothing, its caller charges the step's budget first.  The step cycles through its
 distances (``_cycle``): a block that does not cross the end of the array is
 a view of it, and only a block across the seam is a wrapped copy, taken
 from the block's offset ``done % m`` so that its cost does not grow with
@@ -58,9 +59,9 @@ refuses an infinite scale.  The labels are:
 - ``svt``: ``svt_threshold``, ``svt_queries``; ``pnn``: ``pnn_threshold``
   and then the ``svt`` labels
 - ``kpnn``, ``kpnn_gp``: ``round_1`` .. ``round_k``
-- ``pch_anchors_detailed``: ``centre``, ``radius``, ``probe_1`` .. ``probe_k``
-- ``private_convex_hull``, ``private_convex_hull_gp``: the anchor labels,
-  then ``release_1`` .. ``release_k``
+- ``private_convex_hull``, ``private_convex_hull_gp``: the anchor stage's
+  ``centre``, ``radius``, ``probe_1`` .. ``probe_k``, then ``release_1`` ..
+  ``release_k``
 
 Indices crossing the API are 1-based (see geometry module).
 """
@@ -310,21 +311,6 @@ def _cycle(values: np.ndarray) -> Callable[[int, int], np.ndarray]:
     return block
 
 
-def _svt(
-    block: Callable[[int, int], np.ndarray],
-    eps: float,
-    threshold: float,
-    lipschitz: float,
-    max_steps: int,
-    rng: RandomStream,
-    ledger: BudgetLedger | None,
-) -> SvtOutcome:
-    _charge(ledger, "svt_threshold", eps / 2.0)
-    _charge(ledger, "svt_queries", eps / 2.0)
-    gate = threshold + sample_laplace(2.0 * lipschitz / eps, rng)
-    return _scan(block, gate, 4.0 * lipschitz / eps, max_steps, rng)
-
-
 def svt(
     x: PointTuple,
     eps: float,
@@ -363,7 +349,10 @@ def svt(
     def block(done, size):
         return np.fromiter((q(x) for q in islice(stream, size)), dtype=np.float64)
 
-    return _svt(block, eps, threshold, lipschitz, max_steps, rng, ledger)
+    _charge(ledger, "svt_threshold", eps / 2.0)
+    _charge(ledger, "svt_queries", eps / 2.0)
+    gate = threshold + sample_laplace(2.0 * lipschitz / eps, rng)
+    return _scan(block, gate, 4.0 * lipschitz / eps, max_steps, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -383,49 +372,20 @@ def _check_step_rate(rate: float) -> None:
         raise ValueError(f"a nearest-neighbour step at rate {rate} has an infinite noise scale")
 
 
-def _pnn_scan(
-    dists: np.ndarray, eps: float, rng: RandomStream, ledger: BudgetLedger | None
-) -> tuple[int, SvtOutcome]:
+def _pnn_scan(dists: np.ndarray, rate: float, rng: RandomStream) -> tuple[int, int]:
     """The private nearest-neighbour step behind ``pnn``, each ``kpnn`` round
-    and each anchor probe: an eps-GP scan cycling the candidate distances.
-    Returns the accepted 0-based position in ``dists`` and the outcome."""
+    and each anchor probe: a rate-GP scan cycling the candidate distances,
+    with ``pnn``'s split of the rate.  Returns the accepted 0-based position
+    in ``dists`` and the scan's step count; charges nothing."""
     m = len(dists)
-    _charge(ledger, "pnn_threshold", eps / 3.0)
-    gate = float(dists.min()) + sample_laplace(3.0 / eps, rng)
-    outcome = _svt(_cycle(dists), 2.0 * eps / 3.0, gate, 1.0, _MAX_CYCLES * m, rng, ledger)
+    svt_eps = 2.0 * rate / 3.0
+    gate = (float(dists.min()) + sample_laplace(3.0 / rate, rng)) + sample_laplace(2.0 / svt_eps, rng)
+    outcome = _scan(_cycle(dists), gate, 4.0 / svt_eps, _MAX_CYCLES * m, rng)
     if not outcome.halted:
         raise NonHaltError(
             f"nearest-neighbour scan did not accept within {_MAX_CYCLES} cycles over {m} candidates"
         )
-    return (outcome.steps - 1) % m, outcome
-
-
-def pnn_detailed(
-    x: PointTuple,
-    query_point,
-    indices: Iterable[int],
-    eps: float,
-    rng: RandomStream,
-    ledger: BudgetLedger | None = None,
-) -> tuple[int, SvtOutcome]:
-    """Private nearest neighbour with scan diagnostics.
-
-    Perturbs the minimum distance with Laplace(3/eps) noise (one third of
-    the budget) to form the scan threshold, then runs the sparse vector scan
-    (remaining two thirds, noise scales 3/eps and 6/eps) cycling through the
-    candidate distances until one accepts.  Returns the accepted 1-based
-    index and the SvtOutcome; eps-GP overall.
-
-    The distances are computed once, as one array, and scanned in blocks
-    (see the module docstring).
-    """
-    idx = _validate_indices(indices, x.n)
-    dists = query_dists(x.points[idx - 1], query_point)
-    _check_query_point(query_point)
-    _check_positive("eps", eps)
-    _check_step_rate(eps)
-    pos, outcome = _pnn_scan(dists, eps, rng, ledger)
-    return int(idx[pos]), outcome
+    return (outcome.steps - 1) % m, outcome.steps
 
 
 def pnn(
@@ -438,11 +398,26 @@ def pnn(
 ) -> int:
     """Private nearest neighbour in the given 1-based index subset; eps-GP.
 
+    Perturbs the minimum distance with Laplace(3/eps) noise (one third of
+    the budget) to form the scan threshold, then runs the sparse vector scan
+    (remaining two thirds, noise scales 3/eps and 6/eps) cycling through the
+    candidate distances until one accepts.  Returns the accepted index as a
+    Python int.
+
     The subset may be any iterable of integers or an integer array; it is
-    validated once and its distances are computed once (see
-    ``pnn_detailed``).  Returns a Python int.
+    validated once, and the distances are computed once, as one array, and
+    scanned in blocks (see the module docstring).
     """
-    return pnn_detailed(x, query_point, indices, eps, rng, ledger)[0]
+    idx = _validate_indices(indices, x.n)
+    dists = query_dists(x.points[idx - 1], query_point)
+    _check_query_point(query_point)
+    _check_positive("eps", eps)
+    _check_step_rate(eps)
+    _charge(ledger, "pnn_threshold", eps / 3.0)
+    _charge(ledger, "svt_threshold", 2.0 * eps / 3.0 / 2.0)
+    _charge(ledger, "svt_queries", 2.0 * eps / 3.0 / 2.0)
+    pos, _ = _pnn_scan(dists, eps, rng)
+    return int(idx[pos])
 
 
 def _kpnn(
@@ -474,7 +449,7 @@ def _kpnn(
     for j in range(1, k + 1):
         m = x.n - j + 1
         _charge(ledger, f"round_{j}", share)
-        pos, _ = _pnn_scan(dists[:m], rate, rng, None)
+        pos, _ = _pnn_scan(dists[:m], rate, rng)
         chosen.append(int(index[pos]))
         dists[pos : m - 1] = dists[pos + 1 : m]
         index[pos : m - 1] = index[pos + 1 : m]
@@ -520,19 +495,6 @@ def kpnn_gp(
 _AUTO_K_MIN, _AUTO_K_MAX = 16, 128
 
 
-def _stage_args(cal: _Calibration, budget: float, beta: float, k: int | str) -> int | str:
-    """Check the anchor stage's or a hull release's arguments, before anything
-    is charged; returns ``k``, as a Python int unless it is "auto"."""
-    _check_positive(cal.unit, budget)
-    if not 0 < beta < 1:
-        raise ValueError(f"beta must be in (0, 1), got {beta}")
-    if k != "auto":
-        k = _as_index(k, "k")
-        if k < 3:
-            raise ValueError(f"explicit k must be at least 3, got {k}")
-    return k
-
-
 def _anchors(
     cal: _Calibration,
     x: PointTuple,
@@ -543,7 +505,7 @@ def _anchors(
     ledger: BudgetLedger | None,
 ) -> tuple[list[int], PchInfo]:
     # budget is the stage's own, in the calibration's unit (eps for GP);
-    # the arguments have passed _stage_args.
+    # the arguments have passed _hull's checks.
     if x.dim != 2:
         raise ValueError(f"the convex hull pipeline is 2-D only, got dim {x.dim}")
     n = len(x)
@@ -576,38 +538,9 @@ def _anchors(
         theta = 2.0 * math.pi * j / k
         probe = c_priv + r_priv * np.array([math.cos(theta), math.sin(theta)])
         _charge(ledger, f"probe_{j + 1}", share)
-        pos, _ = _pnn_scan(query_dists(x.points, probe), rate, rng, None)
+        pos, _ = _pnn_scan(query_dists(x.points, probe), rate, rng)
         anchors.append(pos + 1)
     return anchors, PchInfo(c_priv, float(r_priv), k, share)
-
-
-def pch_anchors_detailed(
-    x: PointTuple,
-    rho: float,
-    beta: float,
-    rng: RandomStream,
-    k: int | str = "auto",
-    ledger: BudgetLedger | None = None,
-) -> tuple[list[int], PchInfo]:
-    """Anchor selection for the private convex hull: the 1-based anchor
-    indices, one per circle probe, and the stage's diagnostics.
-
-    Spends rho/20 on a privatized bounding circle (centre via the Gaussian
-    mechanism for the sqrt(2)-Lipschitz bounding-box centre at 2/3 of that,
-    radius via the 1-Lipschitz max distance at the remaining 1/3, inflated
-    by sqrt(3 log(2/beta) / rho0) so the circle encloses the tuple with
-    probability 1 - beta/2).  Then k probes are placed evenly on the circle
-    and each probe's nearest neighbour is selected privately with an equal
-    share of the remaining budget.  rho-CGP overall.
-
-    With ``k="auto"`` the anchor count balances the probe-selection noise
-    against the circle-arc coverage gap:
-    ``k = round((radius * sqrt(rho) / log(n/beta)) ** (2/3))`` clamped to
-    16..128.  An explicit ``k`` must be an integer of at least 3; otherwise
-    ValueError, with nothing charged.
-    """
-    k = _stage_args(_CGP, rho, beta, k)
-    return _anchors(_CGP, x, rho, beta, k, rng, ledger)
 
 
 def _hull(
@@ -619,7 +552,13 @@ def _hull(
     k: int | str,
     ledger: BudgetLedger | None,
 ) -> HullResult:
-    k = _stage_args(cal, budget, beta, k)
+    _check_positive(cal.unit, budget)
+    if not 0 < beta < 1:
+        raise ValueError(f"beta must be in (0, 1), got {beta}")
+    if k != "auto":
+        k = _as_index(k, "k")
+        if k < 3:
+            raise ValueError(f"explicit k must be at least 3, got {k}")
     anchors, info = _anchors(cal, x, budget / 2.0, beta / 2.0, k, rng, ledger)
     for j in range(info.k):
         _charge(ledger, f"release_{j + 1}", budget / (2.0 * info.k))
@@ -637,12 +576,27 @@ def private_convex_hull(
 ) -> HullResult:
     """Privatized convex hull release under rho-CGP.
 
-    Half the budget and half of beta select anchors (the stage of
-    ``pch_anchors_detailed`` at rho/2 and beta/2), the other half of the
+    Half the budget and half of beta select anchors; the other half of the
     budget releases each anchor location through the Gaussian mechanism at
     rho/(2k) per anchor, i.e. per-coordinate standard deviation sqrt(k/rho).
-    ``k`` is checked as there.  The hull of the returned points is computed
-    by the caller as post-processing.
+    The hull of the returned points is computed by the caller as
+    post-processing.
+
+    The anchor stage, at its rho_s = rho/2 and beta_s = beta/2, spends
+    rho_s/20 on a privatized bounding circle (centre via the Gaussian
+    mechanism for the sqrt(2)-Lipschitz bounding-box centre at 2/3 of that,
+    radius via the 1-Lipschitz max distance at the remaining 1/3, inflated
+    by sqrt(3 log(2/beta_s) / (rho_s/20)) so the circle encloses the tuple
+    with probability 1 - beta_s/2).  Then k probes are placed evenly on the
+    circle and each probe's nearest neighbour is selected privately with an
+    equal share of the stage's remaining budget.  ``info`` holds the
+    circle, k and that share.
+
+    With ``k="auto"`` the anchor count balances the probe-selection noise
+    against the circle-arc coverage gap:
+    ``k = round((radius * sqrt(rho_s) / log(n/beta_s)) ** (2/3))`` clamped
+    to 16..128.  An explicit ``k`` must be an integer of at least 3;
+    otherwise ValueError, with nothing charged.
     """
     return _hull(_CGP, x, rho, beta, rng, k, ledger)
 
@@ -659,13 +613,14 @@ def private_convex_hull_gp(
 
     Half the budget and half of beta select anchors with the pure-GP anchor
     stage, the other half of the budget releases each anchor with
-    planar-Laplace noise at rate eps/(2k).
+    planar-Laplace noise at rate eps/(2k).  ``k`` is checked as in
+    ``private_convex_hull``.
 
-    The anchor stage mirrors ``pch_anchors_detailed`` at eps/2 and beta/2:
-    eps0 = eps/40 buys the bounding circle, with planar-Laplace centre noise
-    and Laplace(3/eps0) radius noise inflated by (3/eps0) log(2/beta).  Its
-    auto anchor count balances the linear-in-k selection noise against the
-    coverage gap: ``k = round(sqrt(radius * eps / log(n/beta)))`` at the
-    stage's eps and beta, clamped to 16..128.
+    The anchor stage mirrors ``private_convex_hull``'s at eps_s = eps/2 and
+    beta_s = beta/2: eps0 = eps_s/20 buys the bounding circle, with
+    planar-Laplace centre noise and Laplace(3/eps0) radius noise inflated by
+    (3/eps0) log(2/beta_s).  Its auto anchor count balances the
+    linear-in-k selection noise against the coverage gap:
+    ``k = round(sqrt(radius * eps_s / log(n/beta_s)))``, clamped to 16..128.
     """
     return _hull(_GP, x, eps, beta, rng, k, ledger)

@@ -5,9 +5,10 @@ from itertools import combinations, cycle, islice
 
 import numpy as np
 
+from geopriv import mechanisms
 from geopriv.geometry import PointTuple, _validate_indices, query_dists
 from geopriv.hull import ORIENT_EPS, ConvexPolygon, _bbox_scale, _cross
-from geopriv.mechanisms import _CGP, _GP, _MAX_CYCLES, _Calibration
+from geopriv.mechanisms import _CGP, _GP, _Calibration
 from geopriv.noise import RandomStream, laplace_sum_pdf, sample_laplace, sample_planar_laplace
 from geopriv.statcheck import CheckReport, _binomial_band, _laplace_sum_cdf, accept_probability
 
@@ -96,25 +97,32 @@ def stepwise_scan(values, gate: float, scale: float, max_steps: int, gen: np.ran
     return False, steps
 
 
+def stepwise_pnn(dists: np.ndarray, rate: float, rng: RandomStream) -> tuple[bool, int]:
+    """A nearest-neighbour step at GP rate ``rate``, query by query
+    (``stepwise_scan``): pnn's threshold and svt noise, cycling ``dists``
+    up to the step cap (read at call time, so a patched cap applies).
+    Returns (halted, steps)."""
+    gate = float(dists.min()) + sample_laplace(3.0 / rate, rng)
+    svt_eps = 2.0 * rate / 3.0
+    gate += sample_laplace(2.0 / svt_eps, rng)
+    max_steps = mechanisms._MAX_CYCLES * len(dists)
+    return stepwise_scan(islice(cycle(dists), max_steps), gate, 4.0 / svt_eps, max_steps, rng.generator)
+
+
 def mask_kpnn(cal: _Calibration, x: PointTuple, query_point, k: int, budget: float, rng: RandomStream) -> list[int]:
     """``kpnn`` (``cal`` = ``_CGP``) or ``kpnn_gp`` (``_GP``) at the default
     scan parameters, as k rounds over a mask of the points not yet chosen:
     each round scans the distances of ``np.flatnonzero(remaining)``, query
-    by query (``stepwise_scan``), with pnn's threshold and svt noise."""
+    by query (``stepwise_pnn``)."""
     eps = cal.round_rate(budget / k)
     dists = query_dists(x.points, query_point)
     remaining = np.ones(x.n, dtype=bool)
     chosen = []
     for _ in range(k):
         left = np.flatnonzero(remaining)
-        d = dists[left]
-        gate = float(d.min()) + sample_laplace(3.0 / eps, rng)
-        svt_eps = 2.0 * eps / 3.0
-        gate += sample_laplace(2.0 / svt_eps, rng)
-        max_steps = _MAX_CYCLES * len(d)
-        halted, steps = stepwise_scan(islice(cycle(d), max_steps), gate, 4.0 / svt_eps, max_steps, rng.generator)
+        halted, steps = stepwise_pnn(dists[left], eps, rng)
         assert halted
-        t = int(left[(steps - 1) % len(d)])
+        t = int(left[(steps - 1) % len(left)])
         chosen.append(t + 1)
         remaining[t] = False
     return chosen

@@ -21,12 +21,12 @@ from geopriv.accounting import (
     matched_gp_budget,
 )
 from geopriv.bench import ExperimentConfig, main, run_sweep
-from geopriv.geometry import PointTuple, center, dist_inf, max_radius
+from geopriv.geometry import PointTuple, center, dist_inf, max_radius, query_dists
 from geopriv.hull import convex_hull
 from geopriv.mechanisms import (
+    _pnn_scan,
     kpnn,
-    pch_anchors_detailed,
-    pnn_detailed,
+    pnn,
     private_convex_hull,
     svt,
 )
@@ -144,7 +144,7 @@ def test_criterion_4_zero_noise_oracle_equivalence():
         m = int(gen.integers(1, n + 1))
         subset = sorted(int(i) + 1 for i in gen.choice(n, size=m, replace=False))
         p = gen.random(2) * 1000
-        got, _ = pnn_detailed(x, p, subset, 1.0, zero)
+        got = pnn(x, p, subset, 1.0, zero)
         d = np.linalg.norm(pts[np.asarray(subset) - 1] - p, axis=1)
         pnn_ok += got == subset[int(np.argmin(d))]
 
@@ -162,7 +162,8 @@ def test_criterion_4_zero_noise_oracle_equivalence():
         pts = gen.random((n, 2)) * 1000
         k = int(gen.integers(3, 9))
         rho, beta = 0.5, 0.05
-        anchors, info = pch_anchors_detailed(PointTuple(pts), rho, beta, zero, k=k)
+        # the anchor stage runs at half of a hull release's budget and beta
+        anchors = private_convex_hull(PointTuple(pts), 2 * rho, 2 * beta, zero, k=k).anchors
         c = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
         radius = float(np.linalg.norm(pts - c, axis=1).max()) + math.sqrt(
             3 * math.log(2 / beta) / (rho / 20)
@@ -199,10 +200,11 @@ def test_criterion_5_utility_bounds():
     hits, total_steps = 0, 0
     for t in range(trials):
         p = gen.random(2) * 10_000
-        got, outcome = pnn_detailed(x, p, range(1, n + 1), eps, RandomStream(1, t))
+        # pnn's step over every index: the accepted position and its step count
+        pos, steps = _pnn_scan(query_dists(x.points, p), eps, RandomStream(1, t))
         h = min_dist(x, p)[1]
-        hits += float(np.linalg.norm(x.points[got - 1] - p)) <= h + gamma_pnn
-        total_steps += outcome.steps
+        hits += float(np.linalg.norm(x.points[pos] - p)) <= h + gamma_pnn
+        total_steps += steps
     pnn_frac = hits / trials
     mean_steps = total_steps / trials
     pnn_ok = pnn_frac >= 1 - beta and mean_steps <= 4 * m

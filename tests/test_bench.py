@@ -43,8 +43,8 @@ def test_the_package_exports_the_product_only():
         "compose_cgp", "compose_gp", "convex_hull", "dist_2", "dist_inf",
         "gp_to_cgp", "identity_cgp_inf", "identity_cgp_l2", "identity_gp_inf",
         "identity_gp_l2", "jaccard", "kpnn", "kpnn_gp", "laplace_sum_pdf",
-        "matched_gp_budget", "max_radius", "pch_anchors_detailed", "pnn",
-        "pnn_detailed", "private_convex_hull", "private_convex_hull_gp",
+        "matched_gp_budget", "max_radius", "pnn", "private_convex_hull",
+        "private_convex_hull_gp",
         "sample_gaussian_vec", "sample_laplace", "sample_planar_laplace", "svt",
     ]
     assert all(hasattr(geopriv, name) for name in geopriv.__all__)
@@ -101,6 +101,8 @@ class TestConfig:
             ("identity --extent=-5", "extent"),
             ("identity --extent 0", "extent"),
             ("identity --extent inf", "extent"),
+            # its hulls would be refused only after the data had drawn
+            ("hull --extent 1e151", "extent"),
             # the CLI parses sizes as integers; through the API, a size that is
             # not one used to fail mid-sweep with TypeError
             (dict(task="identity", n_grid=[2.5]), "n_grid"),

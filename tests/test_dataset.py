@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,15 @@ class TestQueryPointPool:
         gen = np.random.default_rng(4)
         pool = query_point_pool([PointTuple(gen.random((100, 2)) * 9)])
         assert np.all(pool - np.floor(pool) == 0.5)
+
+    def test_large_coordinates_stay_in_the_data_cells(self):
+        # from about 9.2e18 on an int64 cell index is an invalid cast
+        pts = 1e20 + np.random.default_rng(5).random((50, 2)) * 1e6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pool = query_point_pool([PointTuple(pts)], cell=1000.0)
+        assert len(pool) == len(np.unique(np.floor(pts / 1000.0), axis=0))
+        assert np.all(pool >= pts.min(axis=0) - 1000.0) and np.all(pool <= pts.max(axis=0) + 1000.0)
 
     def test_cell_size(self):
         pool = query_point_pool([PointTuple([[3.0, 7.0]])], cell=2.0)

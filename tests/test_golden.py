@@ -26,7 +26,6 @@ from geopriv.mechanisms import (
     identity_gp_l2,
     kpnn,
     kpnn_gp,
-    pch_anchors_detailed,
     private_convex_hull,
     private_convex_hull_gp,
 )
@@ -67,8 +66,6 @@ def _record(result, ledger: BudgetLedger) -> dict:
         result = result.points.tolist()
     elif isinstance(result, HullResult):
         result = {"anchors": result.anchors, "points": result.points.tolist(), "info": _info(result.info)}
-    elif isinstance(result, tuple):  # (anchors, PchInfo)
-        result = {"anchors": result[0], "info": _info(result[1])}
     return {"result": result, "ledger": [[label, amount] for label, amount in ledger.entries]}
 
 
@@ -91,17 +88,13 @@ def mechanism_outputs(seeds=SEEDS) -> dict:
         "identity_cgp_l2": (CgpBudget(rho), lambda x, r, led: identity_cgp_l2(x, rho, r, led)),
         "kpnn": (CgpBudget(rho), lambda x, r, led: kpnn(x, [500.0, 500.0], 5, rho, r, ledger=led)),
         "kpnn_gp": (GpBudget(eps), lambda x, r, led: kpnn_gp(x, [500.0, 500.0], 5, eps, r, ledger=led)),
-        "pch_anchors_auto": (
-            CgpBudget(rho),
-            lambda x, r, led: pch_anchors_detailed(x, rho, beta, r, ledger=led),
-        ),
-        "pch_anchors_k6": (
-            CgpBudget(rho),
-            lambda x, r, led: pch_anchors_detailed(x, rho, beta, r, k=6, ledger=led),
-        ),
         "private_convex_hull": (
             CgpBudget(rho),
             lambda x, r, led: private_convex_hull(x, rho, beta, r, ledger=led),
+        ),
+        "private_convex_hull_k6": (
+            CgpBudget(rho),
+            lambda x, r, led: private_convex_hull(x, rho, beta, r, k=6, ledger=led),
         ),
         "private_convex_hull_gp": (
             GpBudget(eps),

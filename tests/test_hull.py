@@ -33,16 +33,17 @@ class TestConvexHull:
         with pytest.raises(ValueError):
             convex_hull(np.empty((0, 2)))
 
-    @pytest.mark.parametrize("span", [1.35e154, 1e155, 1e300])
-    def test_a_span_whose_square_overflows_is_refused_before_the_chain(self, span, monkeypatch):
+    # 1.2e154: the square is finite, but the area's shoelace sum overflows
+    @pytest.mark.parametrize("span", [1e151, 1.2e154, 1.35e154, 1e155, 1e300])
+    def test_a_span_above_max_span_is_refused_before_the_chain(self, span, monkeypatch):
         # refused with the tolerance, before the prefilter or the chain reads a point
         monkeypatch.setattr(hull, "_unique_rows", None)
-        with pytest.raises(ValueError, match="whose square overflows"):
+        with pytest.raises(ValueError, match="more than the largest span 1e\\+150"):
             convex_hull(SQUARE * span)
-        with pytest.raises(ValueError, match="whose square overflows"):
+        with pytest.raises(ValueError, match="more than the largest span 1e\\+150"):
             convex_hull(np.vstack([SQUARE] * 10) * span)  # through the prefilter's path
 
-    def test_a_span_whose_square_is_finite_is_kept(self):
+    def test_max_span_is_kept(self):
         assert convex_hull(SQUARE * 1e150).area == pytest.approx(1e300, rel=1e-12)
 
     def test_matches_brute_force_elimination(self):
@@ -109,14 +110,14 @@ class TestJaccard:
         assert 0.2 < at_origin < 0.8
         assert jaccard(convex_hull(a), convex_hull(b)) == pytest.approx(at_origin, rel=1e-9)
 
-    @pytest.mark.parametrize("offset", [1e155, 1e160])
-    def test_a_span_whose_square_overflows_is_refused_before_the_clip(self, offset, monkeypatch):
+    @pytest.mark.parametrize("offset", [1e151, 1e155, 1e160])
+    def test_a_span_above_max_span_is_refused_before_the_clip(self, offset, monkeypatch):
         # each polygon is small; the two together span 2 * offset
         a = ConvexPolygon(SQUARE * (offset / 1e15) - offset)
         b = ConvexPolygon(SQUARE * (offset / 1e15) + offset)
         assert not (a.degenerate or b.degenerate) and a.area > 0
         monkeypatch.setattr(hull, "_clip_convex", None)
-        with pytest.raises(ValueError, match="whose square overflows"):
+        with pytest.raises(ValueError, match="more than the largest span 1e\\+150"):
             jaccard(a, b)
 
     def test_degenerate_rules(self):

@@ -16,9 +16,7 @@ from geopriv.mechanisms import (
     identity_gp_l2,
     kpnn,
     kpnn_gp,
-    pch_anchors_detailed,
     pnn,
-    pnn_detailed,
     private_convex_hull,
     private_convex_hull_gp,
     svt,
@@ -370,21 +368,23 @@ class TestRadiusSlack:
 
 
 class TestPchAnchors:
+    # the anchor stage, through a CGP hull release at twice the stage's
+    # budget and beta: the release runs the stage at half of each
+
     def test_zero_noise_diamond_hits_each_corner(self):
-        anchors, _ = pch_anchors_detailed(DIAMOND, 1.0, 0.05, RandomStream(0, zero_noise=True), k=4)
-        assert anchors == [1, 2, 3, 4]
+        res = private_convex_hull(DIAMOND, 2.0, 0.1, RandomStream(0, zero_noise=True), k=4)
+        assert res.anchors == [1, 2, 3, 4]
 
     def test_single_point_every_anchor_is_one(self):
         x = PointTuple([[123.0, 456.0]])
-        anchors, _ = pch_anchors_detailed(x, 0.5, 0.05, RandomStream(29), k=6)
-        assert anchors == [1] * 6
+        assert private_convex_hull(x, 1.0, 0.1, RandomStream(29), k=6).anchors == [1] * 6
 
     def test_zero_noise_matches_per_probe_argmin(self):
         x = uniform_tuple(30, 200)
-        anchors, info = pch_anchors_detailed(x, 0.5, 0.05, RandomStream(0, zero_noise=True), k=8)
-        for j, a in enumerate(anchors):
+        res = private_convex_hull(x, 1.0, 0.1, RandomStream(0, zero_noise=True), k=8)
+        for j, a in enumerate(res.anchors):
             theta = 2 * math.pi * j / 8
-            probe = info.center + info.radius * np.array([math.cos(theta), math.sin(theta)])
+            probe = res.info.center + res.info.radius * np.array([math.cos(theta), math.sin(theta)])
             assert a == min_dist(x, probe)[0]
 
     def test_auto_k_formula_and_clamp(self):
@@ -394,31 +394,34 @@ class TestPchAnchors:
         assert raw == pytest.approx(0.8439, abs=1e-3)
 
         x = uniform_tuple(31, 500, scale=100.0)
-        anchors, info = pch_anchors_detailed(x, 1e-4, 0.05, RandomStream(0, zero_noise=True))
-        assert info.k == 16 and len(anchors) == 16
+        res = private_convex_hull(x, 2e-4, 0.1, RandomStream(0, zero_noise=True))
+        assert res.info.k == 16 and len(res.anchors) == 16
 
     def test_auto_k_inside_clamp_range(self):
         x = uniform_tuple(32, 400, scale=10_000.0)
-        anchors, info = pch_anchors_detailed(x, 1.0, 0.05, RandomStream(0, zero_noise=True), k="auto")
+        res = private_convex_hull(x, 2.0, 0.1, RandomStream(0, zero_noise=True), k="auto")
+        info = res.info
         expect = round((info.radius * math.sqrt(1.0) / math.log(400 / 0.05)) ** (2.0 / 3.0))
-        assert 16 <= info.k <= 128 and info.k == expect
+        assert 16 <= info.k <= 128 and info.k == expect == len(res.anchors)
 
     def test_budget_split_and_ledger(self):
         x = uniform_tuple(33, 50)
         rho = 0.8
-        ledger = BudgetLedger(CgpBudget(rho))
-        anchors, info = pch_anchors_detailed(x, rho, 0.05, RandomStream(34), k=5, ledger=ledger)
+        ledger = BudgetLedger(CgpBudget(2 * rho))
+        info = private_convex_hull(x, 2 * rho, 0.1, RandomStream(34), k=5, ledger=ledger).info
         labels = [l for l, _ in ledger.entries]
         amounts = dict(ledger.entries)
         assert labels[:2] == ["centre", "radius"]
         assert amounts["centre"] == pytest.approx(2 * (rho / 20) / 3, rel=1e-12)
         assert amounts["radius"] == pytest.approx((rho / 20) / 3, rel=1e-12)
         assert info.probe_budget == pytest.approx((rho - rho / 20) / 5, rel=1e-12)
+        assert [amounts[f"probe_{j}"] for j in range(1, 6)] == [info.probe_budget] * 5
         ledger.close()
 
     def test_requires_2d(self):
-        with pytest.raises(ValueError):
-            pch_anchors_detailed(PointTuple([[1.0, 2.0, 3.0]]), 1.0, 0.1, ZERO, k=3)
+        for release in (private_convex_hull, private_convex_hull_gp):
+            with pytest.raises(ValueError, match="2-D only"):
+                release(PointTuple([[1.0, 2.0, 3.0]]), 2.0, 0.2, ZERO, k=3)
 
     def test_param_validation(self):
         # the hull releases check their own budget and beta, which the
@@ -434,18 +437,18 @@ class TestPchAnchors:
             (1.0, 0.05, {"k": "7"}),
         ]
         x = uniform_tuple(42, 10)
-        for stage in (pch_anchors_detailed, private_convex_hull, private_convex_hull_gp):
+        for release in (private_convex_hull, private_convex_hull_gp):
             for budget, beta, kwargs in bad:
                 ledger = BudgetLedger(CgpBudget(1.0))
                 with pytest.raises(ValueError):
-                    stage(x, budget, beta, ZERO, ledger=ledger, **kwargs)
-                assert ledger.entries == [], (stage.__name__, budget, beta, kwargs)
+                    release(x, budget, beta, ZERO, ledger=ledger, **kwargs)
+                assert ledger.entries == [], (release.__name__, budget, beta, kwargs)
 
     def test_integer_kinds_are_accepted(self):
         x = uniform_tuple(30, 200)
-        a = pch_anchors_detailed(x, 0.5, 0.05, ZERO, k=np.int64(8))
-        b = pch_anchors_detailed(x, 0.5, 0.05, ZERO, k=8)
-        assert a[0] == b[0] and type(a[1].k) is int
+        a = private_convex_hull(x, 1.0, 0.1, ZERO, k=np.int64(8))
+        b = private_convex_hull(x, 1.0, 0.1, ZERO, k=8)
+        assert a.anchors == b.anchors and type(a.info.k) is int
 
 
 class TestPrivateConvexHull:
@@ -526,7 +529,6 @@ class TestMonotonePrivacy:
 # reported after the query point: eps for pnn, the subset for min_dist.
 QUERY_POINT_TAKERS = {
     "pnn": lambda x, q, led: pnn(x, q, [1, 2], 0.0, ZERO, ledger=led),
-    "pnn_detailed": lambda x, q, led: pnn_detailed(x, q, [1, 2], 0.0, ZERO, ledger=led),
     "kpnn": lambda x, q, led: kpnn(x, q, 2, 1.0, ZERO, ledger=led),
     "kpnn_gp": lambda x, q, led: kpnn_gp(x, q, 2, 1.0, ZERO, ledger=led),
     "max_radius": lambda x, q, led: max_radius(x, q),
@@ -562,18 +564,15 @@ MECHANISM_CALLS = {
         ),
     ),
     "pnn": (("budget", "query"), lambda x, r, led, a: pnn(x, a["query"], [1, 2, 3], a["budget"], r, led)),
-    "pnn_detailed": (
-        ("budget", "query"),
-        lambda x, r, led, a: pnn_detailed(x, a["query"], [1, 2, 3], a["budget"], r, led),
-    ),
     "kpnn": (("budget", "query", "k"), lambda x, r, led, a: kpnn(x, a["query"], a["k"], a["budget"], r, led)),
     "kpnn_gp": (
         ("budget", "query", "k"),
         lambda x, r, led, a: kpnn_gp(x, a["query"], a["k"], a["budget"], r, led),
     ),
-    "pch_anchors_detailed": (
+    # the anchor stage, at half of a CGP hull release's budget and beta
+    "anchor_stage": (
         ("budget", "beta", "k"),
-        lambda x, r, led, a: pch_anchors_detailed(x, a["budget"], a["beta"], r, a["k"], led),
+        lambda x, r, led, a: private_convex_hull(x, 2 * a["budget"], 2 * a["beta"], r, a["k"], led),
     ),
     "private_convex_hull": (
         ("budget", "beta", "k"),

@@ -5,7 +5,10 @@ calibration, every composite mechanism's ledger closes (also when a
 scan gives up), and under zero noise the k nearest neighbours and every
 hull anchor are exactly the brute-force ones.  The sparse vector scan is checked against a brute-force
 first-below search under zero noise, and against a query-by-query scan on
-seeded streams: same outcome, same draws.  Its cycling blocks are checked
+seeded streams: same outcome, same draws.  The private nearest-neighbour
+step is checked against a query-by-query step on the same stream, halting at
+block edges, across the seam or at the cap, and ``pnn`` against that step
+over its subset.  The scan's cycling blocks are checked
 against the distances at their indices modulo m, however many cycles in,
 with the seam copy's indices below m + 256, and seeded ``kpnn``/``kpnn_gp`` against rounds
 over a mask of the points not yet chosen, each a query-by-query scan.  The prefiltered convex hull is
@@ -48,10 +51,10 @@ from geopriv.mechanisms import (
     NonHaltError,
     SvtOutcome,
     _cycle,
+    _pnn_scan,
     _scan,
     kpnn,
     kpnn_gp,
-    pch_anchors_detailed,
     pnn,
     private_convex_hull,
     private_convex_hull_gp,
@@ -64,6 +67,7 @@ from helpers import (
     brute_knn,
     mask_kpnn,
     monotone_chain,
+    stepwise_pnn,
     stepwise_scan,
 )
 
@@ -74,12 +78,6 @@ MECHANISMS = {
     "pnn": (GpBudget, lambda c, rng, led: pnn(c.x, Q, range(1, c.x.n + 1), c.budget, rng, ledger=led)),
     "kpnn": (CgpBudget, lambda c, rng, led: kpnn(c.x, Q, c.k, c.budget, rng, ledger=led)),
     "kpnn_gp": (GpBudget, lambda c, rng, led: kpnn_gp(c.x, Q, c.k, c.budget, rng, ledger=led)),
-    "pch_anchors_detailed": (
-        CgpBudget,
-        lambda c, rng, led: pch_anchors_detailed(
-            c.x, c.budget, c.beta, rng, k=c.hull_k, ledger=led
-        ),
-    ),
     "private_convex_hull": (
         CgpBudget,
         lambda c, rng, led: private_convex_hull(
@@ -162,6 +160,81 @@ def test_pnn_default_cap_outlasts_64_cycles(monkeypatch):
     assert pnn(c.x, Q, every, c.budget, RandomStream(c.seed)) == 3
 
 
+def _step_dists(m, spread, seed):
+    return np.random.default_rng(seed).random(m) * spread
+
+
+def assert_step_is_stepwise(dists, rate, seed):
+    """``_pnn_scan`` against the query-by-query step on the same stream:
+    the same position and step count, or the same abort, and the generator
+    left in the same state.  Returns the step count."""
+    fast, ref = RandomStream(seed, 5), RandomStream(seed, 5)
+    halted, steps = stepwise_pnn(dists, rate, ref)
+    if halted:
+        assert _pnn_scan(dists, rate, fast) == ((steps - 1) % len(dists), steps)
+    else:
+        with pytest.raises(NonHaltError):
+            _pnn_scan(dists, rate, fast)
+    assert fast.generator.random() == ref.generator.random()
+    return steps
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    m=st.integers(1, 600),
+    spread=st.sampled_from([0.0, 1.0, 40.0, 160.0]),
+    rate=st.sampled_from([0.05, 1.0, 20.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pnn_step_is_the_stepwise_scan(m, spread, rate, seed):
+    assert_step_is_stepwise(_step_dists(m, spread, seed), rate, seed)
+
+
+# (m, spread, seed) -> the step it halts at: the last draw of the first
+# block and either side of it, after the seam inside the first wrapped
+# block, and after a seam 13 cycles in
+@pytest.mark.parametrize(
+    "m, spread, seed, halt",
+    [
+        (300, 160.0, 787, 255),
+        (300, 160.0, 140, 256),
+        (300, 160.0, 2930, 257),
+        (300, 40.0, 406, 489),
+        (100, 80.0, 406, 1363),
+    ],
+)
+def test_pnn_step_halts_at_block_edges_and_across_the_seam(m, spread, seed, halt):
+    assert assert_step_is_stepwise(_step_dists(m, spread, seed), 1.0, seed) == halt
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(m=st.integers(1, 300), cycles=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+# aborts at the cap of two cycles, the second across a block edge
+@example(m=257, cycles=2, seed=5)
+def test_an_aborted_pnn_step_draws_like_the_stepwise_scan(m, cycles, seed):
+    # every candidate 1e6 above the lowest, which sits at the end: the scan
+    # halts only at the last position of a cycle, or aborts at the cap
+    dists = np.full(m, 1e6)
+    dists[-1] = 0.0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mechanisms, "_MAX_CYCLES", cycles)
+        steps = assert_step_is_stepwise(dists, 1.0, seed)
+    assert steps % m == 0 and steps <= cycles * m
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(case=cases(), subset_seed=st.integers(0, 2**32 - 1))
+def test_pnn_returns_the_steps_index(case, subset_seed):
+    # pnn is the step over the subset's distances: it returns idx[pos] and
+    # draws nothing else
+    gen = np.random.default_rng(subset_seed)
+    idx = np.sort(gen.choice(case.x.n, size=int(gen.integers(1, case.x.n + 1)), replace=False)) + 1
+    fast, step = RandomStream(case.seed, 7), RandomStream(case.seed, 7)
+    pos, _ = _pnn_scan(query_dists(case.x.points[idx - 1], Q), case.budget, step)
+    assert pnn(case.x, Q, idx, case.budget, fast) == idx[pos]
+    assert fast.generator.random() == step.generator.random()
+
+
 @pytest.mark.parametrize("select", [kpnn, kpnn_gp])
 @settings(max_examples=50, deadline=None, database=None)
 @given(case=cases())
@@ -196,9 +269,6 @@ def _hull_stage(release):
 
 
 ANCHOR_STAGES = {
-    "pch_anchors_detailed": lambda c, rng: pch_anchors_detailed(
-        c.x, c.budget, c.beta, rng, k=c.hull_k
-    ),
     "private_convex_hull": _hull_stage(private_convex_hull),
     "private_convex_hull_gp": _hull_stage(private_convex_hull_gp),
 }
