@@ -13,6 +13,13 @@ class BudgetError(ValueError):
     """Raised when ledger entries overspend or fail to close a declared budget."""
 
 
+def _nonnegative(**values: float) -> None:
+    """Refuse a negative, infinite or NaN budget parameter."""
+    for name, v in values.items():
+        if not 0 <= v < math.inf:
+            raise ValueError(f"{name} must be nonnegative and finite, got {v}")
+
+
 @dataclass(frozen=True)
 class GpBudget:
     """Geo-privacy budget: eps is the privacy loss per unit distance.
@@ -25,10 +32,7 @@ class GpBudget:
     delta: float = 0.0
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ValueError(f"eps must be nonnegative, got {self.eps}")
-        if self.delta < 0:
-            raise ValueError(f"delta must be nonnegative, got {self.delta}")
+        _nonnegative(eps=self.eps, delta=self.delta)
         if self.delta >= 1:
             warnings.warn(
                 f"delta={self.delta} >= 1 gives a vacuous guarantee", stacklevel=2
@@ -42,8 +46,7 @@ class CgpBudget:
     rho: float
 
     def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError(f"rho must be nonnegative, got {self.rho}")
+        _nonnegative(rho=self.rho)
 
 
 @dataclass(frozen=True)
@@ -55,30 +58,27 @@ class RelaxedGpBudget:
     dist_cap: float
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ValueError(f"eps must be nonnegative, got {self.eps}")
+        _nonnegative(eps=self.eps)
         if not 0 <= self.delta < 1:
             raise ValueError(f"delta must be in [0, 1), got {self.delta}")
-        if not self.dist_cap > 0:
-            raise ValueError(f"dist_cap must be positive, got {self.dist_cap}")
+        if not 0 < self.dist_cap < math.inf:
+            raise ValueError(f"dist_cap must be positive and finite, got {self.dist_cap}")
 
 
 def gp_to_cgp(eps: float) -> CgpBudget:
     """A pure eps-GP mechanism is also (eps^2 / 2)-CGP."""
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    _nonnegative(eps=eps)
     return CgpBudget(0.5 * eps * eps)
 
 
 def cgp_to_relaxed_gp(rho: float, delta: float, dist_cap: float) -> RelaxedGpBudget:
     """A rho-CGP mechanism is (eps, delta)-GP for inputs within dist_cap, with
     ``eps = rho * dist_cap + 2 * sqrt(rho * log(1/delta))``."""
-    if rho < 0:
-        raise ValueError(f"rho must be nonnegative, got {rho}")
+    _nonnegative(rho=rho)
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if not dist_cap > 0:
-        raise ValueError(f"dist_cap must be positive, got {dist_cap}")
+    if not 0 < dist_cap < math.inf:
+        raise ValueError(f"dist_cap must be positive and finite, got {dist_cap}")
     eps = rho * dist_cap + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
     return RelaxedGpBudget(eps, delta, dist_cap)
 
@@ -92,14 +92,17 @@ def matched_gp_budget(rho: float, delta: float, min_eps_dist: float = 10.0) -> f
     eps * Delta = min_eps_dist.  Closed form:
     ``sqrt(rho * min_eps_dist + rho * log(1/delta)) + sqrt(rho * log(1/delta))``.
     """
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    if not 0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if not min_eps_dist > 0:
-        raise ValueError(f"min_eps_dist must be positive, got {min_eps_dist}")
+    if not 0 < min_eps_dist < math.inf:
+        raise ValueError(f"min_eps_dist must be positive and finite, got {min_eps_dist}")
     tail = rho * math.log(1.0 / delta)
-    return math.sqrt(rho * min_eps_dist + tail) + math.sqrt(tail)
+    eps = math.sqrt(rho * min_eps_dist + tail) + math.sqrt(tail)
+    if eps == math.inf:
+        raise ValueError(f"the GP budget matched to rho={rho} overflows")
+    return eps
 
 
 def compose_cgp(budgets: Iterable[CgpBudget]) -> CgpBudget:
@@ -150,8 +153,8 @@ class BudgetLedger:
         return sum(amount for _, amount in self.entries)
 
     def charge(self, label: str, amount: float) -> None:
-        if amount < 0:
-            raise BudgetError(f"cannot charge a negative amount ({amount}) for {label!r}")
+        if not 0 <= amount < math.inf:
+            raise BudgetError(f"cannot charge {amount} for {label!r}: an amount must be nonnegative and finite")
         new_total = self.total + amount
         cap = self.declared_rate
         if new_total > cap * (1.0 + self.REL_TOL) + self.ABS_TOL:

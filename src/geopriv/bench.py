@@ -18,10 +18,11 @@ Everything is deterministic under a fixed seed: each stream is keyed by a
 tuple, a tag naming what it draws and then its indices, such as a sample's
 ``(_SAMPLE, ci, ni)``.  A mechanism's key ``(_MECH, ni, ki, mi, ci, t)``
 holds no budget, so every budget shares its draws (common random numbers):
-the stream is built once per (cell, pair, mechanism), taped on the first
-budget and replayed on the rest (see :mod:`geopriv.noise`), so a noise
-array is drawn once per trial, not once per budget.  A grid of one budget
-has nothing to replay and is not taped.
+the stream is built once per (cell, pair, mechanism), taped, and rewound
+before each budget after the first, so a noise array a budget requests
+again at the same generator state is served from the stream's memo (see
+:mod:`geopriv.noise`) and drawn once per trial, not once per budget.  A
+grid of one budget has nothing to serve again and is not taped.
 """
 
 from __future__ import annotations
@@ -211,19 +212,13 @@ def _sampled(cfg: ExperimentConfig, colls: list[PointTuple], n_index: int, n: in
 
 
 def _aggregate(task, mechanism, n, budget, k, metric, values) -> ResultRow:
+    """One cell's row.  A mean or quartile that is not finite (a release
+    whose noise overflowed) raises ValueError naming the cell."""
     arr = np.asarray(values, dtype=np.float64)
-    return ResultRow(
-        task,
-        mechanism,
-        int(n),
-        float(budget),
-        k,
-        metric,
-        float(arr.mean()),
-        float(np.percentile(arr, 25)),
-        float(np.percentile(arr, 75)),
-        int(arr.size),
-    )
+    stats = float(arr.mean()), float(np.percentile(arr, 25)), float(np.percentile(arr, 75))
+    if not all(map(math.isfinite, stats)):
+        raise ValueError(f"{task} {mechanism} at n={n}, budget={budget}, k={k}: {metric} is not finite {stats}")
+    return ResultRow(task, mechanism, int(n), float(budget), k, metric, *stats, int(arr.size))
 
 
 def _row_key(r: ResultRow):
@@ -406,9 +401,10 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     ``eps_grid`` is given.
 
     The loop is pair-outer, budget-inner: one job per (collection, trial)
-    pair of a cell builds each mechanism's stream, tapes it on the first
-    budget and replays it on the rest (a grid of one budget is not taped),
-    and returns the scores of every budget; the tape lives for one trial.
+    pair of a cell builds each mechanism's stream, tapes it and rewinds it
+    before each budget after the first (a grid of one budget is not taped),
+    and returns the scores of every budget.  The memo lives for one trial
+    and holds one entry per distinct (state, request) its budgets met.
     A task without scans maps its pair jobs over a thread pool of
     ``min(cores, pairs)`` workers (numpy's samplers and ufunc loops release
     the GIL), shut down when the sweep returns or raises; with one worker,
@@ -444,7 +440,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
                     out = []
                     for mi, release in enumerate(task.mechanisms.values()):
                         rng = _stream(cfg, _MECH, ni, ki, mi, *pair)
-                        # one budget has nothing to replay, and recording it cost hull-sweep 7%
+                        # one budget has nothing to serve again, and recording it cost hull-sweep 7%
                         with rng.taped() if len(budgets) > 1 else contextlib.nullcontext():
                             for bi, (_, rho, eps) in enumerate(budgets):
                                 if bi:

@@ -13,22 +13,21 @@ draw rather than being truncated or parsed.  Its scale must be positive and
 finite; so must planar Laplace's rate and its scale 1/eps, which overflows
 for a subnormal rate.
 
-Common random numbers are replayed, not redrawn.  Inside
-``with rng.taped():`` the stream records every normal and gamma array that
-``sample_planar_laplace`` and ``sample_gaussian_vec`` take through it, with
-the generator state after each.  After ``rng.rewind()`` a request equal to
-the next recorded one (same method, same arguments) is served from the
-tape, as a read-only array the sampler scales into a fresh buffer, so the
-tape is never written to.  The first request that differs, a request past
-the end of the tape, any use of ``rng.generator`` (``sample_laplace``, the
-scan's noise blocks, a caller's own draws) and leaving the scope end the
-replay: the generator is set to the state after the last served entry, so
-what follows is drawn exactly as a fresh stream of the same key would draw
-it, and every byte stays the same.  Nothing drawn after a use of
-``rng.generator`` in one pass is recorded, since a replay would skip that
-use.  Outside the scope a stream keeps no reference to its draws.  The
-budget sweeps tape each trial's streams; ``verify`` never does, as it
-draws each stream once, in 64k-row chunks a tape would only hold on to.
+Common random numbers are served from a memo, not redrawn.  Inside
+``with rng.taped():`` each normal and gamma array that
+``sample_planar_laplace`` and ``sample_gaussian_vec`` take through the
+stream is recorded, read-only, under the generator state before it and the
+request (method and arguments), with the state after it.  The same request
+met again at the same state is served from the memo, and the generator is
+set to the recorded state after it; the sampler scales the array into a
+fresh buffer.  So the generator always stands where a fresh stream of the
+same key would stand, whatever else draws from it (``sample_laplace``, the
+scan's noise blocks, a caller's own draws), and every byte stays the same.
+``rewind()`` restores the state at ``taped()``.  A scope holds one entry per
+distinct (state, request) it met, and leaving it drops them all: outside
+the scope a stream keeps no reference to its draws.  The budget sweeps tape
+each trial's streams; ``verify`` never does, as it draws each stream once,
+in 64k-row chunks a memo would only hold on to.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ class RandomStream:
     degenerate test stream.
     """
 
-    __slots__ = ("seed", "stream_id", "zero_noise", "_generator", "_tape")
+    __slots__ = ("seed", "stream_id", "zero_noise", "_generator", "_bits", "_start", "_memo")
 
     def __init__(self, seed: int = 0, stream_id: int | tuple[int, ...] = 0, zero_noise: bool = False):
         self.seed = _as_uint(seed, "seed", 64)
@@ -72,64 +71,49 @@ class RandomStream:
             key = (self.stream_id,)
         self.zero_noise = bool(zero_noise)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=key)
-        self._generator = np.random.Generator(np.random.PCG64(ss))
-        self._tape = None
+        self._bits = np.random.PCG64(ss)
+        self._generator = np.random.Generator(self._bits)
+        self._memo = None
 
     @property
     def generator(self) -> np.random.Generator:
-        """The generator, for draws the tape does not see: inside ``taped()``
-        this ends a replay and stops recording until the next ``rewind()``."""
-        tape = self._tape
-        if tape is not None:
-            if tape.replaying:
-                self._end_replay()
-            tape.recording = False
+        """The stream's numpy generator, for draws the memo does not see."""
         return self._generator
 
     @contextlib.contextmanager
     def taped(self):
-        """Record this stream's sampler draws until the scope ends (see the
-        module docstring); the tape is dropped on exit."""
-        if self._tape is not None:
+        """Memoise this stream's sampler draws until the scope ends (see the
+        module docstring)."""
+        if self._memo is not None:
             raise RuntimeError("stream is already taped")
-        self._tape = _Tape(self._generator.bit_generator.state)
+        self._start, self._memo = self._bits.state, {}
         try:
             yield self
         finally:
-            if self._tape.replaying:
-                self._end_replay()
-            self._tape = None
+            self._memo = None
 
     def rewind(self) -> None:
-        """Restart the taped stream from its state at ``taped()``: matching
-        sampler requests are served from the tape."""
-        tape = self._tape
-        if tape is None:
+        """Set the taped stream back to its state at ``taped()``."""
+        if self._memo is None:
             raise RuntimeError("rewind() needs a taped() stream")
-        tape.pos, tape.replaying, tape.recording = 0, True, True
-
-    def _end_replay(self) -> None:
-        tape = self._tape
-        del tape.entries[tape.pos :]
-        self._generator.bit_generator.state = tape.entries[-1][2] if tape.entries else tape.start
-        tape.replaying = False
+        self._bits.state = self._start
 
     def _draw(self, method: str, *args) -> np.ndarray:
-        """``generator.<method>(*args)``, recorded or replayed inside ``taped()``.
-        A taped array is read-only: a sampler must scale it into a new buffer."""
-        tape = self._tape
-        if tape is None:
+        """``generator.<method>(*args)``, served from or recorded in the memo
+        inside ``taped()``.  A memo's array is read-only: a sampler must
+        scale it into a new buffer."""
+        memo = self._memo
+        if memo is None:
             return getattr(self._generator, method)(*args)
-        request = (method, args)
-        if tape.replaying:
-            if tape.pos < len(tape.entries) and tape.entries[tape.pos][0] == request:
-                tape.pos += 1
-                return tape.entries[tape.pos - 1][1]
-            self._end_replay()
+        s = self._bits.state
+        key = (s["state"]["state"], s["state"]["inc"], s["has_uint32"], s["uinteger"], method, args)
+        hit = memo.get(key)
+        if hit is not None:
+            self._bits.state = hit[1]
+            return hit[0]
         out = getattr(self._generator, method)(*args)
-        if tape.recording:
-            out.flags.writeable = False
-            tape.entries.append((request, out, self._generator.bit_generator.state))
+        out.flags.writeable = False
+        memo[key] = out, self._bits.state
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -137,25 +121,9 @@ class RandomStream:
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id}{tag})"
 
 
-class _Tape:
-    """One ``taped()`` scope: the generator state at its start and a
-    ``(request, array, state after)`` entry per recorded draw.  While
-    ``replaying``, entries before ``pos`` have been served and the generator
-    is behind; ``recording`` is off after a direct use of the generator."""
-
-    __slots__ = ("start", "entries", "pos", "replaying", "recording")
-
-    def __init__(self, start: dict):
-        self.start = start
-        self.entries = []
-        self.pos = 0
-        self.replaying = False
-        self.recording = True
-
-
 def _buffer(draw: np.ndarray) -> np.ndarray:
     """Where a sampler scales ``draw``: the fresh draw itself, or a new
-    buffer in its place for a taped, read-only one."""
+    buffer in its place for a memo's read-only one."""
     return draw if draw.flags.writeable else np.empty_like(draw)
 
 
@@ -203,7 +171,7 @@ def sample_planar_laplace(dim: int, eps: float, rng: RandomStream, size: int | N
     Z ~ N(0, I_d) and V ~ Gamma((d+1)/2, 1) has exactly this law, and at
     d = 1 it is Laplace(1/eps).  Each call draws the (n, d) normals first,
     then the n gammas, and scales the normals in place (into a fresh buffer
-    when they come from a tape).
+    when they come from a memo).
     """
     dim = _as_dim(dim)
     if not (0 < eps < math.inf and 1.0 / float(eps) < math.inf):

@@ -8,6 +8,7 @@ from geopriv.accounting import (
     BudgetLedger,
     CgpBudget,
     GpBudget,
+    RelaxedGpBudget,
     cgp_to_relaxed_gp,
     compose_cgp,
     compose_gp,
@@ -131,6 +132,54 @@ class TestBudgetTypes:
             GpBudget(1.0, -0.1)
         with pytest.raises(ValueError):
             CgpBudget(-0.1)
+
+
+NON_FINITE = [math.nan, math.inf]
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("v", NON_FINITE)
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: GpBudget(v),
+            lambda v: GpBudget(1.0, v),
+            lambda v: CgpBudget(v),
+            lambda v: RelaxedGpBudget(v, 0.0, 1.0),
+            lambda v: RelaxedGpBudget(1.0, v, 1.0),
+            lambda v: RelaxedGpBudget(1.0, 0.0, v),
+            lambda v: gp_to_cgp(v),
+            lambda v: cgp_to_relaxed_gp(v, 1e-10, 10.0),
+            lambda v: cgp_to_relaxed_gp(0.1, v, 10.0),
+            lambda v: cgp_to_relaxed_gp(0.1, 1e-10, v),
+            lambda v: matched_gp_budget(v, 1e-10),
+            lambda v: matched_gp_budget(0.1, v),
+            lambda v: matched_gp_budget(0.1, 1e-10, v),
+            lambda v: compose_cgp([CgpBudget(0.1), CgpBudget(v)]),
+        ],
+    )
+    def test_budgets_and_conversions_refuse(self, make, v):
+        with pytest.raises(ValueError):
+            make(v)
+
+    def test_a_conversion_that_overflows_is_refused(self):
+        with pytest.raises(ValueError):
+            gp_to_cgp(1e200)
+        with pytest.raises(ValueError):
+            cgp_to_relaxed_gp(1e308, 1e-10, 10.0)
+        with pytest.raises(ValueError, match="overflows"):
+            matched_gp_budget(1e307, 1e-10)
+
+    @pytest.mark.parametrize("v", [*NON_FINITE, -math.inf])
+    def test_a_ledger_refuses_a_non_finite_charge_and_stays_usable(self, v):
+        ledger = BudgetLedger(GpBudget(1.0))
+        with pytest.raises(BudgetError, match="nonnegative and finite"):
+            ledger.charge("x", v)
+        with pytest.raises(BudgetError, match="overspends"):
+            ledger.charge("y", 5.0)
+        ledger.charge("z", 1.0)
+        ledger.close()
+        assert ledger.entries == [("z", 1.0)]
 
 
 class TestLedger:

@@ -340,6 +340,15 @@ class TestRowsAndRendering:
         assert lines[1] == "identity,gp_basic,4,0.5,,l2_err,1.5,1.0,2.0,6"
         assert text.endswith("\n")
 
+    def test_a_non_finite_metric_fails_the_sweep_and_writes_nothing(self, tmp_path):
+        # at rho = 1e-307 the matched GP noise overflows to inf
+        out = tmp_path / "out.csv"
+        argv = "identity --rho-grid 1e-307 --n-grid 16 --trials 1 --collections 1".split()
+        cell = "identity gp_basic at n=16, budget=1e-307, k=None: max_point_err is not finite"
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=cell):
+            main(argv + ["--out", str(out)])
+        assert not out.exists()
+
     def test_missing_dataset_falls_back_to_synthetic(self):
         cfg = small_cfg(input="/nonexistent/trace/dir")
         with pytest.warns(UserWarning, match="falling back"):

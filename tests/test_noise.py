@@ -173,6 +173,13 @@ class TestTape:
         ref = weakref.ref(y)
         del y
         assert ref() is None
+        # a taped stream's memo holds its draws until the scope exits
+        with rng.taped():
+            drawn = rng._draw("standard_normal", (65536, 2)), rng._draw("standard_gamma", 1.5, 65536)
+            refs = [weakref.ref(a) for a in drawn]
+            del drawn
+            assert all(ref() is not None for ref in refs)
+        assert all(ref() is None for ref in refs)
 
     def test_scope_errors(self):
         rng = RandomStream(0)
@@ -181,6 +188,40 @@ class TestTape:
         with rng.taped(), pytest.raises(RuntimeError, match="already taped"):
             with rng.taped():
                 pass
+
+
+class _Spy:
+    """A generator that logs the name of every attribute read through it."""
+
+    def __init__(self, generator):
+        self.generator, self.used = generator, []
+
+    def __getattr__(self, name):
+        self.used.append(name)
+        return getattr(self.generator, name)
+
+
+class TestMemo:
+    def test_a_draw_after_a_direct_use_is_served_when_a_pass_repeats_that_use(self):
+        def one_pass(stream):
+            return (
+                stream.generator.random(3),
+                sample_planar_laplace(2, 1.0, stream, size=8),
+                sample_laplace(1.0, stream),
+                sample_gaussian_vec(3, 2.0, stream, size=4),
+            )
+
+        rng, fresh = RandomStream(6, 1), RandomStream(6, 1)
+        want = one_pass(fresh)
+        with rng.taped():
+            one_pass(rng)
+            rng.rewind()
+            rng._generator = spy = _Spy(rng._generator)
+            again = one_pass(rng)
+        # the direct uses draw again; no normal or gamma is drawn
+        assert spy.used == ["random", "laplace"]
+        assert all(map(_same, again, want))
+        assert rng._bits.state == fresh.generator.bit_generator.state
 
 
 class TestLaplace:
