@@ -8,6 +8,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Union
 
+from .geometry import _positive, _probability
+
 
 class BudgetError(ValueError):
     """Raised when ledger entries overspend or fail to close a declared budget."""
@@ -61,8 +63,7 @@ class RelaxedGpBudget:
         _nonnegative(eps=self.eps)
         if not 0 <= self.delta < 1:
             raise ValueError(f"delta must be in [0, 1), got {self.delta}")
-        if not 0 < self.dist_cap < math.inf:
-            raise ValueError(f"dist_cap must be positive and finite, got {self.dist_cap}")
+        _positive("dist_cap", self.dist_cap)
 
 
 def gp_to_cgp(eps: float) -> CgpBudget:
@@ -75,10 +76,8 @@ def cgp_to_relaxed_gp(rho: float, delta: float, dist_cap: float) -> RelaxedGpBud
     """A rho-CGP mechanism is (eps, delta)-GP for inputs within dist_cap, with
     ``eps = rho * dist_cap + 2 * sqrt(rho * log(1/delta))``."""
     _nonnegative(rho=rho)
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if not 0 < dist_cap < math.inf:
-        raise ValueError(f"dist_cap must be positive and finite, got {dist_cap}")
+    _probability("delta", delta)
+    _positive("dist_cap", dist_cap)
     eps = rho * dist_cap + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
     return RelaxedGpBudget(eps, delta, dist_cap)
 
@@ -92,12 +91,9 @@ def matched_gp_budget(rho: float, delta: float, min_eps_dist: float = 10.0) -> f
     eps * Delta = min_eps_dist.  Closed form:
     ``sqrt(rho * min_eps_dist + rho * log(1/delta)) + sqrt(rho * log(1/delta))``.
     """
-    if not 0 < rho < math.inf:
-        raise ValueError(f"rho must be positive and finite, got {rho}")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if not 0 < min_eps_dist < math.inf:
-        raise ValueError(f"min_eps_dist must be positive and finite, got {min_eps_dist}")
+    _positive("rho", rho)
+    _probability("delta", delta)
+    _positive("min_eps_dist", min_eps_dist)
     tail = rho * math.log(1.0 / delta)
     eps = math.sqrt(rho * min_eps_dist + tail) + math.sqrt(tail)
     if eps == math.inf:

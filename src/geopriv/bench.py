@@ -45,9 +45,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .accounting import matched_gp_budget
+from .accounting import gp_to_cgp, matched_gp_budget
 from .dataset import load_traces, query_point_pool, sample_points
-from .geometry import MAX_SPAN, PointTuple, _as_index, dist_2, dist_inf, query_dists
+from .geometry import MAX_SPAN, PointTuple, _count, _positive, _probability, dist_2, dist_inf, query_dists
 from .hull import convex_hull, jaccard
 from .mechanisms import (
     identity_cgp_inf,
@@ -96,39 +96,27 @@ class ExperimentConfig:
             raise ValueError(f"task must be one of {', '.join(_TASKS)} or verify, got {self.task!r}")
         if self.rho_grid is None and self.eps_grid is None:
             self.rho_grid = [1e-4, 1e-3, 1e-2]
-        # before any draw: 2.5 trials or points would fail mid-sweep, not be rounded
-        for name in ("trials", "collections", "samples"):
-            _as_index(getattr(self, name), name)
-        for name in ("rho_grid", "eps_grid", "n_grid", "k_grid"):
+        # Before any draw: 2.5 trials or points would fail mid-sweep, not be
+        # rounded, a k of 0 would skip every knn trial, a rate of 0 fail
+        # mid-sweep.  At 2 samples the KS thresholds, 1.63 / sqrt(samples),
+        # pass any statistic; 1000 is the battery's expected-draws floor.
+        _count("trials", self.trials)
+        _count("collections", self.collections)
+        _count("samples", self.samples, 1000 if self.task == "verify" else 1)
+        grids = {"rho_grid": _positive, "eps_grid": _positive, "n_grid": _count, "k_grid": _count}
+        for name, check in grids.items():
             grid = getattr(self, name)
-            if grid is None:
-                continue
-            if len(grid) == 0:
+            if grid is not None and len(grid) == 0:
                 raise ValueError(f"{name} must be nonempty")
-            if name in ("n_grid", "k_grid"):
-                for v in grid:
-                    _as_index(v, name)
-            # before any draw: a k of 0 would skip every knn trial, a rate of 0 fail mid-sweep
-            if not all(0 < v < math.inf for v in grid):
-                raise ValueError(f"{name} entries must be positive and finite, got {grid}")
-        for name in ("beta", "delta"):
-            if not 0 < getattr(self, name) < 1:
-                raise ValueError(f"{name} must be in (0, 1), got {getattr(self, name)}")
-        for name in ("min_eps_dist", "extent"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+            for v in grid or ():
+                check(f"{name} entry", v)
+        _probability("beta", self.beta)
+        _probability("delta", self.delta)
+        _positive("min_eps_dist", self.min_eps_dist)
+        _positive("extent", self.extent)
         # a hull over the square would be refused after the data had drawn
         if self.extent > MAX_SPAN:
             raise ValueError(f"extent must be at most {MAX_SPAN:g}, got {self.extent}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if self.collections < 1:
-            raise ValueError(f"collections must be at least 1, got {self.collections}")
-        # at 2 samples the KS thresholds, 1.63 / sqrt(samples), pass any statistic;
-        # 1000 is the floor the battery already puts on its expected-draws count
-        min_samples = 1000 if self.task == "verify" else 1
-        if self.samples < min_samples:
-            raise ValueError(f"samples must be at least {min_samples} for {self.task}, got {self.samples}")
         if self.rho_grid is not None and self.eps_grid is not None:
             if len(self.rho_grid) != len(self.eps_grid):
                 raise ValueError("rho_grid and eps_grid must have equal lengths when both given")
@@ -150,18 +138,10 @@ class ResultRow:
 
 def _budget_pairs(cfg: ExperimentConfig) -> list[tuple[float, float, float]]:
     """(budget column value, rho, eps) triplets for the configured grid."""
-    out = []
-    if cfg.rho_grid is not None:
-        for i, rho in enumerate(cfg.rho_grid):
-            if cfg.eps_grid is not None:
-                eps = cfg.eps_grid[i]
-            else:
-                eps = matched_gp_budget(rho, cfg.delta, cfg.min_eps_dist)
-            out.append((rho, rho, eps))
-    else:
-        for eps in cfg.eps_grid:
-            out.append((eps, 0.5 * eps * eps, eps))
-    return out
+    if cfg.rho_grid is None:
+        return [(eps, gp_to_cgp(eps).rho, eps) for eps in cfg.eps_grid]
+    eps_grid = cfg.eps_grid or [matched_gp_budget(rho, cfg.delta, cfg.min_eps_dist) for rho in cfg.rho_grid]
+    return [(rho, rho, eps) for rho, eps in zip(cfg.rho_grid, eps_grid)]
 
 
 def _stream(cfg: ExperimentConfig, *key: int) -> RandomStream:
@@ -184,24 +164,26 @@ def _synthetic_collection(cfg: ExperimentConfig, index: int) -> PointTuple:
 
 
 def _warn(message: str) -> None:
-    """Report a substituted or skipped part of a sweep: logged at WARNING and
-    raised as a UserWarning."""
+    """Report a skipped part of a sweep: logged at WARNING and raised as a
+    UserWarning."""
     logger.warning(message)
     warnings.warn(message, stacklevel=2)
 
 
 def _collections(cfg: ExperimentConfig) -> list[PointTuple]:
-    if not cfg.input.startswith("synthetic"):
-        path = Path(cfg.input)
-        traces = load_traces(path) if path.exists() else []
-        if len(traces) > cfg.collections:
-            gen = _stream(cfg, _CHOICE).generator
-            chosen = np.sort(gen.choice(len(traces), size=cfg.collections, replace=False))
-            return [traces[i] for i in chosen]
-        if traces:
-            return traces
-        _warn(f"input {cfg.input!r} missing or empty; falling back to synthetic data")
-    return [_synthetic_collection(cfg, i) for i in range(cfg.collections)]
+    """The sweep's collections: synthetic ones, or at most ``collections``
+    traces of ``--input``.  A missing path, or one that holds no valid
+    trace, raises ValueError before any draw."""
+    if cfg.input.startswith("synthetic"):
+        return [_synthetic_collection(cfg, i) for i in range(cfg.collections)]
+    traces = load_traces(cfg.input)
+    if not traces:
+        raise ValueError(f"input {cfg.input!r} holds no valid trace")
+    if len(traces) > cfg.collections:
+        gen = _stream(cfg, _CHOICE).generator
+        chosen = np.sort(gen.choice(len(traces), size=cfg.collections, replace=False))
+        return [traces[i] for i in chosen]
+    return traces
 
 
 def _sampled(cfg: ExperimentConfig, colls: list[PointTuple], n_index: int, n: int) -> list[PointTuple]:

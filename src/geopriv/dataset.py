@@ -9,7 +9,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .geometry import PointTuple
+from .geometry import PointTuple, _count, _positive
 from .noise import RandomStream
 
 logger = logging.getLogger(__name__)
@@ -102,8 +102,7 @@ def sample_points(trace: PointTuple, n: int, rng: RandomStream) -> PointTuple:
 
     A trace with fewer than n points is returned whole.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    n = _count("n", n)
     if n >= len(trace):
         return trace
     idx = rng.generator.choice(len(trace), size=n, replace=False)
@@ -121,8 +120,7 @@ def query_point_pool(traces: Iterable[PointTuple], cell: float = 1.0) -> np.ndar
     traces = list(traces)
     if not traces:
         raise ValueError("need at least one trace")
-    if not cell > 0:
-        raise ValueError(f"cell must be positive, got {cell}")
+    _positive("cell", cell)
     pts = np.vstack([t.points for t in traces])
     cells = np.floor(pts / cell)  # as floats: an int64 cast fails from about 9.2e18
     uniq = np.unique(cells, axis=0)

@@ -14,6 +14,7 @@ results are the same bytes.
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import Iterable
 
@@ -154,6 +155,29 @@ def _as_index(i, name: str = "index") -> int:
         return operator.index(i)
     except TypeError:
         raise ValueError(f"{name} {i!r} is not an integer") from None
+
+
+# The input domain (README, "Input domain"): a rate, scale or budget is
+# positive and finite (NaN fails both comparisons), a probability is in
+# (0, 1), a count an integer of at least its floor; else ValueError.
+
+
+def _positive(name: str, v) -> None:
+    if not 0 < v < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {v}")
+
+
+def _probability(name: str, v) -> None:
+    if not 0 < v < 1:
+        raise ValueError(f"{name} must be in (0, 1), got {v}")
+
+
+def _count(name: str, v, least: int = 1) -> int:
+    """``v`` as an int (see ``_as_index``), refused below ``least``."""
+    v = _as_index(v, name)
+    if v < least:
+        raise ValueError(f"{name} must be at least {least}, got {v}")
+    return v
 
 
 def _validate_indices(indices: Iterable[int] | None, n: int) -> np.ndarray:

@@ -40,14 +40,15 @@ a budget and beta (``svt`` also its threshold, Lipschitz constant, queries
 and step cap).  Every noise scale follows from them.  A nearest-neighbour
 step gives up with NonHaltError after ``_MAX_CYCLES`` passes over its
 candidates, and the hull's auto anchor count is clamped to 16..128.  The
-arguments are checked before any charge or draw: a budget must be positive
-and finite, and so must every noise scale it buys (a subnormal budget's
-overflow), a query point and ``svt``'s threshold must be finite, beta in
-(0, 1), and k and ``svt``'s step cap integers in range; otherwise
-ValueError.  One overflow shows only in the draws: a finite noise scale
-near the largest double can draw a privatized bounding circle whose centre
-or radius is not finite.  The anchor stage raises ValueError for it after
-``centre`` and ``radius`` are charged, before any probe is charged.
+arguments are checked against the input domain (README, "Input domain")
+before any charge or draw: a budget and every noise scale it buys are
+positive and finite (a subnormal budget's overflow), beta is in (0, 1), k
+and ``svt``'s step cap are integers in range, and a query point and
+``svt``'s threshold are finite; otherwise ValueError.  One overflow shows
+only in the draws: a finite noise scale near the largest double can draw a
+privatized bounding circle whose centre or radius is not finite.  The
+anchor stage raises ValueError for it after ``centre`` and ``radius`` are
+charged, before any probe is charged.
 
 Every mechanism takes an explicit RandomStream and, optionally, a
 BudgetLedger that audits its internal splits.  Each part is charged before
@@ -76,7 +77,9 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .accounting import BudgetLedger
-from .geometry import PointTuple, _as_index, _validate_indices, center, max_radius, query_dists
+from .geometry import (
+    PointTuple, _as_index, _count, _positive, _probability, _validate_indices, center, max_radius, query_dists
+)
 from .noise import (
     RandomStream,
     sample_gaussian_vec,
@@ -174,11 +177,6 @@ _CGP = _Calibration(
 )
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
 def _check_query_point(query_point) -> None:
     # at the public boundary, not in query_dists, so an anchor probe pays nothing
     if not np.isfinite(np.asarray(query_point, dtype=np.float64)).all():
@@ -197,7 +195,7 @@ def _charge(ledger: BudgetLedger | None, label: str, amount: float) -> None:
 def _identity_inf(
     cal: _Calibration, x: PointTuple, budget: float, rng: RandomStream, ledger: BudgetLedger | None
 ) -> PointTuple:
-    _check_positive(cal.unit, budget)
+    _positive(cal.unit, budget)
     n = len(x)
     noise = cal.noise(x.dim, budget, rng, count=n, size=n)  # refuses an infinite scale
     _charge(ledger, "points", budget)
@@ -230,7 +228,7 @@ def identity_cgp_inf(
 def _identity_l2(
     cal: _Calibration, x: PointTuple, budget: float, rng: RandomStream, ledger: BudgetLedger | None
 ) -> PointTuple:
-    _check_positive(cal.unit, budget)
+    _positive(cal.unit, budget)
     noise = cal.noise(x.n * x.dim, budget, rng).reshape(x.n, x.dim)  # refuses an infinite scale
     _charge(ledger, "tuple", budget)
     noise += x.points
@@ -337,13 +335,12 @@ def svt(
     values are not used, but an exception one of them raises propagates.
     Queries past that block are never evaluated.
     """
-    _check_positive("eps", eps)
-    _check_positive("lipschitz", lipschitz)
-    _check_positive("query noise scale 4K/eps", 4.0 * lipschitz / eps)
+    _positive("eps", eps)
+    _positive("lipschitz", lipschitz)
+    _positive("query noise scale 4K/eps", 4.0 * lipschitz / eps)
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
-    if _as_index(max_steps, "max_steps") < 1:
-        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
+    max_steps = _count("max_steps", max_steps)
     stream = iter(queries)
 
     def block(done, size):
@@ -411,7 +408,7 @@ def pnn(
     idx = _validate_indices(indices, x.n)
     dists = query_dists(x.points[idx - 1], query_point)
     _check_query_point(query_point)
-    _check_positive("eps", eps)
+    _positive("eps", eps)
     _check_step_rate(eps)
     _charge(ledger, "pnn_threshold", eps / 3.0)
     _charge(ledger, "svt_threshold", 2.0 * eps / 3.0 / 2.0)
@@ -435,7 +432,7 @@ def _kpnn(
     ascending index order; after each round the entries past the chosen
     position shift left by one, in place, and the next round scans
     ``dists[:m - 1]``."""
-    _check_positive(cal.unit, budget)
+    _positive(cal.unit, budget)
     k = _as_index(k, "k")
     if not 1 <= k <= x.n:
         raise ValueError(f"k must be in 1..{x.n}, got {k}")
@@ -514,7 +511,7 @@ def _anchors(
     # stage and of the hull's release is at least budget / (60 k) per row
     # (the radius's b0 / 3 = budget / 60, a release row's budget / k).
     k_max = _AUTO_K_MAX if k == "auto" else k
-    _check_positive("noise scale 60k/budget", 60.0 * k_max / budget)
+    _positive("noise scale 60k/budget", 60.0 * k_max / budget)
     _check_step_rate(cal.round_rate((budget - b0) / k_max))
 
     _charge(ledger, "centre", 2.0 * b0 / 3.0)
@@ -552,13 +549,10 @@ def _hull(
     k: int | str,
     ledger: BudgetLedger | None,
 ) -> HullResult:
-    _check_positive(cal.unit, budget)
-    if not 0 < beta < 1:
-        raise ValueError(f"beta must be in (0, 1), got {beta}")
+    _positive(cal.unit, budget)
+    _probability("beta", beta)
     if k != "auto":
-        k = _as_index(k, "k")
-        if k < 3:
-            raise ValueError(f"explicit k must be at least 3, got {k}")
+        k = _count("explicit k", k, least=3)
     anchors, info = _anchors(cal, x, budget / 2.0, beta / 2.0, k, rng, ledger)
     for j in range(info.k):
         _charge(ledger, f"release_{j + 1}", budget / (2.0 * info.k))

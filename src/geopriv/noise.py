@@ -7,11 +7,12 @@ stream id is an integer or a tuple of 32-bit words, so a caller can key its
 streams by position, e.g. ``(tag, collection, trial)``, without packing the
 position into one integer.  A degenerate zero-noise stream is provided for
 deterministic testing: with it, every sampler returns 0 (or the zero
-vector), so mechanisms built on top become exact.  A sampler's ``dim`` and
-``size`` must be integers: 2.5, 3.7 or "3" raises ValueError before any
-draw rather than being truncated or parsed.  Its scale must be positive and
-finite; so must planar Laplace's rate and its scale 1/eps, which overflows
-for a subnormal rate.
+vector), so mechanisms built on top become exact.  The samplers check their
+arguments against the input domain (README, "Input domain") before any
+draw: ``dim`` is an integer of at least 1 and ``size`` one of at least 0
+(2.5 or "3" is refused, not truncated or parsed), and a scale or rate is
+positive and finite; planar Laplace's scale 1/eps must be finite too, which
+a subnormal rate overflows.
 
 Common random numbers are served from a memo, not redrawn.  Inside
 ``with rng.taped():`` each normal and gamma array that
@@ -37,7 +38,7 @@ import math
 
 import numpy as np
 
-from .geometry import _as_index
+from .geometry import _as_index, _count, _positive
 
 
 def _as_uint(v, name: str = "stream_id element", bits: int = 32) -> int:
@@ -127,18 +128,10 @@ def _buffer(draw: np.ndarray) -> np.ndarray:
     return draw if draw.flags.writeable else np.empty_like(draw)
 
 
-def _as_dim(dim) -> int:
-    dim = _as_index(dim, "dim")
-    if dim < 1:
-        raise ValueError(f"dim must be at least 1, got {dim}")
-    return dim
-
-
 def sample_laplace(scale: float, rng: RandomStream, size: int | None = None):
     """Draw from Laplace(0, scale), pdf ``exp(-|y|/scale) / (2*scale)``."""
-    if not 0 < scale < math.inf:
-        raise ValueError(f"scale must be positive and finite, got {scale}")
-    size = None if size is None else _as_index(size, "size")
+    _positive("scale", scale)
+    size = None if size is None else _count("size", size, least=0)
     if rng.zero_noise:
         return 0.0 if size is None else np.zeros(size)
     if size is None:
@@ -151,10 +144,9 @@ def sample_gaussian_vec(dim: int, sigma: float, rng: RandomStream, size: int | N
 
     With ``size`` given, returns a ``(size, dim)`` array of independent draws.
     """
-    dim = _as_dim(dim)
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    size = None if size is None else _as_index(size, "size")
+    dim = _count("dim", dim)
+    _positive("sigma", sigma)
+    size = None if size is None else _count("size", size, least=0)
     if rng.zero_noise:
         return np.zeros(dim) if size is None else np.zeros((size, dim))
     z = rng._draw("standard_normal", dim if size is None else (size, dim))
@@ -173,10 +165,10 @@ def sample_planar_laplace(dim: int, eps: float, rng: RandomStream, size: int | N
     then the n gammas, and scales the normals in place (into a fresh buffer
     when they come from a memo).
     """
-    dim = _as_dim(dim)
+    dim = _count("dim", dim)
     if not (0 < eps < math.inf and 1.0 / float(eps) < math.inf):
         raise ValueError(f"eps must be positive and finite with a finite scale 1/eps, got {eps}")
-    size = None if size is None else _as_index(size, "size")
+    size = None if size is None else _count("size", size, least=0)
     if rng.zero_noise:
         return np.zeros(dim) if size is None else np.zeros((size, dim))
     n = 1 if size is None else size
@@ -196,8 +188,7 @@ def sample_planar_laplace(dim: int, eps: float, rng: RandomStream, size: int | N
 def laplace_sum_pdf(y, scale: float):
     """Density of the sum of two iid Laplace(scale) variables:
     ``(scale + |y|) * exp(-|y|/scale) / (4 * scale**2)``."""
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    _positive("scale", scale)
     a = np.abs(np.asarray(y, dtype=np.float64))
     out = (scale + a) * np.exp(-a / scale) / (4.0 * scale**2)
     return float(out) if np.isscalar(y) or out.ndim == 0 else out

@@ -16,9 +16,9 @@ Gaussian, Laplace-sum and expected-draws checks give the one-shot bytes.
 Planar Laplace noise draws its normals, then its gammas, per chunk, so
 above ``_CHUNK`` samples the GP tail and planar-mean checks see another
 (equally valid) stream than one ``samples``-row draw.  ``_CHUNK`` fixes the
-draw stream; it is not a tuning knob.  Every sampling check raises
-ValueError before any draw when ``samples`` is below 1 (2 for the
-expected-draws check, which needs a standard error).
+draw stream; it is not a tuning knob.  A check refuses an argument outside
+the input domain (README, "Input domain") before any draw; ``samples`` must
+be at least 2 for the expected-draws check, which needs a standard error.
 
 ``geopriv verify`` runs the three KS checks one after another on the
 calling thread and the rest of the battery on a thread pool, one worker per
@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import _as_index, row_norms
+from .geometry import _count, _positive, row_norms
 from .mechanisms import _CGP, _GP
 from .noise import RandomStream, laplace_sum_pdf, sample_laplace, sample_planar_laplace
 
@@ -62,7 +62,8 @@ class CheckReport:
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10) -> float:
-    """Adaptive Simpson quadrature with Richardson correction."""
+    """Adaptive Simpson quadrature with Richardson correction; ValueError if
+    an interval 48 halvings down misses its tolerance (NaN always does)."""
 
     def simpson(fa, fm, fb, h):
         return h * (fa + 4.0 * fm + fb) / 6.0
@@ -72,8 +73,10 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float
         flm, frm = f(lm), f(rm)
         left = simpson(fa, flm, fm, m - a)
         right = simpson(fm, frm, fb, b - m)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
+        if abs(left + right - whole) <= 15.0 * tol:
             return left + right + (left + right - whole) / 15.0
+        if depth <= 0:
+            raise ValueError(f"adaptive Simpson misses its tolerance on [{a}, {b}]")
         return rec(a, lm, m, fa, flm, fm, left, tol / 2.0, depth - 1) + rec(
             m, rm, b, fm, frm, fb, right, tol / 2.0, depth - 1
         )
@@ -88,12 +91,10 @@ def _binomial_band(p: float, samples: int) -> float:
     return 4.0 * math.sqrt(p * (1.0 - p) / samples) + 0.002
 
 
-def _samples(samples, least: int = 1) -> int:
-    """``samples`` as an int, refused below ``least`` before anything is drawn."""
-    samples = _as_index(samples, "samples")
-    if samples < least:
-        raise ValueError(f"samples must be at least {least}, got {samples}")
-    return samples
+def _worst(stats) -> float:
+    """The largest statistic, or nan if any is nan (``max`` would skip it),
+    so that a check with a nan statistic fails."""
+    return float(np.max(stats))
 
 
 def _chunks(samples: int):
@@ -112,25 +113,26 @@ def _survival_check(
     """Empirical survival of the norms of ``samples`` rows of ``draw(size)``
     at each radius against ``reference``; the counts are exact, so
     ``count / samples`` is the one-shot ``np.mean(radii > r)``."""
+    if not (len(r_grid) and np.isfinite(r_grid).all()):
+        raise ValueError(f"r_grid must be nonempty and finite, got {r_grid}")
     counts = [0] * len(r_grid)
     for start, stop in _chunks(samples):
         radii = row_norms(draw(stop - start))
         for j, r in enumerate(r_grid):
             counts[j] += int(np.count_nonzero(radii > r))
-    worst = 0.0
+    gaps = []
     for r, count in zip(r_grid, counts):
         p = reference(float(r))
-        emp = count / samples
-        worst = max(worst, abs(emp - p) / _binomial_band(p, samples))
+        gaps.append(abs(count / samples - p) / _binomial_band(p, samples))
+    worst = _worst(gaps)
     return CheckReport(name, worst, 1.0, worst < 1.0, samples)
 
 
 def check_gp_radial_tail(eps: float, r_grid: Sequence[float], samples: int, rng: RandomStream) -> CheckReport:
     """Empirical norm survival of the GP release noise (``_GP.noise``) in
     2-D at ``eps`` against ``(1 + r*eps) * exp(-r*eps)``."""
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    samples = _samples(samples)
+    _positive("eps", eps)
+    samples = _count("samples", samples)
     ref = lambda r: (1.0 + r * eps) * math.exp(-r * eps)
     draw = lambda size: _GP.noise(2, eps, rng, size=size)
     return _survival_check(f"gp_radial_tail(eps={eps:g})", draw, samples, r_grid, ref)
@@ -139,9 +141,8 @@ def check_gp_radial_tail(eps: float, r_grid: Sequence[float], samples: int, rng:
 def check_cgp_radial_tail(rho: float, r_grid: Sequence[float], samples: int, rng: RandomStream) -> CheckReport:
     """Empirical norm survival of the CGP release noise (``_CGP.noise``)
     in 2-D at ``rho`` against ``exp(-rho * r**2)``."""
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    samples = _samples(samples)
+    _positive("rho", rho)
+    samples = _count("samples", samples)
     ref = lambda r: math.exp(-rho * r * r)
     draw = lambda size: _CGP.noise(2, rho, rng, size=size)
     return _survival_check(f"cgp_radial_tail(rho={rho:g})", draw, samples, r_grid, ref)
@@ -150,6 +151,7 @@ def check_cgp_radial_tail(rho: float, r_grid: Sequence[float], samples: int, rng
 def accept_probability(y, scale: float):
     """Pr[V <= y] for V ~ Laplace(scale): the per-visit accept chance of a
     scan whose gate sits at y."""
+    _positive("scale", scale)
     y = np.asarray(y, dtype=np.float64)
     out = np.where(y < 0, 0.5 * np.exp(y / scale), 1.0 - 0.5 * np.exp(-y / scale))
     return float(out) if out.ndim == 0 else out
@@ -173,9 +175,8 @@ def check_expected_draws(b: float, samples: int, rng: RandomStream) -> CheckRepo
     geometric law.  Passes when the sample mean is within three standard
     errors of the bound.
     """
-    if not b > 0:
-        raise ValueError(f"b must be positive, got {b}")
-    samples = _samples(samples, least=2)
+    _positive("b", b)
+    samples = _count("samples", samples, least=2)
     y = _laplace_sum(b, samples, rng)
     counts = np.empty(samples)
     for start, stop in _chunks(samples):
@@ -194,8 +195,11 @@ def renyi_divergence_gaussian_quadrature(mu1: float, mu2: float, sigma: float, a
     by a log offset found by scanning the interval before the adaptive pass;
     the tolerance is then effectively relative.
     """
-    if not alpha > 1:
-        raise ValueError(f"alpha must exceed 1, got {alpha}")
+    if not (alpha > 1 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must exceed 1 and be finite, got {alpha}")
+    if not (math.isfinite(mu1) and math.isfinite(mu2)):
+        raise ValueError(f"means must be finite, got {mu1} and {mu2}")
+    _positive("sigma", sigma)
     mu_alpha = alpha * mu1 + (1.0 - alpha) * mu2  # mean of the tilted density
     lo = min(mu1, mu2, mu_alpha) - 12.0 * sigma
     hi = max(mu1, mu2, mu_alpha) + 12.0 * sigma
@@ -225,13 +229,11 @@ def renyi_divergence_gaussian_quadrature(mu1: float, mu2: float, sigma: float, a
 def check_renyi_gaussian(mu1: float, mu2: float, sigma: float) -> CheckReport:
     """Quadrature Renyi divergence of equal-variance Gaussians against the
     closed form ``alpha * (mu1 - mu2)^2 / (2 sigma^2)``."""
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    worst = 0.0
+    gaps = []
     for alpha in _ALPHA_GRID:
-        closed = alpha * (mu1 - mu2) ** 2 / (2.0 * sigma**2)
         quad = renyi_divergence_gaussian_quadrature(mu1, mu2, sigma, alpha)
-        worst = max(worst, abs(quad - closed))
+        gaps.append(abs(quad - alpha * (mu1 - mu2) ** 2 / (2.0 * sigma**2)))
+    worst = _worst(gaps)
     return CheckReport(
         f"renyi_gaussian(mu={mu2 - mu1:g},sigma={sigma:g})", worst, _RENYI_TOL, worst < _RENYI_TOL, 0
     )
@@ -241,14 +243,13 @@ def check_gaussian_mech_divergence(rho: float) -> CheckReport:
     """For the 1-D Gaussian mechanism on the identity (sigma = 1/sqrt(2 rho)),
     the order-alpha divergence between outputs at inputs dist apart equals
     ``alpha * rho * dist^2`` exactly; verified by quadrature."""
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    _positive("rho", rho)
     sigma = 1.0 / math.sqrt(2.0 * rho)
-    worst = 0.0
-    for dist in _DIST_GRID:
-        for alpha in _ALPHA_GRID:
-            quad = renyi_divergence_gaussian_quadrature(0.0, float(dist), sigma, alpha)
-            worst = max(worst, abs(quad - alpha * rho * dist * dist))
+    worst = _worst([
+        abs(renyi_divergence_gaussian_quadrature(0.0, float(dist), sigma, alpha) - alpha * rho * dist * dist)
+        for dist in _DIST_GRID
+        for alpha in _ALPHA_GRID
+    ])
     return CheckReport(
         f"gaussian_mech_divergence(rho={rho:g})", worst, _RENYI_TOL, worst < _RENYI_TOL, 0
     )
@@ -274,20 +275,20 @@ def check_laplace_sum_pdf(b: float, samples: int, rng: RandomStream) -> CheckRep
     The threshold is the larger of 0.005 and the one-sample KS 99% critical
     value 1.63/sqrt(samples); at 10^6 samples the 0.005 floor governs.
     """
-    if not b > 0:
-        raise ValueError(f"b must be positive, got {b}")
-    samples = _samples(samples)
+    _positive("b", b)
+    samples = _count("samples", samples)
     ks_threshold = max(0.005, 1.63 / math.sqrt(samples))
     # the reference draws nothing: built first, its grid temporaries are
     # freed before the sums exist
     cdf = _laplace_sum_cdf(b)
     y = _laplace_sum(b, samples, rng)
     y.sort()
-    ks = 0.0  # the maximum is exact whatever the chunking
+    gaps = []  # the maximum is exact whatever the chunking
     for start, stop in _chunks(samples):
         ref = cdf(y[start:stop])
         i = np.arange(start + 1, stop + 1)
-        ks = max(ks, float(np.max(i / samples - ref)), float(np.max(ref - (i - 1) / samples)))
+        gaps += np.max(i / samples - ref), np.max(ref - (i - 1) / samples)
+    ks = _worst(gaps)
     return CheckReport(f"laplace_sum_pdf(b={b:g})", ks, ks_threshold, ks < ks_threshold, samples)
 
 
@@ -300,7 +301,7 @@ def check_planar_laplace_mean(dim: int, eps: float, samples: int, rng: RandomStr
     The norms are summed chunk by chunk, so up to ``_CHUNK`` samples the
     mean is the one-shot ``norms.mean()``.
     """
-    samples = _samples(samples)
+    samples = _count("samples", samples)
     total = 0.0
     for start, stop in _chunks(samples):
         total += float(row_norms(sample_planar_laplace(dim, eps, rng, size=stop - start)).sum())

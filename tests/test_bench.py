@@ -50,6 +50,10 @@ def test_the_package_exports_the_product_only():
     assert all(hasattr(geopriv, name) for name in geopriv.__all__)
 
 
+def no_draw(*args, **kwargs):
+    raise AssertionError("a refused config drew a stream")
+
+
 def small_cfg(**kw):
     base = dict(
         rho_grid=[0.01],
@@ -115,9 +119,6 @@ class TestConfig:
         ],
     )
     def test_non_positive_grid_entries_are_refused_before_any_draw(self, monkeypatch, argv, field):
-        def no_draw(*args, **kwargs):
-            raise AssertionError("a refused config drew a stream")
-
         monkeypatch.setattr(bench, "RandomStream", no_draw)
         with pytest.raises(ValueError, match=field):
             if isinstance(argv, dict):
@@ -349,24 +350,23 @@ class TestRowsAndRendering:
             main(argv + ["--out", str(out)])
         assert not out.exists()
 
-    def test_missing_dataset_falls_back_to_synthetic(self):
-        cfg = small_cfg(input="/nonexistent/trace/dir")
-        with pytest.warns(UserWarning, match="falling back"):
-            rows = run_sweep(cfg)
-        assert rows
+    def test_missing_dataset_is_refused_before_any_draw(self, monkeypatch, tmp_path):
+        # a mistyped path used to fall back to synthetic data and exit 0
+        monkeypatch.setattr(bench, "RandomStream", no_draw)
+        out = tmp_path / "out.csv"
+        argv = ["knn", "--input", str(tmp_path / "no-such-dir"), "--out", str(out)]
+        with pytest.raises(ValueError, match="no such file or directory"):
+            main(argv)
+        assert not out.exists()
 
-    def test_synthetic_fallback_is_logged(self, caplog):
-        cfg = small_cfg(input="/nonexistent/trace/dir")
-        with pytest.warns(UserWarning), caplog.at_level(logging.WARNING, logger="geopriv.bench"):
-            colls = _collections(cfg)
-        assert len(colls) == cfg.collections
-        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
-            (
-                "geopriv.bench",
-                logging.WARNING,
-                "input '/nonexistent/trace/dir' missing or empty; falling back to synthetic data",
-            )
-        ]
+    @pytest.mark.parametrize("content", [None, "", "not a record\n91.0 0.0 1 1000\n"])
+    def test_dataset_without_a_valid_trace_is_refused_before_any_draw(self, monkeypatch, tmp_path, content):
+        monkeypatch.setattr(bench, "RandomStream", no_draw)
+        if content is not None:
+            (tmp_path / "cab.txt").write_text(content)
+        cfg = small_cfg(input=str(tmp_path))
+        with pytest.raises(ValueError, match="holds no valid trace"):
+            _collections(cfg)
 
     def test_k_above_n_skip_is_logged(self, caplog):
         cfg = small_cfg(task="knn", n_grid=[8], k_grid=[4, 16], trials=1, collections=1)
