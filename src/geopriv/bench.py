@@ -444,7 +444,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
 def _verify_battery(cfg: ExperimentConfig) -> list[statcheck.CheckReport]:
     """Every check's report, in battery order.  The checks are built as
     thunks with their stream keys fixed in that order.  The Laplace-sum KS
-    checks, which hold about 16 MiB each where every other check holds a few,
+    checks, which hold about 11 MiB each where every other check holds a few,
     run one after another on the calling thread, while the others are mapped
     like the identity sweep's trials (see ``_pool_map``).  The calling thread
     is the same in every sweep, so the KS buffers land in the same malloc

@@ -1,4 +1,4 @@
-"""Seedable noise samplers and the two-Laplace-sum density.
+"""Seedable noise samplers.
 
 Every sampler draws from an explicitly passed :class:`RandomStream`, so a
 fixed ``(seed, stream_id)`` pair reproduces identical sequences and distinct
@@ -184,11 +184,3 @@ def sample_planar_laplace(dim: int, eps: float, rng: RandomStream, size: int | N
     np.multiply(z, scale[:, None], out=y)
     return y[0] if size is None else y
 
-
-def laplace_sum_pdf(y, scale: float):
-    """Density of the sum of two iid Laplace(scale) variables:
-    ``(scale + |y|) * exp(-|y|/scale) / (4 * scale**2)``."""
-    _positive("scale", scale)
-    a = np.abs(np.asarray(y, dtype=np.float64))
-    out = (scale + a) * np.exp(-a / scale) / (4.0 * scale**2)
-    return float(out) if np.isscalar(y) or out.ndim == 0 else out

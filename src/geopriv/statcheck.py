@@ -7,9 +7,8 @@ sampling theory rather than tuned constants.
 
 The sampling checks draw in chunks of ``_CHUNK`` rows and fold each chunk
 into their statistic, so at 10^6 samples a check holds 2-3.5 MiB rather
-than tens.  The Laplace-sum KS check must keep its sorted sums (8 MB) and
-its reference CDF, which it builds before drawing so that the reference's
-build temporaries are gone before the sums exist; it holds about 16 MiB.
+than tens.  The Laplace-sum KS check must keep its sorted sums (8 MB); it
+evaluates its exact reference CDF chunk by chunk and holds about 10 MiB.
 Survival counts and the KS maximum are exact under chunking,
 and chunked draws of one distribution continue one stream, so the
 Gaussian, Laplace-sum and expected-draws checks give the one-shot bytes.
@@ -36,7 +35,7 @@ import numpy as np
 
 from .geometry import _count, _positive, row_norms
 from .mechanisms import _CGP, _GP
-from .noise import RandomStream, laplace_sum_pdf, sample_laplace, sample_planar_laplace
+from .noise import RandomStream, sample_laplace, sample_planar_laplace
 
 _SIMPSON_TOL = 1e-10  # adaptive Simpson tolerance of the Renyi quadrature
 _RENYI_TOL = 1e-6  # quadrature against closed-form Renyi divergence
@@ -113,8 +112,8 @@ def _survival_check(
     """Empirical survival of the norms of ``samples`` rows of ``draw(size)``
     at each radius against ``reference``; the counts are exact, so
     ``count / samples`` is the one-shot ``np.mean(radii > r)``."""
-    if not (len(r_grid) and np.isfinite(r_grid).all()):
-        raise ValueError(f"r_grid must be nonempty and finite, got {r_grid}")
+    if not (len(r_grid) and all(0 <= r < math.inf for r in r_grid)):
+        raise ValueError(f"r_grid must be nonempty, nonnegative and finite, got {r_grid}")
     counts = [0] * len(r_grid)
     for start, stop in _chunks(samples):
         radii = row_norms(draw(stop - start))
@@ -176,6 +175,7 @@ def check_expected_draws(b: float, samples: int, rng: RandomStream) -> CheckRepo
     errors of the bound.
     """
     _positive("b", b)
+    _positive("gate scale 2b", 2.0 * b)
     samples = _count("samples", samples, least=2)
     y = _laplace_sum(b, samples, rng)
     counts = np.empty(samples)
@@ -255,22 +255,18 @@ def check_gaussian_mech_divergence(rho: float) -> CheckReport:
     )
 
 
-def _laplace_sum_cdf(scale: float) -> Callable[[np.ndarray], np.ndarray]:
-    """CDF of the two-Laplace sum, by numeric integration of its density on
-    a fine grid (independent of any closed-form tail); the grid is built
-    once and the returned function interpolates in it."""
-    span = 40.0 * scale
-    grid = np.linspace(-span, span, 400_001)
-    pdf = laplace_sum_pdf(grid, scale)
-    step = grid[1] - grid[0]
-    cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5 * step)])
-    cdf /= cdf[-1]
-    return lambda points: np.interp(points, grid, cdf)
+def _laplace_sum_cdf(y: np.ndarray, b: float) -> np.ndarray:
+    """Exact CDF of the sum of two iid Laplace(b) draws: ``1 - (2 + y/b) *
+    exp(-y/b) / 4`` for y >= 0, and its mirror ``(2 + |y|/b) * exp(-|y|/b) / 4``
+    below 0."""
+    a = np.abs(y) / b
+    tail = (2.0 + a) * np.exp(-a) / 4.0
+    return np.where(y < 0, tail, 1.0 - tail)
 
 
 def check_laplace_sum_pdf(b: float, samples: int, rng: RandomStream) -> CheckReport:
-    """KS distance between an empirical two-Laplace sum and the numerically
-    integrated density of its closed form.
+    """KS distance between an empirical two-Laplace sum and the exact CDF of
+    its law.
 
     The threshold is the larger of 0.005 and the one-sample KS 99% critical
     value 1.63/sqrt(samples); at 10^6 samples the 0.005 floor governs.
@@ -278,14 +274,11 @@ def check_laplace_sum_pdf(b: float, samples: int, rng: RandomStream) -> CheckRep
     _positive("b", b)
     samples = _count("samples", samples)
     ks_threshold = max(0.005, 1.63 / math.sqrt(samples))
-    # the reference draws nothing: built first, its grid temporaries are
-    # freed before the sums exist
-    cdf = _laplace_sum_cdf(b)
     y = _laplace_sum(b, samples, rng)
     y.sort()
     gaps = []  # the maximum is exact whatever the chunking
     for start, stop in _chunks(samples):
-        ref = cdf(y[start:stop])
+        ref = _laplace_sum_cdf(y[start:stop], b)
         i = np.arange(start + 1, stop + 1)
         gaps += np.max(i / samples - ref), np.max(ref - (i - 1) / samples)
     ks = _worst(gaps)

@@ -42,9 +42,8 @@ def test_the_package_exports_the_product_only():
         "RelaxedGpBudget", "SvtOutcome", "center", "cgp_to_relaxed_gp",
         "compose_cgp", "compose_gp", "convex_hull", "dist_2", "dist_inf",
         "gp_to_cgp", "identity_cgp_inf", "identity_cgp_l2", "identity_gp_inf",
-        "identity_gp_l2", "jaccard", "kpnn", "kpnn_gp", "laplace_sum_pdf",
-        "matched_gp_budget", "max_radius", "pnn", "private_convex_hull",
-        "private_convex_hull_gp",
+        "identity_gp_l2", "jaccard", "kpnn", "kpnn_gp", "matched_gp_budget",
+        "max_radius", "pnn", "private_convex_hull", "private_convex_hull_gp",
         "sample_gaussian_vec", "sample_laplace", "sample_planar_laplace", "svt",
     ]
     assert all(hasattr(geopriv, name) for name in geopriv.__all__)

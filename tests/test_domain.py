@@ -23,6 +23,7 @@ BAD = {
     "delta below 1": [-1.0, NAN, INF, 1.0],
     "above 1": [-1.0, NAN, INF, 0.0, 1.0],
     "finite": [NAN, INF, -INF],
+    "nonnegative and finite": [-1.0, NAN, INF, -INF],
     "count": [-1, NAN, INF, 0, 2.5],
     "size": [-1, NAN, INF, 2.5],
     "samples, at least 2": [-1, NAN, INF, 0, 2.5, 1],
@@ -61,10 +62,6 @@ CALLS = {
     "noise.sample_planar_laplace": (
         lambda a, r, led: noise.sample_planar_laplace(a["dim"], a["eps"], r, a["size"]),
         {"dim": ("count", 2), "eps": ("positive", 1.0), "size": ("size", 3)},
-    ),
-    "noise.laplace_sum_pdf": (
-        lambda a, r, led: noise.laplace_sum_pdf(1.0, a["scale"]),
-        {"scale": ("positive", 1.0)},
     ),
     "accounting.GpBudget": (
         lambda a, r, led: accounting.GpBudget(a["eps"], a["delta"]),
@@ -110,11 +107,11 @@ CALLS = {
     ),
     "statcheck.check_gp_radial_tail": (
         lambda a, r, led: statcheck.check_gp_radial_tail(a["eps"], (1.0, a["radius"]), a["samples"], r),
-        {"eps": ("positive", 1.0), "radius": ("finite", 3.0), "samples": ("count", 100)},
+        {"eps": ("positive", 1.0), "radius": ("nonnegative and finite", 3.0), "samples": ("count", 100)},
     ),
     "statcheck.check_cgp_radial_tail": (
         lambda a, r, led: statcheck.check_cgp_radial_tail(a["rho"], (0.5, a["radius"]), a["samples"], r),
-        {"rho": ("positive", 1.0), "radius": ("finite", 1.0), "samples": ("count", 100)},
+        {"rho": ("positive", 1.0), "radius": ("nonnegative and finite", 1.0), "samples": ("count", 100)},
     ),
     "statcheck.accept_probability": (
         lambda a, r, led: statcheck.accept_probability(1.0, a["scale"]),
@@ -220,3 +217,23 @@ def test_a_nan_statistic_fails(monkeypatch):
     monkeypatch.setattr(statcheck, "_binomial_band", lambda p, samples: NAN)
     report = statcheck.check_gp_radial_tail(1.0, (1.0, 3.0), 100, RandomStream(0))
     assert math.isnan(report.statistic) and not report.passed
+
+
+def test_a_radius_of_zero_goes_through():
+    # survival at 0 is 1 for both references: every draw's norm exceeds 0
+    for check in (statcheck.check_gp_radial_tail, statcheck.check_cgp_radial_tail):
+        assert check(1.0, (0.0,), 100, RandomStream(0)).passed
+
+
+def test_a_gate_scale_past_the_largest_double_is_refused_before_any_draw():
+    # 2b overflows at b = 1e308, where b itself is finite
+    rng = RandomStream(0)
+    rng._generator = Untouchable()
+    with pytest.raises(ValueError, match="gate scale 2b"):
+        statcheck.check_expected_draws(1e308, 100, rng)
+
+
+def test_the_ks_check_takes_a_scale_past_the_square_root_of_the_largest_double():
+    # the exact CDF divides by b once: nothing squares it
+    report = statcheck.check_laplace_sum_pdf(1e200, 1000, RandomStream(0))
+    assert report.samples == 1000 and math.isfinite(report.statistic)

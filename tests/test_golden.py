@@ -6,6 +6,8 @@ re-baseline these files in the same change and name it in CHANGES.md.
 Regenerate with::
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints the name of each file whose bytes it changed.
 """
 
 import json
@@ -125,8 +127,16 @@ def test_mechanism_outputs_match_golden():
     assert render_mechanisms() == (GOLDEN / "mechanisms.json").read_text(encoding="utf-8")
 
 
+def _rebaseline(path: Path, write) -> None:
+    """``write(path)``, then print the file's name if its bytes changed."""
+    before = path.read_bytes() if path.exists() else None
+    write(path)
+    if path.read_bytes() != before:
+        print(path.name)
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    (GOLDEN / "mechanisms.json").write_text(render_mechanisms(), encoding="utf-8")
+    _rebaseline(GOLDEN / "mechanisms.json", lambda p: p.write_text(render_mechanisms(), encoding="utf-8"))
     for case in CLI_CASES:
-        run_cli(case, GOLDEN / f"{case}.csv")
+        _rebaseline(GOLDEN / f"{case}.csv", lambda p, case=case: run_cli(case, p))

@@ -10,12 +10,10 @@ from scipy.stats import chi2
 
 from geopriv.noise import (
     RandomStream,
-    laplace_sum_pdf,
     sample_gaussian_vec,
     sample_laplace,
     sample_planar_laplace,
 )
-from geopriv.statcheck import adaptive_simpson
 
 
 def ks_statistic(samples: np.ndarray, cdf_values: np.ndarray) -> float:
@@ -386,24 +384,6 @@ class TestSamplerArguments:
         assert np.shape(sample_laplace(1.0, rng, size=size)) == rows
         assert np.shape(sample_gaussian_vec(np.int64(2), 1.0, rng, size=size)) == rows + (2,)
         assert np.shape(sample_planar_laplace(3, 1.0, rng, size=size)) == rows + (3,)
-
-
-class TestLaplaceSum:
-    def test_pdf_at_zero(self):
-        assert laplace_sum_pdf(0.0, 1.0) == pytest.approx(0.25, rel=1e-12)
-
-    def test_pdf_integrates_to_one(self):
-        total = adaptive_simpson(lambda y: laplace_sum_pdf(y, 1.0), -40.0, 40.0, tol=1e-12)
-        assert abs(total - 1.0) < 1e-8
-
-    def test_pdf_matches_empirical_sum(self):
-        rng = RandomStream(14)
-        y = sample_laplace(1.0, rng, size=10**6) + sample_laplace(1.0, rng, size=10**6)
-        ys = np.sort(y)
-        # CDF from the density itself: Pr[|Y| <= r] = 1 - e^{-r}(1 + r/2) at b=1
-        surv = np.exp(-np.abs(ys)) * (1 + np.abs(ys) / 2)
-        cdf = np.where(ys >= 0, 1 - surv / 2, surv / 2)
-        assert ks_statistic(ys, cdf) < 0.005
 
 
 class TestLambertBounds:

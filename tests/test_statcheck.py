@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from geopriv import statcheck
 from geopriv.noise import RandomStream, sample_laplace, sample_planar_laplace
@@ -21,7 +22,7 @@ from geopriv.statcheck import (
 )
 
 from helpers import (
-    laplace_sum_cdf_numeric,
+    laplace_sum_pdf,
     one_shot_cgp_radial_tail,
     one_shot_expected_draws,
     one_shot_gp_radial_tail,
@@ -154,15 +155,26 @@ class TestLaplaceSumCheck:
         y = sample_laplace(1.0, rng, size=SAMPLES) + sample_laplace(1.0, rng, size=SAMPLES)
         assert abs(float(y.mean())) < 0.02
 
-    def test_numeric_cdf_monotone_normalized(self):
-        pts = np.linspace(-35, 35, 101)
-        cdf = laplace_sum_cdf_numeric(pts, 1.0)
-        assert np.all(np.diff(cdf) >= 0)
-        assert cdf[0] == pytest.approx(0.0, abs=1e-8)
-        assert cdf[-1] == pytest.approx(1.0, abs=1e-8)
-        # interior value against the exact two-sided tail e^{-r}(1 + r/2)
-        mid = laplace_sum_cdf_numeric(np.array([2.0]), 1.0)[0]
-        assert mid == pytest.approx(1 - math.exp(-2.0) * 2.0 / 2, abs=1e-6)
+    @pytest.mark.parametrize("b", [0.5, 1.0, 2.0])
+    def test_exact_cdf_is_the_integral_of_the_density(self, b):
+        # split at the density's kink at 0, so quad meets 1e-14
+        tol = dict(args=(b,), epsabs=1e-14, epsrel=1e-14)
+        below = quad(laplace_sum_pdf, -np.inf, 0.0, **tol)[0]
+        pts = np.linspace(-30.0 * b, 30.0 * b, 121)
+        for y, got in zip(pts, statcheck._laplace_sum_cdf(pts, b)):
+            if y <= 0:
+                want = quad(laplace_sum_pdf, -np.inf, y, **tol)[0]
+            else:
+                want = below + quad(laplace_sum_pdf, 0.0, y, **tol)[0]
+            assert abs(got - want) < 1e-12
+
+    @pytest.mark.parametrize("b", [0.5, 1.0, 2.0])
+    def test_exact_cdf_is_monotone_and_symmetric(self, b):
+        pts = np.linspace(0.0, 40.0 * b, 4001)
+        up, down = statcheck._laplace_sum_cdf(pts, b), statcheck._laplace_sum_cdf(-pts, b)
+        assert up[0] == down[0] == 0.5
+        assert np.all(np.diff(up) >= 0) and np.all(np.diff(down) <= 0)
+        np.testing.assert_allclose(down, 1.0 - up, rtol=0, atol=1e-16)
 
 
 class TestPlanarLaplaceMean:
@@ -273,9 +285,8 @@ class TestChunkedDraws:
         [
             (lambda rng: check_gp_radial_tail(1.0, (1.0, 3.0, 5.0), 10**6, rng), 8),
             (lambda rng: check_planar_laplace_mean(5, 1.0, 10**6, rng), 8),
-            # the 8 MB sorted sums and the reference's grid and CDF; built
-            # after the draw, the reference's temporaries made it 22.9 MiB
-            (lambda rng: check_laplace_sum_pdf(1.0, 10**6, rng), 17),
+            # the 8 MB sorted sums and one chunk's CDF temporaries
+            (lambda rng: check_laplace_sum_pdf(1.0, 10**6, rng), 12),
         ],
         ids=["gp_tail", "planar_mean_d5", "laplace_sum"],
     )
