@@ -160,7 +160,7 @@ def _synthetic_collection(cfg: ExperimentConfig, index: int) -> PointTuple:
         pts = start + np.cumsum(moves, axis=0)
     else:
         pts = gen.random((size, 2)) * cfg.extent
-    return PointTuple(pts)
+    return PointTuple._own(pts)
 
 
 def _warn(message: str) -> None:

@@ -91,7 +91,7 @@ def load_traces(path) -> list[PointTuple]:
         total_skipped += skipped
         if fixes:
             lat, lon, _ = np.array(fixes).T
-            out.append(PointTuple(np.column_stack(mercator(lat, lon))))
+            out.append(PointTuple._own(np.column_stack(mercator(lat, lon))))
     if total_skipped:
         logger.warning("skipped %d malformed or out-of-domain lines in %s", total_skipped, path)
     return out
@@ -107,7 +107,7 @@ def sample_points(trace: PointTuple, n: int, rng: RandomStream) -> PointTuple:
         return trace
     idx = rng.generator.choice(len(trace), size=n, replace=False)
     idx.sort()
-    return PointTuple(trace.points[idx])
+    return PointTuple._own(trace.points[idx])
 
 
 def query_point_pool(traces: Iterable[PointTuple], cell: float = 1.0) -> np.ndarray:

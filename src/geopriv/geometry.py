@@ -5,11 +5,11 @@ they line up with the usual mathematical convention for tuples indexed by
 [n]; storage is plain 0-based numpy underneath.
 
 Reductions and broadcasts over an (n, d) point array run per column
-(``bounds``, ``query_dists``).  numpy runs ``points.min(axis=0)`` or
-``points - q`` with an inner loop of length d, which at d = 2 makes them
-about ten times slower on a few thousand points than the same work done on
-each column in turn.  Each element's arithmetic is unchanged, so the
-results are the same bytes.
+(``bounds``, ``query_dists``, ``dist_inf``, ``dist_2``).  numpy runs
+``points.min(axis=0)`` or ``points - q`` with an inner loop of length d,
+which at d = 2 makes them about ten times slower on a few thousand points
+than the same work done on each column in turn.  Each element's arithmetic
+is unchanged, so the results are the same bytes.
 """
 
 from __future__ import annotations
@@ -33,7 +33,23 @@ class PointTuple:
     __slots__ = ("points",)
 
     def __init__(self, points):
-        arr = np.array(points, dtype=np.float64)
+        self._adopt(np.array(points, dtype=np.float64))
+
+    @classmethod
+    def _own(cls, arr: np.ndarray) -> PointTuple:
+        """A tuple over ``arr`` itself, without ``__init__``'s copy.
+
+        For a fresh float64 buffer that its maker hands over and no longer
+        writes, such as a release's noise plus the true points.  The checks
+        and the read-only flag are ``__init__``'s.
+        """
+        if arr.dtype != np.float64:
+            raise TypeError(f"a handed-over buffer must be float64, got {arr.dtype}")
+        self = cls.__new__(cls)
+        self._adopt(arr)
+        return self
+
+    def _adopt(self, arr: np.ndarray) -> None:
         if arr.ndim != 2:
             raise ValueError(f"points must be an (n, d) array, got shape {arr.shape}")
         n, d = arr.shape
@@ -79,22 +95,56 @@ def row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(s, out=s)
 
 
+def _squared_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of an (n, d) array ``a``
+    and those of an (n, d) ``b``, or one point ``b`` of shape (d,), in a
+    fresh buffer: the sums that ``row_norms(a - b)`` takes the root of.
+
+    Below 8 columns ``norm`` sums them in column order, so subtracting,
+    squaring and summing one column at a time gives them without the (n, d)
+    difference.  It sums rows of 8 or more pairwise, so those go to its
+    ``add.reduce``.
+    """
+    d = a.shape[1]
+    if d >= 8:
+        v = a - b
+        v *= v
+        return np.add.reduce(v, axis=1)
+    s = a[:, 0] - b[..., 0]
+    s *= s
+    for j in range(1, d):
+        t = a[:, j] - b[..., j]
+        t *= t
+        s += t
+    return s
+
+
 def _per_point_dists(x: PointTuple, y: PointTuple) -> np.ndarray:
+    """Squared distance between the i-th points of x and y (``_squared_dists``)."""
     if x.points.shape != y.points.shape:
         raise ValueError(
             f"point tuples must share shape, got {x.points.shape} and {y.points.shape}"
         )
-    return row_norms(x.points - y.points)
+    return _squared_dists(x.points, y.points)
 
 
 def dist_inf(x: PointTuple, y: PointTuple) -> float:
-    """Max over i of the Euclidean distance between the i-th points."""
-    return float(_per_point_dists(x, y).max())
+    """Max over i of the Euclidean distance between the i-th points.
+
+    IEEE sqrt is correctly rounded and monotone, so the root of the largest
+    square is the largest root, bit for bit."""
+    return math.sqrt(_per_point_dists(x, y).max())
 
 
 def dist_2(x: PointTuple, y: PointTuple) -> float:
-    """Root-sum-of-squares of per-point Euclidean distances."""
-    return float(np.sqrt((_per_point_dists(x, y) ** 2).sum()))
+    """Root-sum-of-squares of per-point Euclidean distances.
+
+    The per-point distances are rounded before they are squared again, as
+    ``sqrt(sum(row_norms(x - y) ** 2))`` rounds them."""
+    r = _per_point_dists(x, y)
+    np.sqrt(r, out=r)
+    r *= r
+    return math.sqrt(r.sum())
 
 
 def bounds(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,22 +174,13 @@ def query_dists(points: np.ndarray, q) -> np.ndarray:
     """Distances ||p_i - q|| from each row of an (n, d) array to the query
     point q, which must have shape (d,).
 
-    The bytes of ``row_norms(points - q)``: below 8 columns that subtracts,
-    squares and sums column by column, so doing the same per column skips
-    the (n, d) difference.
+    The bytes of ``row_norms(points - q)``, from ``_squared_dists``.
     """
     q = np.asarray(q, dtype=np.float64)
     d = points.shape[1]
     if q.shape != (d,):
         raise ValueError(f"query point must have shape ({d},), got {q.shape}")
-    if d >= 8:
-        return row_norms(points - q)
-    s = points[:, 0] - q[0]
-    s *= s
-    for j in range(1, d):
-        t = points[:, j] - q[j]
-        t *= t
-        s += t
+    s = _squared_dists(points, q)
     return np.sqrt(s, out=s)
 
 

@@ -200,7 +200,7 @@ def _identity_inf(
     noise = cal.noise(x.dim, budget, rng, count=n, size=n)  # refuses an infinite scale
     _charge(ledger, "points", budget)
     noise += x.points
-    return PointTuple(noise)
+    return PointTuple._own(noise)
 
 
 def identity_gp_inf(
@@ -232,7 +232,7 @@ def _identity_l2(
     noise = cal.noise(x.n * x.dim, budget, rng).reshape(x.n, x.dim)  # refuses an infinite scale
     _charge(ledger, "tuple", budget)
     noise += x.points
-    return PointTuple(noise)
+    return PointTuple._own(noise)
 
 
 def identity_gp_l2(

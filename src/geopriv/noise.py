@@ -163,7 +163,11 @@ def sample_planar_laplace(dim: int, eps: float, rng: RandomStream, size: int | N
     Z ~ N(0, I_d) and V ~ Gamma((d+1)/2, 1) has exactly this law, and at
     d = 1 it is Laplace(1/eps).  Each call draws the (n, d) normals first,
     then the n gammas, and scales the normals in place (into a fresh buffer
-    when they come from a memo).
+    when they come from a memo).  Up to d = 2 each column is scaled in turn:
+    numpy broadcasts ``z * scale[:, None]`` with an inner loop of length d,
+    about three times slower at n = 16384 than two column multiplies.  From
+    d = 5 on the column loop loses to the broadcast (×2.3 at d = 8), so it
+    stops at the sweeps' d = 2.
     """
     dim = _count("dim", dim)
     if not (0 < eps < math.inf and 1.0 / float(eps) < math.inf):
@@ -181,6 +185,10 @@ def sample_planar_laplace(dim: int, eps: float, rng: RandomStream, size: int | N
     scale = np.multiply(v, 2.0, out=_buffer(v))
     np.sqrt(scale, out=scale)
     scale /= eps
-    np.multiply(z, scale[:, None], out=y)
+    if dim <= 2:
+        for j in range(dim):
+            np.multiply(z[:, j], scale, out=y[:, j])
+    else:
+        np.multiply(z, scale[:, None], out=y)
     return y[0] if size is None else y
 

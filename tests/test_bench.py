@@ -232,6 +232,12 @@ class TestStreamKeys:
         assert all(r.trials == (pairs - len(on) if r.k == 1 else pairs) for r in rows)
         assert all(math.isfinite(v) for r in rows for v in (r.mean, r.p25, r.p75))
 
+    @pytest.mark.parametrize("source", ["synthetic", "synthetic-walk"])
+    def test_synthetic_collections_are_read_only_and_distinct(self, source):
+        colls = _collections(small_cfg(input=source))
+        assert all(not c.points.flags.writeable for c in colls)
+        assert not np.shares_memory(colls[0].points, colls[1].points)
+
     def test_a_knn_cell_with_every_trial_skipped_gives_no_rows(self, monkeypatch, caplog):
         # it used to raise IndexError from np.percentile over no values
         cfg = small_cfg(task="knn", n_grid=[64], k_grid=[1, 2], trials=1, collections=1)

@@ -64,6 +64,7 @@ class TestLoader:
             "37.73 -122.37 0 100\n"
         )
         (pts,) = load_traces(f)
+        assert not pts.points.flags.writeable
         # by time, and a tie in file order
         fixes = [(37.76, -122.40), (37.73, -122.37), (37.74, -122.38), (37.75, -122.39)]
         expect = [mercator(lat, lon) for lat, lon in fixes]
@@ -129,6 +130,12 @@ class TestSamplePoints:
         b = sample_points(x, 7, RandomStream(2, 3))
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.points[:, 0], np.sort(a.points[:, 0]))
+
+    def test_a_sample_is_read_only_and_not_a_view_of_the_trace(self):
+        x = PointTuple(np.arange(40.0).reshape(20, 2))
+        out = sample_points(x, 7, RandomStream(2, 3))
+        assert not out.points.flags.writeable
+        assert not np.shares_memory(out.points, x.points)
 
     def test_invalid_n(self):
         x = PointTuple([[0.0, 0.0]])

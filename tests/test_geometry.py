@@ -36,6 +36,27 @@ class TestPointTuple:
         with pytest.raises(ValueError):
             x.points[0, 0] = 1.0
 
+    def test_a_caller_array_is_copied(self):
+        arr = np.arange(6.0).reshape(3, 2)
+        x = PointTuple(arr)
+        arr[0, 0] = 99.0
+        assert x.points[0, 0] == 0.0
+        assert not np.shares_memory(x.points, arr)
+        assert arr.flags.writeable
+
+    def test_a_handed_over_buffer_is_kept_and_checked(self):
+        arr = np.arange(6.0).reshape(3, 2)
+        x = PointTuple._own(arr)
+        assert x.points is arr and not arr.flags.writeable
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            PointTuple._own(np.array([[0.0, np.inf]]))
+        with pytest.raises(ValueError, match="must be an"):
+            PointTuple._own(np.zeros(2))
+        with pytest.raises(ValueError, match="at least one point"):
+            PointTuple._own(np.empty((0, 2)))
+        with pytest.raises(TypeError, match="float64"):
+            PointTuple._own(np.zeros((1, 2), dtype=np.float32))
+
 
 class TestTupleMetrics:
     def test_worked_examples(self):

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import re
 
@@ -45,6 +46,31 @@ class TestIdentityMechanisms:
         ):
             out = mech(x, budget, RandomStream(0, zero_noise=True))
             assert np.array_equal(out.points, x.points)
+
+    @pytest.mark.parametrize("mech", [identity_gp_inf, identity_cgp_inf, identity_gp_l2, identity_cgp_l2])
+    @pytest.mark.parametrize("stream", ["plain", "taped", "zero"])
+    def test_a_release_owns_its_read_only_points(self, mech, stream):
+        arr = np.random.default_rng(0).random((20, 2)) * 1000.0
+        x = PointTuple(arr)
+        rng = RandomStream(1, 2, zero_noise=stream == "zero")
+        with rng.taped() if stream == "taped" else contextlib.nullcontext():
+            out = mech(x, 0.5, rng)
+            draws = [a for a, _ in rng._memo.values()] if stream == "taped" else []
+        assert not out.points.flags.writeable
+        with pytest.raises(ValueError):
+            out.points[0, 0] = 1.0
+        for other in (x.points, arr, *draws):
+            assert not np.shares_memory(out.points, other)
+        before = out.points.copy()
+        arr[:] = -1.0
+        assert np.array_equal(out.points, before)
+
+    @pytest.mark.parametrize("mech", [identity_gp_inf, identity_gp_l2])
+    def test_a_release_whose_noise_overflows_is_refused(self, mech):
+        # noise of scale 1e300 or more pushes a coordinate at the largest double past it
+        x = PointTuple(np.full((4, 2), np.finfo(np.float64).max))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="coordinates must be finite"):
+            mech(x, 1e-300, RandomStream(0))
 
     def test_parameter_errors(self):
         x = uniform_tuple(0, 3)

@@ -16,7 +16,7 @@ checked against point-in-triangle elimination and against a plain
 monotone chain over every point, up to the hull sweep's n = 4096.  The
 row-norm kernel is checked byte for byte against ``np.linalg.norm``, and
 each column-wise kernel against the numpy expression it replaces: query
-distances, bounds, the box centre and scale, the row dedup, the
+distances, the tuple metrics, planar-Laplace scaling, bounds, the box centre and scale, the row dedup, the
 prefilter's edge loop and the cached hull area.  The clip on Python floats
 is checked against the same clip on numpy scalars, and the knn baseline's
 partial selection against a stable argsort."""
@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 from geopriv import mechanisms
 from geopriv.accounting import BudgetLedger, CgpBudget, GpBudget
 from geopriv.bench import _k_smallest
-from geopriv.geometry import PointTuple, bounds, center, query_dists, row_norms
+from geopriv.geometry import MAX_SPAN, PointTuple, bounds, center, dist_2, dist_inf, query_dists, row_norms
 from geopriv.hull import (
     _FILTER_DIRS,
     _FILTER_MARGIN,
@@ -60,7 +60,7 @@ from geopriv.mechanisms import (
     private_convex_hull_gp,
     svt,
 )
-from geopriv.noise import RandomStream, sample_laplace
+from geopriv.noise import RandomStream, sample_laplace, sample_planar_laplace
 from helpers import (
     brute_first_below,
     brute_hull_vertices,
@@ -505,6 +505,62 @@ def test_query_dists_are_the_bytes_of_row_norms_of_the_difference(cols, rows, of
     q = gen.standard_normal(cols) * 1e3 + offset
     assert query_dists(v, q).tobytes() == row_norms(v - q).tobytes()
     assert query_dists(v, list(q)).tobytes() == row_norms(v - q).tobytes()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    cols=st.integers(1, 10),
+    rows=st.integers(1, 300),
+    place=st.sampled_from(["metres", "mercator", "max_span"]),
+    same=st.sampled_from(["none", "some", "all"]),
+    layout=st.sampled_from(["C", "F"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(cols=7, rows=300, place="mercator", same="none", layout="C", seed=0)
+@example(cols=8, rows=300, place="mercator", same="none", layout="C", seed=0)
+@example(cols=2, rows=1, place="max_span", same="all", layout="C", seed=0)
+def test_dist_inf_and_dist_2_are_the_bytes_of_row_norms_of_the_difference(cols, rows, place, same, layout, seed):
+    # places: 1 km spread at the origin, at a 1e7 m Mercator offset, or
+    # spread over MAX_SPAN; duplicate rows are at distance zero
+    gen = np.random.default_rng(seed)
+    offset, spread = {"metres": (0.0, 1e3), "mercator": (1e7, 1e3), "max_span": (0.0, MAX_SPAN)}[place]
+    a = gen.uniform(-0.5, 0.5, (rows, cols)) * spread + offset
+    b = gen.uniform(-0.5, 0.5, (rows, cols)) * spread + offset
+    if same != "none":
+        dup = gen.random(rows) < 0.5 if same == "some" else slice(None)
+        b[dup] = a[dup]
+    order = {"C": np.ascontiguousarray, "F": np.asfortranarray}[layout]
+    x, y = PointTuple(order(a)), PointTuple(order(b))
+    r = row_norms(x.points - y.points)
+    assert dist_inf(x, y).hex() == float(r.max()).hex()
+    assert dist_2(x, y).hex() == float(np.sqrt((r**2).sum())).hex()
+
+
+def _planar_reference(dim, eps, gen, n):
+    """``sample_planar_laplace``'s arithmetic with one broadcast multiply,
+    on draws from ``gen`` taken in the sampler's order."""
+    z = gen.standard_normal((n, dim))
+    scale = np.sqrt(gen.standard_gamma((dim + 1) / 2, n) * 2.0) / eps
+    return z * scale[:, None]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    dim=st.integers(1, 3),
+    size=st.one_of(st.none(), st.integers(0, 300)),
+    eps=st.sampled_from([1e-3, 0.7, 50.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_planar_laplace_is_the_bytes_of_the_broadcast_scale(dim, size, eps, seed):
+    want = _planar_reference(dim, eps, RandomStream(seed, 9).generator, 1 if size is None else size)
+    want = want[0] if size is None else want
+    assert sample_planar_laplace(dim, eps, RandomStream(seed, 9), size=size).tobytes() == want.tobytes()
+    rng = RandomStream(seed, 9)
+    with rng.taped():
+        recorded = sample_planar_laplace(dim, eps, rng, size=size)
+        rng.rewind()
+        served = sample_planar_laplace(dim, eps, rng, size=size)
+    assert recorded.tobytes() == served.tobytes() == want.tobytes()
 
 
 def _with_signed_zeros(v, gen):
