@@ -17,11 +17,14 @@ bounding-circle slack, and the auto anchor count.
 
 Every sparse vector scan (``svt``, ``pnn``, each round of ``kpnn`` and
 ``kpnn_gp``, each probe of the anchor stage) runs through one array scan,
-``_scan``.  It takes the queries in blocks of up to 256, makes one
-Laplace draw of the block's size per block, compares the whole block with
-the gate at once and halts at the first value below it.  The blocks are
-the ones a query-by-query scan would draw, so the draw stream, and every
-output at a fixed seed, is that of such a scan.
+``_scan``.  It takes the queries in blocks of up to 256.  Per block it
+draws the uniforms that numpy builds a Laplace draw of the block's size
+from, and finds at once the candidates: the values below a limit, computed
+from their uniform, that every accepting value meets.  It confirms them in
+order with numpy's own variate and halts at the first whose noisy value is
+below the gate.  The blocks are the ones a query-by-query scan would draw,
+and a block with a zero uniform, which numpy draws again, is replayed, so
+the draw stream, and every output at a fixed seed, is that of such a scan.
 
 ``pnn``, each ``kpnn`` round and each anchor probe are one private
 nearest-neighbour step, ``_pnn_scan(dists, rate, rng) -> (pos, steps)``,
@@ -82,6 +85,7 @@ from .geometry import (
 )
 from .noise import (
     RandomStream,
+    _laplace_value,
     sample_gaussian_vec,
     sample_laplace,
     sample_planar_laplace,
@@ -254,8 +258,13 @@ def identity_cgp_l2(
 # ---------------------------------------------------------------------------
 # sparse vector technique
 
-# Queries per Laplace draw of the scan; the block sizes fix the draw stream.
+# Queries per block of the scan's noise; the block sizes fix the draw stream.
 _BLOCK = 256
+# The relative slack of the candidate bound, per unit of 1 + |gate| / scale.
+_SLACK = 1e-9
+# The largest gate and the range of scales decided from uniforms: there a
+# variate is a normal double and the candidate limit is finite (see ``_scan``).
+_TAME = 2.0**960
 
 
 def _scan(
@@ -272,9 +281,38 @@ def _scan(
     ``done + size``, fewer only when the query stream runs out; it may
     return a view, which the scan does not write to.  A block of
     ``min(256, max_steps - done)`` queries halts the scan at its first
-    ``value + noise <= gate``.
+    ``noise + value <= gate``, the noise being the block's
+    ``generator.laplace(0.0, scale, size)``.
+
+    That draw is not made, but its uniforms are.  numpy builds each
+    variate from one uniform u, as ``scale * log(2u)`` below 1/2 and
+    ``-scale * log(2 - 2u)`` from 1/2 on, non-decreasing in u, and draws u
+    again when it is 0.  The scan draws ``generator.random(size)``, the
+    same uniforms.  In real arithmetic a value accepts iff u <= F(t), the
+    Laplace CDF at ``t = (gate - value) / scale``, and F(t) <= exp(t) / 2,
+    so every accepting value has ``u <= (1 + delta) exp(t) / 2``, that is
+    ``value <= gate + scale * log((1 + delta) / 2) - scale * log(u)``.  The
+    scan compares the whole block with that limit at once (``np.log``).
+    ``delta = 1e-9 (1 + |gate| / scale)`` also covers rounding, which moves
+    the acceptance boundary by a relative few ulps times
+    ``40 + |gate| / scale`` (|log u| <= 36.8 for u >= 2**-53).  The
+    candidates are confirmed in order with numpy's own variate
+    (``noise._laplace_value``, libm's log) and the same comparison, so the
+    first confirmed one is the hit, bit for bit.  A block whose uniforms
+    hold a zero (one block in 2**45) is decided value by value as numpy
+    draws it, with a fresh uniform in place of each zero, so the generator
+    ends every block where ``laplace`` leaves it.
+
+    Outside the regime that argument covers, a scale outside
+    [2**-960, 2**960], or a gate that is not finite, above 2**960 in size
+    or above 1e12 scales, the scan draws ``laplace`` itself.
     """
-    laplace = None if rng.zero_noise else rng.generator.laplace
+    gen = None if rng.zero_noise else rng.generator
+    ratio = abs(gate) / scale
+    shift = None
+    if gen is not None and 1.0 / _TAME <= scale <= _TAME and ratio <= 1e12 and abs(gate) <= _TAME:
+        # value <= shift - scale * log(u) is u <= (1 + delta) exp(t) / 2
+        shift = gate + scale * math.log(0.5 * (1.0 + _SLACK * (1.0 + ratio)))
     done = 0
     while done < max_steps:
         size = min(_BLOCK, max_steps - done)
@@ -282,15 +320,55 @@ def _scan(
         n = len(values)
         if n == 0:
             break
-        if laplace is not None:
-            values = laplace(0.0, scale, size)[:n] + values
-        hit = values <= gate
-        i = int(hit.argmax())
-        if hit[i]:
+        if shift is not None:
+            i = _block_hit(gen, values, size, gate, scale, shift)
+        else:
+            if gen is not None:
+                values = gen.laplace(0.0, scale, size)[:n] + values
+            hit = values <= gate
+            i = int(hit.argmax())
+            i = i if hit[i] else None
+        if i is not None:
             steps = done + i + 1
             return SvtOutcome(True, steps, steps)
         done += n
     return SvtOutcome(False, done, None)
+
+
+def _block_hit(gen: np.random.Generator, values: np.ndarray, size: int, gate: float, scale: float, shift: float):
+    """The first position of one block whose value accepts, or None,
+    decided from the block's ``size`` uniforms (see ``_scan``)."""
+    n = len(values)
+    u = gen.random(size)
+    if np.count_nonzero(u) < size:
+        return _replay(gen, values, u, gate, scale)
+    # log u is finite, in [-36.8, 0): the limit neither overflows nor warns
+    limit = np.log(u)
+    limit *= -scale
+    limit += shift
+    cand = np.less_equal(values, limit if n == size else limit[:n])
+    p = int(cand.argmax())
+    while cand[p]:
+        if _laplace_value(u.item(p), scale) + values.item(p) <= gate:
+            return p
+        if p + 1 == n:
+            break
+        p += 1 + int(cand[p + 1 :].argmax())
+    return None
+
+
+def _replay(gen: np.random.Generator, values: np.ndarray, u: np.ndarray, gate: float, scale: float):
+    """A block whose uniforms hold a zero, decided as numpy's ``laplace``
+    draws it: its variates are the block's nonzero uniforms in order, then
+    fresh ones, drawn in place of each zero until there are ``len(u)``."""
+    w = u[u != 0.0]
+    while len(w) < len(u):
+        more = gen.random(len(u) - len(w))
+        w = np.concatenate((w, more[more != 0.0]))
+    for j, x in enumerate(w[: len(values)].tolist()):
+        if _laplace_value(x, scale) + values.item(j) <= gate:
+            return j
+    return None
 
 
 def _cycle(values: np.ndarray) -> Callable[[int, int], np.ndarray]:
@@ -376,7 +454,7 @@ def _pnn_scan(dists: np.ndarray, rate: float, rng: RandomStream) -> tuple[int, i
     in ``dists`` and the scan's step count; charges nothing."""
     m = len(dists)
     svt_eps = 2.0 * rate / 3.0
-    gate = (float(dists.min()) + sample_laplace(3.0 / rate, rng)) + sample_laplace(2.0 / svt_eps, rng)
+    gate = (float(np.minimum.reduce(dists)) + sample_laplace(3.0 / rate, rng)) + sample_laplace(2.0 / svt_eps, rng)
     outcome = _scan(_cycle(dists), gate, 4.0 / svt_eps, _MAX_CYCLES * m, rng)
     if not outcome.halted:
         raise NonHaltError(
@@ -434,18 +512,20 @@ def _kpnn(
     ``dists[:m - 1]``."""
     _positive(cal.unit, budget)
     k = _as_index(k, "k")
-    if not 1 <= k <= x.n:
-        raise ValueError(f"k must be in 1..{x.n}, got {k}")
+    n = x.n
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in 1..{n}, got {k}")
     dists = query_dists(x.points, query_point)
     _check_query_point(query_point)
     share = budget / k
     rate = cal.round_rate(share)
     _check_step_rate(rate)
-    index = np.arange(1, x.n + 1)
+    index = np.arange(1, n + 1)
     chosen: list[int] = []
     for j in range(1, k + 1):
-        m = x.n - j + 1
-        _charge(ledger, f"round_{j}", share)
+        m = n - j + 1
+        if ledger is not None:
+            ledger.charge(f"round_{j}", share)
         pos, _ = _pnn_scan(dists[:m], rate, rng)
         chosen.append(int(index[pos]))
         dists[pos : m - 1] = dists[pos + 1 : m]

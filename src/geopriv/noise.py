@@ -139,6 +139,15 @@ def sample_laplace(scale: float, rng: RandomStream, size: int | None = None):
     return rng.generator.laplace(0.0, scale, size=size)
 
 
+def _laplace_value(u: float, scale: float) -> float:
+    """The variate ``Generator.laplace(0.0, scale)`` builds from its uniform
+    ``u`` in (0, 1), bit for bit: numpy's formula, whose C code calls libm's
+    ``log``, as ``math.log`` does.  numpy draws ``u`` again when it is 0."""
+    if u >= 0.5:
+        return 0.0 - scale * math.log(2.0 - u - u)
+    return 0.0 + scale * math.log(u + u)
+
+
 def sample_gaussian_vec(dim: int, sigma: float, rng: RandomStream, size: int | None = None):
     """Draw a vector of ``dim`` independent N(0, sigma^2) coordinates.
 

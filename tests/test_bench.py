@@ -630,6 +630,26 @@ class TestTrialPool:
             texts.append(out.read_bytes())
         assert texts[0] == texts[1]
 
+    def test_the_scanning_sweeps_leave_the_pool_unimported(self, tmp_path):
+        # concurrent.futures alone adds about 0.6 MiB to a sweep's peak memory
+        src = Path(geopriv.__file__).resolve().parents[1]
+        code = (
+            "import sys; from geopriv import bench; print('concurrent.futures' in sys.modules)\n"
+            "for task in ('knn', 'hull'):\n"
+            "    argv = [task, '--n-grid', '16', '--k-grid', '4', '--trials', '2', '--out', sys.argv[1]]\n"
+            "    assert bench.main(argv) == 0\n"
+            "print('concurrent.futures' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "out.csv")],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split()[-2:] == ["False", "False"]
+
     def test_identity_trials_run_on_one_thread_per_core(self, monkeypatch):
         seen = set()
         _spy(monkeypatch, "identity_gp_inf", seen, delay=0.002)

@@ -5,7 +5,11 @@ calibration, every composite mechanism's ledger closes (also when a
 scan gives up), and under zero noise the k nearest neighbours and every
 hull anchor are exactly the brute-force ones.  The sparse vector scan is checked against a brute-force
 first-below search under zero noise, and against a query-by-query scan on
-seeded streams: same outcome, same draws.  The private nearest-neighbour
+seeded streams: same outcome, same draws, also at values placed within 4
+ulps of the acceptance boundary, at extreme values and scales and with a
+zero uniform (built into the PCG64 state) before, at or after the hit; the
+variate the scan confirms with is numpy's Laplace variate bit for bit.  The
+private nearest-neighbour
 step is checked against a query-by-query step on the same stream, halting at
 block edges, across the seam or at the cap, and ``pnn`` against that step
 over its subset.  The scan's cycling blocks are checked
@@ -60,7 +64,7 @@ from geopriv.mechanisms import (
     private_convex_hull_gp,
     svt,
 )
-from geopriv.noise import RandomStream, sample_laplace, sample_planar_laplace
+from geopriv.noise import RandomStream, _laplace_value, sample_laplace, sample_planar_laplace
 from helpers import (
     brute_first_below,
     brute_hull_vertices,
@@ -382,6 +386,234 @@ def test_svt_draws_like_the_array_scan(path, m, extra, hit, seed):
         "cap": (False, max_steps),
         "exhausted": (False, m),
     }[path]
+
+
+# PCG64's multiplier and its inverse mod 2**128, to step a state back
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_INV = pow(_PCG_MULT, -1, 2**128)
+_U64 = 2**64 - 1
+
+
+def put_output(rng: RandomStream, z: int, output: int, word: int) -> None:
+    """Set ``rng``'s PCG64 state so that its 64-bit output number ``z``
+    (0-based) is ``output``, so its uniform number z is ``(output >> 11) /
+    2**53``.  The state after that step has high half ``word`` and a low
+    half that the XSL-RR output (rotate ``hi ^ lo`` right by ``hi >> 58``)
+    maps to ``output``; it is stepped back z + 1 times."""
+    rot = word >> 58
+    lo = word ^ ((output << rot | output >> (64 - rot)) & _U64)
+    bits = rng.generator.bit_generator
+    state = bits.state
+    inc = state["state"]["inc"]
+    s = word << 64 | lo
+    for _ in range(z + 1):
+        s = (s - inc) * _PCG_MULT_INV % 2**128
+    state["state"]["state"] = s
+    state["has_uint32"] = state["uinteger"] = 0
+    bits.state = state
+
+
+def put_zero(rng: RandomStream, z: int, word: int) -> None:
+    """Make ``rng``'s uniform number ``z`` 0.0, which numpy's ``laplace``
+    draws again."""
+    put_output(rng, z, 0, word)
+
+
+# the extreme uniforms: 0, 2**-53, 1/2 and 1 - 2**-53
+EDGE_OUTPUTS = [0, 1 << 11, 1 << 63, _U64]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    log_scale=st.floats(-300.0, 300.0),
+    size=st.integers(1, 600),
+    edge=st.sampled_from(EDGE_OUTPUTS),
+    word=st.integers(0, _U64),
+)
+@example(seed=0, log_scale=-300.0, size=256, edge=1 << 63, word=0)
+@example(seed=0, log_scale=300.0, size=256, edge=_U64, word=2**64 - 1)
+def test_laplace_value_is_numpys_variate(seed, log_scale, size, edge, word):
+    # bit for bit over a block of uniforms, one of them an extreme, and the
+    # uniforms leave the generator where the draw does unless one is 0
+    scale = 10.0**log_scale
+    drawn, built = RandomStream(seed), RandomStream(seed)
+    for rng in (drawn, built):
+        put_output(rng, size // 2, edge, word)
+    want = drawn.generator.laplace(0.0, scale, size)
+    u = built.generator.random(size)
+    assert u[size // 2] == (edge >> 11) / 2**53
+    nonzero = [x for x in u.tolist() if x != 0.0]
+    if edge == 0:
+        nonzero.append(built.generator.random())  # numpy's draw again
+    got = np.array([_laplace_value(x, scale) for x in nonzero])
+    assert got.tobytes() == want.tobytes()
+    assert drawn.generator.random() == built.generator.random()
+
+
+# a query far above the gate: its noise would have to be below -100 scales
+FAR = None
+
+
+def boundary_values(gate, noise, scale, placements):
+    """Per placement, ``gate - noise[j]`` moved by that many ulps, at which
+    ``noise[j] + value <= gate`` turns on rounding, or a value 100 scales
+    above the gate for ``FAR``."""
+    values = np.empty(len(placements))
+    for j, ulps in enumerate(placements):
+        if ulps is FAR:
+            values[j] = gate + 100.0 * scale
+            continue
+        v = gate - noise[j]
+        for _ in range(abs(ulps)):
+            v = np.nextafter(v, math.copysign(math.inf, ulps))
+        values[j] = v
+    return values
+
+
+PLACEMENTS = st.lists(st.one_of(st.integers(-4, 4), st.just(FAR)), min_size=1, max_size=600)
+# nan, +inf and -inf query values at a few positions
+SPECIALS = st.lists(st.tuples(st.integers(0, 599), st.sampled_from([math.nan, math.inf, -math.inf])), max_size=2)
+
+
+def _special(values, specials):
+    for j, v in specials:
+        if j < len(values):
+            values[j] = v
+    return values
+
+
+@settings(max_examples=250, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    # 1e-300 and 1e300 are outside the scales decided from uniforms
+    log_scale=st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-300.0, 300.0])),
+    offset=st.sampled_from([0.0, 1e7, -1e7]),  # Mercator-scale gates: |gate| / scale up to 1e10
+    shift=st.floats(-3.0, 3.0),
+    placements=PLACEMENTS,
+    specials=SPECIALS,
+    max_steps=STEP_CAPS,
+    zero=st.one_of(st.none(), st.integers(0, 700)),
+    word=st.integers(0, _U64),
+)
+# without the candidate bound's slack, rounding loses this hit
+@example(seed=254, log_scale=1.0, offset=0.0, shift=0.0, placements=[0], specials=[], max_steps=1, zero=None, word=0)
+def test_scan_at_the_acceptance_boundary_is_the_stepwise_scan(
+    seed, log_scale, offset, shift, placements, specials, max_steps, zero, word
+):
+    # the values sit where rounding decides the comparison, so a candidate
+    # bound without its slack, or a hit taken without numpy's exact variate,
+    # shows; a zero uniform anywhere in the first blocks shifts the variates
+    scale = 10.0**log_scale
+    gate = offset + shift * scale
+    streams = [RandomStream(seed, 2) for _ in range(3)]
+    if zero is not None:
+        for rng in streams:
+            put_zero(rng, zero, word)
+    clone, fast, ref = streams
+    noise = clone.generator.laplace(0.0, scale, len(placements))  # the scan's variates
+    values = _special(boundary_values(gate, noise, scale, placements), specials)
+    halted, steps = stepwise_scan(islice(cycle(values), max_steps), gate, scale, max_steps, ref.generator)
+    assert _scan(_cycle(values), gate, scale, max_steps, fast) == SvtOutcome(halted, steps, steps if halted else None)
+    assert fast.generator.random() == ref.generator.random()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lipschitz=st.sampled_from([1e-3, 1.0, 250.0]),
+    threshold=st.sampled_from([0.0, 1e7]),
+    placements=PLACEMENTS,
+    extra=st.integers(-600, 300),
+    specials=SPECIALS,
+    zero=st.one_of(st.none(), st.integers(0, 700)),
+    word=st.integers(0, _U64),
+)
+# without the candidate bound's slack, rounding loses this hit
+@example(seed=515, lipschitz=1e-3, threshold=0.0, placements=[0, 0], extra=0, specials=[(0, math.nan)], zero=None, word=0)
+def test_svt_at_the_acceptance_boundary_is_the_stepwise_scan(
+    seed, lipschitz, threshold, placements, extra, specials, zero, word
+):
+    # the query stream runs out when max_steps passes it, in a short block
+    m = len(placements)
+    max_steps = max(1, m + extra)
+    streams = [RandomStream(seed, 4) for _ in range(3)]
+    if zero is not None:
+        for rng in streams:
+            put_zero(rng, zero, word)
+    clone, fast, ref = streams
+    gate = threshold + sample_laplace(2.0 * lipschitz, clone)
+    noise = clone.generator.laplace(0.0, 4.0 * lipschitz, m)
+    values = _special(boundary_values(gate, noise, 4.0 * lipschitz, placements), specials)
+    ref_gate = threshold + sample_laplace(2.0 * lipschitz, ref)
+    halted, steps = stepwise_scan(values, ref_gate, 4.0 * lipschitz, max_steps, ref.generator)
+    queries = [lambda _x, v=v: v for v in values.tolist()]
+    got = svt(PointTuple([[0.0, 0.0]]), 1.0, threshold, lipschitz, queries, max_steps, fast)
+    assert got == SvtOutcome(halted, steps, steps if halted else None)
+    assert fast.generator.random() == ref.generator.random()
+
+
+EXTREMES = [0.0, 5e-324, 1e-300, 1.0, 1e7, 1e300, 1.7976931348623157e308, math.inf, math.nan]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    # the least and the largest scale decided from uniforms, and between
+    scale=st.sampled_from([2.0**-960, 1e-200, 1.0, 1e200, 2.0**960]),
+    gate=st.sampled_from([0.0, 1.0, -1e7, 1e7]),
+    values=st.lists(st.tuples(st.sampled_from(EXTREMES), st.sampled_from([1.0, -1.0])), min_size=1, max_size=300),
+    max_steps=STEP_CAPS,
+)
+def test_scan_of_extreme_values_warns_nothing_and_is_the_stepwise_scan(seed, scale, gate, values, max_steps):
+    # a RuntimeWarning fails the test; only the oracle's numpy sums may overflow
+    values = np.array([v * sign for v, sign in values])
+    fast, ref = RandomStream(seed, 8), RandomStream(seed, 8)
+    with np.errstate(over="ignore"):
+        halted, steps = stepwise_scan(islice(cycle(values), max_steps), gate, scale, max_steps, ref.generator)
+    assert _scan(_cycle(values), gate, scale, max_steps, fast) == SvtOutcome(halted, steps, steps if halted else None)
+    assert fast.generator.random() == ref.generator.random()
+
+
+# (zero, hit, m, max_steps): the uniform that is 0 and the one query that
+# accepts, counted from the scan's first uniform and first query
+ZERO_PLACES = {
+    "before the hit": (40, 100, 300, 600),
+    "at the hit": (100, 100, 300, 600),
+    "after the hit": (130, 100, 300, 600),
+    "last of a block without a hit": (255, 300, 400, 600),
+    "in a block without a hit": (10, 300, 400, 600),
+    "in the block after one without a hit": (300, 400, 500, 600),
+    "past the hit's block": (256, 100, 300, 600),
+    "in a capped scan without a hit": (70, None, 300, 200),
+    "in a short block's unused tail": (150, None, 100, 600),
+}
+
+
+@pytest.mark.parametrize("place", sorted(ZERO_PLACES))
+@pytest.mark.parametrize("word", [0, 0x0123456789ABCDEF, _U64])
+def test_a_zero_uniform_draws_like_numpys_laplace(place, word):
+    # queries far above the gate except one far below it, so only the draws
+    # tell a replay from none; the query stream runs out after m queries
+    zero, hit, m, max_steps = ZERO_PLACES[place]
+    values = np.full(m, 1e6)
+    if hit is not None:
+        values[hit] = -1e6
+    fast, ref, public, public_ref = (RandomStream(3, 9) for _ in range(4))
+    for rng in (fast, ref):
+        put_zero(rng, zero, word)
+    for rng in (public, public_ref):
+        put_zero(rng, zero + 1, word)  # svt draws its gate first
+    halted, steps = stepwise_scan(values, 0.0, 1.0, max_steps, ref.generator)
+    expect = SvtOutcome(halted, steps, steps if halted else None)
+    assert (halted, steps) == ((True, hit + 1) if hit is not None else (False, min(m, max_steps)))
+    assert _scan(lambda done, size: values[done : done + size], 0.0, 1.0, max_steps, fast) == expect
+    assert fast.generator.random() == ref.generator.random()
+    gate = 0.0 + sample_laplace(0.5, public_ref)
+    assert stepwise_scan(values, gate, 1.0, max_steps, public_ref.generator) == (halted, steps)
+    queries = [lambda _x, v=v: v for v in values.tolist()]
+    assert svt(PointTuple([[0.0, 0.0]]), 4.0, 0.0, 1.0, queries, max_steps, public) == expect
+    assert public.generator.random() == public_ref.generator.random()
 
 
 HULL_KINDS = [
