@@ -324,7 +324,9 @@ def _scan(
             i = _block_hit(gen, values, size, gate, scale, shift)
         else:
             if gen is not None:
-                values = gen.laplace(0.0, scale, size)[:n] + values
+                # numpy's IEEE sum decides, where it overflows or is nan too
+                with np.errstate(over="ignore", invalid="ignore"):
+                    values = gen.laplace(0.0, scale, size)[:n] + values
             hit = values <= gate
             i = int(hit.argmax())
             i = i if hit[i] else None

@@ -575,6 +575,24 @@ def test_scan_of_extreme_values_warns_nothing_and_is_the_stepwise_scan(seed, sca
     assert fast.generator.random() == ref.generator.random()
 
 
+@pytest.mark.parametrize("lipschitz", [1e300, 4e307])
+@pytest.mark.parametrize(
+    "values",
+    [[1.7976931348623157e308] * 5, [-math.inf, 1.0], [math.inf] * 5],
+    ids=["largest", "-inf first", "inf"],
+)
+def test_svt_above_the_tame_scales_warns_nothing_and_is_the_stepwise_scan(lipschitz, values):
+    # a scale past 2**960 takes the laplace fallback, whose sum may be inf or nan
+    fast, ref = RandomStream(0), RandomStream(0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gate = 0.0 + sample_laplace(2.0 * lipschitz, ref)
+        halted, steps = stepwise_scan(values, gate, 4.0 * lipschitz, 5, ref.generator)
+    queries = [lambda _x, v=v: v for v in values]
+    got = svt(PointTuple([[0.0, 0.0]]), 1.0, 0.0, lipschitz, queries, 5, fast)
+    assert got == SvtOutcome(halted, steps, steps if halted else None)
+    assert fast.generator.random() == ref.generator.random()
+
+
 # (zero, hit, m, max_steps): the uniform that is 0 and the one query that
 # accepts, counted from the scan's first uniform and first query
 ZERO_PLACES = {

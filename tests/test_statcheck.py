@@ -10,7 +10,6 @@ from geopriv import statcheck
 from geopriv.noise import RandomStream, sample_laplace, sample_planar_laplace
 from geopriv.statcheck import (
     accept_probability,
-    adaptive_simpson,
     check_cgp_radial_tail,
     check_expected_draws,
     check_gaussian_mech_divergence,
@@ -40,15 +39,6 @@ def too_fast(cal):
             dim, 1.5 * budget, rng, count, lipschitz, size
         )
     )
-
-
-class TestAdaptiveSimpson:
-    def test_polynomial_exact(self):
-        assert adaptive_simpson(lambda y: y**3 - y + 2, 0.0, 2.0) == pytest.approx(6.0, abs=1e-10)
-
-    def test_gaussian_mass(self):
-        f = lambda y: math.exp(-0.5 * y * y) / math.sqrt(2 * math.pi)
-        assert adaptive_simpson(f, -12.0, 12.0) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestRadialTails:
@@ -106,6 +96,14 @@ class TestExpectedDraws:
         counts = RandomStream(10).generator.geometric(1.0, size=100)
         assert np.all(counts == 1)
 
+    def test_a_gate_far_from_zero_warns_nothing(self):
+        # a RuntimeWarning fails the test: the branch not taken used to overflow
+        y = np.array([800.0, -800.0, 1e6, -1e6, np.inf, -np.inf, np.nan])
+        for scale in (1.0, 1e-300):
+            got = accept_probability(y, scale)
+            assert got[:6].tolist() == [1.0, 0.0, 1.0, 0.0, 1.0, 0.0] and np.isnan(got[6])
+            assert accept_probability(800.0, scale) == 1.0 and accept_probability(-800.0, scale) == 0.0
+
 
 class TestRenyiGaussian:
     def test_equal_means_zero(self):
@@ -121,10 +119,14 @@ class TestRenyiGaussian:
         d = renyi_divergence_gaussian_quadrature(0.0, 1.0, 2.0, 3.0)
         assert d == pytest.approx(3.0 / 8.0, abs=1e-9)
 
-    def test_grid_passes(self):
-        for shift in (0.5, 1.0, 2.0):
-            for sigma in (0.5, 1.0, 2.0):
-                assert check_renyi_gaussian(0.0, shift, sigma).passed
+    @pytest.mark.parametrize("sigma", [1e-3, 0.02, 0.05, 0.07, 0.5, 1.0, 2.0, 1e3, 1e6])
+    @pytest.mark.parametrize("shift", [0.5, 1.0, 2.0])
+    def test_grid_passes(self, shift, sigma):
+        # the standardised grid resolves a peak a few sigma wide at any sigma
+        assert check_renyi_gaussian(0.0, shift, sigma).passed
+        for alpha in (1.01, 1.5, 2.0, 3.0, 10.0):
+            closed = alpha * shift**2 / (2.0 * sigma**2)
+            assert abs(renyi_divergence_gaussian_quadrature(0.0, shift, sigma, alpha) - closed) < statcheck._RENYI_TOL
 
 
 class TestGaussianMechDivergence:
