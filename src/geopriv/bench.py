@@ -49,6 +49,7 @@ from .dataset import load_traces, query_point_pool, sample_points
 from .geometry import MAX_SPAN, PointTuple, _count, _positive, _probability, dist_2, dist_inf, query_dists
 from .hull import convex_hull, jaccard
 from .mechanisms import (
+    NonHaltError,
     identity_cgp_inf,
     identity_gp_inf,
     kpnn,
@@ -382,8 +383,12 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     (collection, trial), for the whole sweep; a trial whose true k nearest all
     sit on the query, or whose loaded trace holds fewer than k points, is
     skipped under every budget, and a cell whose every trial is skipped
-    gives no rows.  The GP budget is matched from rho unless
-    ``eps_grid`` is given.
+    gives no rows.  A release whose nearest-neighbour scan aborts with
+    NonHaltError (the scan's all-reject output, which costs no privacy to
+    drop) is left out of its (mechanism, budget) cell with one warning per
+    cell naming its (collection, trial) pairs; the ``trials`` column counts
+    what is aggregated, and a cell left with no value gives no row.  The
+    GP budget is matched from rho unless ``eps_grid`` is given.
 
     The loop is pair-outer, budget-inner: one job per (collection, trial)
     pair of a cell builds each mechanism's stream, tapes it and rewinds it
@@ -430,29 +435,39 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
                             for bi, (_, rho, eps) in enumerate(budgets):
                                 if bi:
                                     rng.rewind()
-                                out.append(task.score(trial, release(cfg, trial, rho, eps, rng)))
+                                try:
+                                    output = release(cfg, trial, rho, eps, rng)
+                                except NonHaltError:  # an aborted scan: this value is dropped
+                                    out.append(None)
+                                    continue
+                                out.append(task.score(trial, output))
                     return out
 
                 vals = {(m, bi, metric): [] for m, bi in slots for metric in task.metrics}
+                aborted = {}  # (mechanism, budget index) -> the pairs whose release aborted
                 # consumed here, before the cell loop rebinds what ``scores`` reads
-                for trial_scores in pmap(scores, pairs, trials):
+                for pair, trial_scores in zip(pairs, pmap(scores, pairs, trials)):
                     for (m, bi), values in zip(slots, trial_scores or ()):
+                        if values is None:
+                            aborted.setdefault((m, bi), []).append(pair)
+                            continue
                         for metric, v in zip(task.metrics, values):
                             vals[m, bi, metric].append(v)
+                for (m, bi), hit in aborted.items():
+                    _warn(
+                        f"dropping {m} at n={n}, k={k}, budget={budgets[bi][0]} for (collection, trial) "
+                        f"{', '.join(map(str, hit))}: a scan aborted"
+                    )
                 for (m, bi, metric), v in vals.items():
-                    rows.append(_aggregate(cfg.task, m, n, budgets[bi][0], k, metric, v))
+                    if v:  # a slot whose every release aborted gives no row
+                        rows.append(_aggregate(cfg.task, m, n, budgets[bi][0], k, metric, v))
     return sorted(rows, key=_row_key)
 
 
-def _verify_battery(cfg: ExperimentConfig) -> list[statcheck.CheckReport]:
-    """Every check's report, in battery order.  The checks are built as
-    thunks with their stream keys fixed in that order.  The Laplace-sum KS
-    checks, which hold about 11 MiB each where every other check holds a few,
-    run one after another on the calling thread, while the others are mapped
-    like the identity sweep's trials (see ``_pool_map``).  The calling thread
-    is the same in every sweep, so the KS buffers land in the same malloc
-    arena each time, and no two of them are alive at once.  Each check draws only
-    from its own stream, so the reports do not depend on the worker count."""
+def _verify_checks(cfg: ExperimentConfig) -> list[functools.partial]:
+    """The battery's checks, in battery order, as thunks (``partial``s of
+    the ``statcheck`` check functions) with their stream keys fixed in that
+    order."""
     samples = cfg.samples
     draws = max(samples // 10, 1000)
     sid = itertools.count()
@@ -476,6 +491,18 @@ def _verify_battery(cfg: ExperimentConfig) -> list[statcheck.CheckReport]:
             checks.append(functools.partial(statcheck.check_renyi_gaussian, 0.0, shift, sigma))
     for rho in (0.25, 0.5, 1.0):
         checks.append(functools.partial(statcheck.check_gaussian_mech_divergence, rho))
+    return checks
+
+
+def _verify_battery(cfg: ExperimentConfig) -> list[statcheck.CheckReport]:
+    """Every check's report, in battery order.  The Laplace-sum KS checks,
+    which hold about 11 MiB each where every other check holds a few, run
+    one after another on the calling thread, while the others are mapped
+    like the identity sweep's trials (see ``_pool_map``).  The calling thread
+    is the same in every sweep, so the KS buffers land in the same malloc
+    arena each time, and no two of them are alive at once.  Each check draws only
+    from its own stream, so the reports do not depend on the worker count."""
+    checks = _verify_checks(cfg)
     alone = [check.func is statcheck.check_laplace_sum_pdf for check in checks]
     with _pool_map(alone.count(False)) as pmap:
         pooled = pmap(lambda check: check(), [c for c, a in zip(checks, alone) if not a])

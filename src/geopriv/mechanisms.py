@@ -26,10 +26,17 @@ below the gate.  The blocks are the ones a query-by-query scan would draw,
 and a block with a zero uniform, which numpy draws again, is replayed, so
 the draw stream, and every output at a fixed seed, is that of such a scan.
 
-``pnn``, each ``kpnn`` round and each anchor probe are one private
-nearest-neighbour step, ``_pnn_scan(dists, rate, rng) -> (pos, steps)``,
-over distances computed once per query point by ``geometry.query_dists``;
-the step charges nothing, its caller charges the step's budget first.  The step cycles through its
+``_scan`` answers ``(halted, steps)``; only ``svt`` wraps that in an
+``SvtOutcome``.  ``pnn``, each ``kpnn`` round and each anchor probe are one
+private nearest-neighbour step, ``_pnn_scan(dists, rate, rng) -> (pos,
+steps)``, over distances computed once per query point by
+``geometry.query_dists``.  A step at GP rate r splits r as Lyu, Su & Li
+(PVLDB 2017, Alg. 1) do: a third perturbs the minimum distance, at scale
+3/r, and the scan gets ``svt_eps = 2r/3``, drawing its gate at
+``2/svt_eps`` and its queries at ``4/svt_eps``.  ``_svt_eps`` states that
+split once, for the step's draws, ``pnn``'s charges and every caller's
+refusal, before any charge, of a rate whose scales overflow.  The step
+charges nothing; its caller charges the step's budget first.  The step cycles through its
 distances (``_cycle``): a block that does not cross the end of the array is
 a view of it, and only a block across the seam is a wrapped copy, taken
 from the block's offset ``done % m`` so that its cost does not grow with
@@ -273,9 +280,11 @@ def _scan(
     scale: float,
     max_steps: int,
     rng: RandomStream,
-) -> SvtOutcome:
+) -> tuple[bool, int]:
     """The one below-threshold scan loop behind ``svt`` and ``pnn``, in the
-    blocks the module docstring describes.
+    blocks the module docstring describes.  Returns ``(halted, steps)``:
+    whether a query accepted, and the number of queries evaluated, up to and
+    including the accepted one.
 
     ``block(done, size)`` returns the values of queries ``done + 1`` ..
     ``done + size``, fewer only when the query stream runs out; it may
@@ -331,10 +340,9 @@ def _scan(
             i = int(hit.argmax())
             i = i if hit[i] else None
         if i is not None:
-            steps = done + i + 1
-            return SvtOutcome(True, steps, steps)
+            return True, done + i + 1
         done += n
-    return SvtOutcome(False, done, None)
+    return False, done
 
 
 def _block_hit(gen: np.random.Generator, values: np.ndarray, size: int, gate: float, scale: float, shift: float):
@@ -417,7 +425,8 @@ def svt(
     """
     _positive("eps", eps)
     _positive("lipschitz", lipschitz)
-    _positive("query noise scale 4K/eps", 4.0 * lipschitz / eps)
+    scale = 4.0 * lipschitz / eps
+    _positive("query noise scale 4K/eps", scale)
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
     max_steps = _count("max_steps", max_steps)
@@ -429,7 +438,8 @@ def svt(
     _charge(ledger, "svt_threshold", eps / 2.0)
     _charge(ledger, "svt_queries", eps / 2.0)
     gate = threshold + sample_laplace(2.0 * lipschitz / eps, rng)
-    return _scan(block, gate, 4.0 * lipschitz / eps, max_steps, rng)
+    halted, steps = _scan(block, gate, scale, max_steps, rng)
+    return SvtOutcome(halted, steps, steps if halted else None)
 
 
 # ---------------------------------------------------------------------------
@@ -437,32 +447,35 @@ def svt(
 
 
 # Passes over the candidates before a nearest-neighbour scan gives up with
-# NonHaltError: about 1.4e-7 aborts per scan, so the cap only guards runtime.
+# NonHaltError: at most 1.354e-7 aborts per scan, reached with one
+# candidate; more candidates only lower it.  So the cap only guards runtime.
 _MAX_CYCLES = 16384
 
 
-def _check_step_rate(rate: float) -> None:
-    """Refuse, before anything is charged, a nearest-neighbour step rate at
-    which its largest noise scale, the scan's 6/rate, overflows."""
-    svt_eps = 2.0 * rate / 3.0  # as _pnn_scan splits it; > 0 whenever rate > 0
+def _svt_eps(rate: float) -> float:
+    """The scan's share, ``2 rate / 3``, of a nearest-neighbour step at GP
+    rate ``rate``.  Refuses a rate at which the step's largest noise scale,
+    ``4 / svt_eps`` (6/rate), overflows."""
+    svt_eps = 2.0 * rate / 3.0  # > 0 whenever rate > 0
     if not (svt_eps > 0 and 4.0 / svt_eps < math.inf):
         raise ValueError(f"a nearest-neighbour step at rate {rate} has an infinite noise scale")
+    return svt_eps
 
 
 def _pnn_scan(dists: np.ndarray, rate: float, rng: RandomStream) -> tuple[int, int]:
     """The private nearest-neighbour step behind ``pnn``, each ``kpnn`` round
     and each anchor probe: a rate-GP scan cycling the candidate distances,
-    with ``pnn``'s split of the rate.  Returns the accepted 0-based position
-    in ``dists`` and the scan's step count; charges nothing."""
+    split by ``_svt_eps`` (see the module docstring).  Returns the accepted
+    0-based position in ``dists`` and the scan's step count; charges nothing."""
     m = len(dists)
-    svt_eps = 2.0 * rate / 3.0
+    svt_eps = _svt_eps(rate)
     gate = (float(np.minimum.reduce(dists)) + sample_laplace(3.0 / rate, rng)) + sample_laplace(2.0 / svt_eps, rng)
-    outcome = _scan(_cycle(dists), gate, 4.0 / svt_eps, _MAX_CYCLES * m, rng)
-    if not outcome.halted:
+    halted, steps = _scan(_cycle(dists), gate, 4.0 / svt_eps, _MAX_CYCLES * m, rng)
+    if not halted:
         raise NonHaltError(
             f"nearest-neighbour scan did not accept within {_MAX_CYCLES} cycles over {m} candidates"
         )
-    return (outcome.steps - 1) % m, outcome.steps
+    return (steps - 1) % m, steps
 
 
 def pnn(
@@ -489,10 +502,10 @@ def pnn(
     dists = query_dists(x.points[idx - 1], query_point)
     _check_query_point(query_point)
     _positive("eps", eps)
-    _check_step_rate(eps)
+    svt_eps = _svt_eps(eps)
     _charge(ledger, "pnn_threshold", eps / 3.0)
-    _charge(ledger, "svt_threshold", 2.0 * eps / 3.0 / 2.0)
-    _charge(ledger, "svt_queries", 2.0 * eps / 3.0 / 2.0)
+    _charge(ledger, "svt_threshold", svt_eps / 2.0)
+    _charge(ledger, "svt_queries", svt_eps / 2.0)
     pos, _ = _pnn_scan(dists, eps, rng)
     return int(idx[pos])
 
@@ -521,7 +534,7 @@ def _kpnn(
     _check_query_point(query_point)
     share = budget / k
     rate = cal.round_rate(share)
-    _check_step_rate(rate)
+    _svt_eps(rate)  # refuses an overflowing rate before the first charge
     index = np.arange(1, n + 1)
     chosen: list[int] = []
     for j in range(1, k + 1):
@@ -594,7 +607,7 @@ def _anchors(
     # (the radius's b0 / 3 = budget / 60, a release row's budget / k).
     k_max = _AUTO_K_MAX if k == "auto" else k
     _positive("noise scale 60k/budget", 60.0 * k_max / budget)
-    _check_step_rate(cal.round_rate((budget - b0) / k_max))
+    _svt_eps(cal.round_rate((budget - b0) / k_max))
 
     _charge(ledger, "centre", 2.0 * b0 / 3.0)
     c_priv = center(x) + cal.noise(2, 2.0 * b0 / 3.0, rng, lipschitz=math.sqrt(2.0))

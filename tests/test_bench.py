@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import geopriv
-from geopriv import bench, statcheck
+from geopriv import bench, mechanisms, statcheck
 from geopriv.bench import (
     ExperimentConfig,
     ResultRow,
@@ -29,6 +29,7 @@ from geopriv.bench import (
     run_verify,
 )
 from geopriv.hull import convex_hull, jaccard
+from geopriv.mechanisms import NonHaltError
 from geopriv.noise import RandomStream
 
 HEADER = "task,mechanism,n,budget,k,metric,mean,p25,p75,trials"
@@ -285,6 +286,74 @@ class TestStreamKeys:
         ExperimentConfig(task="knn", collections=10_001)
         for task in ("identity", "knn", "hull"):
             ExperimentConfig(task=task, n_grid=list(range(1, 66)))
+
+
+def abort_step(monkeypatch, call=None):
+    """Make the ``call``-th nearest-neighbour step of a run (0-based), or
+    every one, raise NonHaltError as an aborted scan does."""
+    real, calls = mechanisms._pnn_scan, itertools.count()
+
+    def step(dists, rate, rng):
+        if call is None or next(calls) == call:
+            raise NonHaltError("aborted")
+        return real(dists, rate, rng)
+
+    monkeypatch.setattr(mechanisms, "_pnn_scan", step)
+
+
+class TestScanAborts:
+    @pytest.mark.parametrize(
+        "cfg, call, cell, pair",
+        [
+            # round 2 of cgp_pnn's second budget in pair (0, 0): the first
+            # budget's release of the same stream, and every other, stand
+            (
+                small_cfg(task="knn", n_grid=[48], k_grid=[4, 8], rho_grid=[1e-2, 1e-1], trials=2),
+                13,
+                ("cgp_pnn", 48, 0.1, 4),
+                (0, 0),
+            ),
+            # a probe of gp_pch's anchor stage in pair (0, 1), at one budget: no tape
+            (small_cfg(task="hull", n_grid=[48], trials=2), 40, ("gp_pch", 48, 0.01, None), (0, 1)),
+        ],
+        ids=["knn", "hull"],
+    )
+    def test_an_aborted_release_moves_only_its_own_cell(self, monkeypatch, caplog, cfg, call, cell, pair):
+        base = render_csv(run_sweep(cfg)).splitlines()
+        abort_step(monkeypatch, call)
+        with pytest.warns(UserWarning, match="a scan aborted"), caplog.at_level(logging.WARNING, logger="geopriv.bench"):
+            rows = run_sweep(cfg)
+        hit = render_csv(rows).splitlines()
+        assert len(hit) == len(base)
+        moved = [i for i, (a, b) in enumerate(zip(base, hit)) if a != b]
+        assert sorted(rows[i - 1].metric for i in moved) == sorted(bench._TASKS[cfg.task].metrics)
+        pairs = cfg.collections * cfg.trials
+        for i in moved:
+            r = rows[i - 1]
+            assert (r.mechanism, r.n, r.budget, r.k, r.trials) == (*cell, pairs - 1)
+        m, n, budget, k = cell
+        assert [r.getMessage() for r in caplog.records] == [
+            f"dropping {m} at n={n}, k={k}, budget={budget} for (collection, trial) {pair}: a scan aborted"
+        ]
+
+    def test_a_cell_whose_every_release_aborts_gives_no_row(self, monkeypatch):
+        cfg = small_cfg(task="knn", n_grid=[48], k_grid=[4], trials=2)
+        base = render_csv(run_sweep(cfg)).splitlines()
+        abort_step(monkeypatch)
+        with pytest.warns(UserWarning, match="a scan aborted"):
+            hit = render_csv(run_sweep(cfg)).splitlines()
+        assert hit == [line for line in base if "_pnn," not in line]
+        assert len(hit) == 1 + 2 * 2  # the header, then the two basic releases' two metrics
+
+    def test_a_sweep_with_aborting_scans_writes_its_csv(self, monkeypatch, tmp_path):
+        # it raised NonHaltError and wrote nothing
+        monkeypatch.setattr(mechanisms, "_MAX_CYCLES", 1)
+        out = tmp_path / "knn.csv"
+        argv = "knn --rho-grid 1e-2 --n-grid 64 --k-grid 16 --trials 2 --collections 2".split()
+        with pytest.warns(UserWarning, match="a scan aborted"):
+            assert main(argv + ["--out", str(out)]) == 0
+        body = out.read_text().splitlines()
+        assert body[0] == HEADER and any(",gp_basic," in line for line in body)
 
 
 class TestZeroNoiseModes:
