@@ -27,8 +27,11 @@ same work.  The layers, on uniform points on a 10 km square:
   ``bench._verify_checks`` builds them, so a check the battery gains is
   timed too; each call draws from a fresh copy of the check's stream.
   ``perfbench``'s tracer keeps one span stack for all threads, so under
-  the battery's thread pool its per-check times are not per-check; these
-  layers are.
+  the battery's helper threads its per-check times are not per-check;
+  these layers are.  One more call of each check runs under ``tracemalloc``,
+  and its peak of traced allocations (numpy's buffers included) is
+  reported in MiB under ``peak_mib``: ``geopriv verify`` keeps the
+  Laplace-sum KS checks, the largest, on one thread, one at a time.
 
 End-to-end sweep times, CSV hashes and before/after comparisons are
 ``perfbench/run.py``'s to measure, in alternating pairs.  To compare one
@@ -44,6 +47,7 @@ import argparse
 import json
 import sys
 import timeit
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,7 +76,7 @@ def _time(fn) -> float:
 
 def measure() -> dict:
     """Time every layer of the geopriv importable now: ``ms`` per call,
-    keyed by layer."""
+    keyed by layer, and ``peak_mib`` of one call per verify check."""
     import numpy as np
 
     from geopriv import bench, geometry
@@ -173,10 +177,19 @@ def measure() -> dict:
     def fresh(arg):
         return RandomStream(arg.seed, arg.stream_id) if isinstance(arg, RandomStream) else arg
 
+    peak_mib = {}
     for check in bench._verify_checks(bench.ExperimentConfig(task="verify")):
         shown = ", ".join(repr(a) for a in check.args if not isinstance(a, RandomStream))
-        time_layer(f"{check.func.__name__}({shown})", lambda: check.func(*map(fresh, check.args)))
-    return {"ms": ms}
+        key = f"{check.func.__name__}({shown})"
+        call = lambda: check.func(*map(fresh, check.args))
+        time_layer(key, call)
+        tracemalloc.start()
+        try:
+            call()
+            peak_mib[key] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    return {"ms": ms, "peak_mib": peak_mib}
 
 
 def main(argv=None) -> int:

@@ -11,8 +11,9 @@ entry names its mechanisms, its metrics, a scorer that rates one output
 against the trial's reference and a hook that builds that reference (the
 true tuple, k nearest or hull).  The identity sweep runs its trials on a
 thread pool, one worker per available core, with the same bytes; knn and
-hull, which scan, run on one thread.  ``verify`` maps its checks over a pool
-of the same size.
+hull, which scan, run on one thread.  ``verify`` runs its checks on the
+calling thread and one helper thread per further core (see
+:func:`_verify_battery`).
 
 Everything is deterministic under a fixed seed: each stream is keyed by a
 tuple, a tag naming what it draws and then its indices, such as a sample's
@@ -495,19 +496,40 @@ def _verify_checks(cfg: ExperimentConfig) -> list[functools.partial]:
 
 
 def _verify_battery(cfg: ExperimentConfig) -> list[statcheck.CheckReport]:
-    """Every check's report, in battery order.  The Laplace-sum KS checks,
-    which hold about 11 MiB each where every other check holds a few, run
-    one after another on the calling thread, while the others are mapped
-    like the identity sweep's trials (see ``_pool_map``).  The calling thread
-    is the same in every sweep, so the KS buffers land in the same malloc
-    arena each time, and no two of them are alive at once.  Each check draws only
-    from its own stream, so the reports do not depend on the worker count."""
+    """Every check's report, in battery order, from the calling thread and
+    one helper thread per further core, as many as there are checks to
+    share: ``min(cores, pooled + 1) - 1`` helpers, where the pooled checks
+    are all but the Laplace-sum KS ones.
+
+    The pooled checks are queued for the helpers, and the calling thread
+    runs the three KS checks, which hold about 9 MiB each where every other
+    check holds 3.5 MiB or less, one after another.  It then takes every
+    pooled check no helper has started, from the tail of the queue, so at
+    most one KS sum and one pooled check per helper are alive at once.
+    Each busy thread allocates from its own glibc malloc arena, which keeps
+    its high-water mark, so no thread runs beyond the cores.  The first
+    exception raised in a check propagates, and the queued checks are then
+    dropped.  Each check draws only from its own stream, so the reports do
+    not depend on the thread count."""
     checks = _verify_checks(cfg)
-    alone = [check.func is statcheck.check_laplace_sum_pdf for check in checks]
-    with _pool_map(alone.count(False)) as pmap:
-        pooled = pmap(lambda check: check(), [c for c, a in zip(checks, alone) if not a])
-        own = iter([c() for c, a in zip(checks, alone) if a])
-        return [next(own) if a else next(pooled) for a in alone]
+    ks = {i for i, check in enumerate(checks) if check.func is statcheck.check_laplace_sum_pdf}
+    helpers = min(_cores(), len(checks) - len(ks) + 1) - 1
+    if helpers == 0:
+        return [check() for check in checks]
+    # imported here, as in ``_pool_map``
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(helpers) as pool:
+        queued = {i: pool.submit(check) for i, check in enumerate(checks) if i not in ks}
+        try:
+            reports = {i: check() for i, check in enumerate(checks) if i in ks}
+            for i in reversed(queued):
+                if queued[i].cancel():  # no helper has started it
+                    reports[i] = checks[i]()
+            return [reports[i] if i in reports else queued[i].result() for i in range(len(checks))]
+        finally:
+            for future in queued.values():  # after an exception, the helpers start no queued check
+                future.cancel()
 
 
 def run_verify(cfg: ExperimentConfig) -> tuple[list[ResultRow], bool]:

@@ -8,7 +8,8 @@ sampling theory rather than tuned constants.
 The sampling checks draw in chunks of ``_CHUNK`` rows and fold each chunk
 into their statistic, so at 10^6 samples a check holds 2-3.5 MiB rather
 than tens.  The Laplace-sum KS check must keep its sorted sums (8 MB); it
-evaluates its exact reference CDF chunk by chunk and holds about 10 MiB.
+evaluates its exact reference CDF and both KS differences chunk by chunk,
+in place in three ``_CHUNK``-row buffers, and holds about 9.1 MiB.
 Survival counts and the KS maximum are exact under chunking,
 and chunked draws of one distribution continue one stream, so the
 Gaussian, Laplace-sum and expected-draws checks give the one-shot bytes.
@@ -19,10 +20,11 @@ draw stream; it is not a tuning knob.  A check refuses an argument outside
 the input domain (README, "Input domain") before any draw; ``samples`` must
 be at least 2 for the expected-draws check, which needs a standard error.
 
-``geopriv verify`` runs the three KS checks one after another on the
-calling thread and the rest of the battery on a thread pool, one worker per
-usable core; each check draws from its own stream, so the reports do not
-depend on the worker count.
+``geopriv verify`` runs its checks on the calling thread and one helper
+thread per further usable core.  The calling thread runs the three KS
+checks one after another, then every other check no helper has started;
+each check draws from its own stream, so the reports do not depend on the
+thread count.
 """
 
 from __future__ import annotations
@@ -206,11 +208,15 @@ def renyi_divergence_gaussian_quadrature(mu1: float, mu2: float, sigma: float, a
 
 def check_renyi_gaussian(mu1: float, mu2: float, sigma: float) -> CheckReport:
     """Quadrature Renyi divergence of equal-variance Gaussians against the
-    closed form ``alpha * (mu1 - mu2)^2 / (2 sigma^2)``."""
+    closed form ``alpha * (mu1 - mu2)^2 / (2 sigma^2)``, computed as
+    ``alpha * d * d / 2`` with ``d = (mu1 - mu2) / sigma``, which neither
+    overflows nor divides by an underflowed ``sigma^2`` where the
+    quadrature holds."""
     gaps = []
     for alpha in _ALPHA_GRID:
-        quad = renyi_divergence_gaussian_quadrature(mu1, mu2, sigma, alpha)
-        gaps.append(abs(quad - alpha * (mu1 - mu2) ** 2 / (2.0 * sigma**2)))
+        quad = renyi_divergence_gaussian_quadrature(mu1, mu2, sigma, alpha)  # refuses what it cannot hold
+        d = (mu1 - mu2) / sigma
+        gaps.append(abs(quad - alpha * d * d / 2.0))
     worst = _worst(gaps)
     return CheckReport(
         f"renyi_gaussian(mu={mu2 - mu1:g},sigma={sigma:g})", worst, _RENYI_TOL, worst < _RENYI_TOL, 0
@@ -233,13 +239,54 @@ def check_gaussian_mech_divergence(rho: float) -> CheckReport:
     )
 
 
+def _laplace_sum_tail(y: np.ndarray, b: float, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``(2 + a) * exp(-a) / 4`` at ``a = |y| / b``, computed in ``out`` with
+    ``scratch`` holding ``exp(-a)``: the mass of the two-Laplace-sum law
+    beyond |y| on y's side of 0."""
+    np.divide(np.abs(y, out=out), b, out=out)
+    np.exp(np.negative(out, out=scratch), out=scratch)
+    out += 2.0
+    out *= scratch
+    out /= 4.0
+    return out
+
+
 def _laplace_sum_cdf(y: np.ndarray, b: float) -> np.ndarray:
     """Exact CDF of the sum of two iid Laplace(b) draws: ``1 - (2 + y/b) *
     exp(-y/b) / 4`` for y >= 0, and its mirror ``(2 + |y|/b) * exp(-|y|/b) / 4``
     below 0."""
-    a = np.abs(y) / b
-    tail = (2.0 + a) * np.exp(-a) / 4.0
+    y = np.asarray(y, dtype=np.float64)
+    tail = _laplace_sum_tail(y, b, np.empty_like(y), np.empty_like(y))
     return np.where(y < 0, tail, 1.0 - tail)
+
+
+def _laplace_sum_ks(y: np.ndarray, b: float) -> float:
+    """KS distance between the ascending ``y`` and the two-Laplace-sum law
+    at b: the largest of ``i/n - F(y_i)`` and ``F(y_i) - (i - 1)/n``.
+
+    F and both differences are computed chunk by chunk in three
+    ``_CHUNK``-row buffers (F, the 1-based positions i, the difference), with
+    ``_laplace_sum_cdf``'s arithmetic in each element: the sorted ``y`` is
+    negative before one index, found once, and ``1 - tail`` is taken from
+    there on.  The maximum is exact whatever the chunking.
+    """
+    n = len(y)
+    negatives = int(np.searchsorted(y, 0.0))  # y[:negatives] < 0 <= the rest
+    rows = min(n, _CHUNK)
+    cdf, pos, diff = np.empty(rows), np.arange(1.0, rows + 1.0), np.empty(rows)
+    gaps = []
+    for start, stop in _chunks(n):
+        f, i, d = cdf[: stop - start], pos[: stop - start], diff[: stop - start]
+        _laplace_sum_tail(y[start:stop], b, f, d)
+        upper = f[max(negatives - start, 0) :]
+        np.subtract(1.0, upper, out=upper)
+        np.divide(i, n, out=d)
+        gaps.append(np.max(np.subtract(d, f, out=d)))
+        np.subtract(i, 1.0, out=d)
+        d /= n
+        gaps.append(np.max(np.subtract(f, d, out=d)))
+        pos += _CHUNK
+    return _worst(gaps)
 
 
 def check_laplace_sum_pdf(b: float, samples: int, rng: RandomStream) -> CheckReport:
@@ -254,12 +301,7 @@ def check_laplace_sum_pdf(b: float, samples: int, rng: RandomStream) -> CheckRep
     ks_threshold = max(0.005, 1.63 / math.sqrt(samples))
     y = _laplace_sum(b, samples, rng)
     y.sort()
-    gaps = []  # the maximum is exact whatever the chunking
-    for start, stop in _chunks(samples):
-        ref = _laplace_sum_cdf(y[start:stop], b)
-        i = np.arange(start + 1, stop + 1)
-        gaps += np.max(i / samples - ref), np.max(ref - (i - 1) / samples)
-    ks = _worst(gaps)
+    ks = _laplace_sum_ks(y, b)
     return CheckReport(f"laplace_sum_pdf(b={b:g})", ks, ks_threshold, ks < ks_threshold, samples)
 
 

@@ -220,12 +220,18 @@ def one_shot_cgp_radial_tail(rho, r_grid, samples, rng) -> CheckReport:
     return _one_shot_survival(f"cgp_radial_tail(rho={rho:g})", radii, r_grid, ref)
 
 
+def one_shot_laplace_sum_ks(y, b) -> float:
+    """KS distance between the ascending ``y`` and the two-Laplace-sum law,
+    over every element at once."""
+    ref = _laplace_sum_cdf(y, b)
+    i = np.arange(1, len(y) + 1)
+    return max(float(np.max(i / len(y) - ref)), float(np.max(ref - (i - 1) / len(y))))
+
+
 def one_shot_laplace_sum_pdf(b, samples, rng) -> CheckReport:
     ks_threshold = max(0.005, 1.63 / math.sqrt(samples))
     y = np.sort(sample_laplace(b, rng, size=samples) + sample_laplace(b, rng, size=samples))
-    ref = _laplace_sum_cdf(y, b)
-    i = np.arange(1, samples + 1)
-    ks = max(float(np.max(i / samples - ref)), float(np.max(ref - (i - 1) / samples)))
+    ks = one_shot_laplace_sum_ks(y, b)
     return CheckReport(f"laplace_sum_pdf(b={b:g})", ks, ks_threshold, ks < ks_threshold, samples)
 
 

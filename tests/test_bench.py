@@ -850,3 +850,115 @@ class TestTrialPool:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "1"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+KS = "check_laplace_sum_pdf"
+
+
+def _spy_checks(monkeypatch, hook=lambda name: None):
+    """Rebind every battery check in ``statcheck`` to log, at entry,
+    ``(name, thread, KS checks in flight, checks in flight)`` and then call
+    ``hook(name)``; returns the log."""
+    log, live, lock = [], Counter(), threading.Lock()
+    battery = {check.func for check in bench._verify_checks(ExperimentConfig(task="verify"))}
+    for real in battery:
+
+        def spy(*args, real=real):
+            name = real.__name__
+            with lock:
+                live[name == KS] += 1
+                log.append((name, threading.get_ident(), live[True], live[True] + live[False]))
+            try:
+                hook(name)
+                time.sleep(0.001)  # a check in flight overlaps what another thread starts
+                return real(*args)
+            finally:
+                with lock:
+                    live[name == KS] -= 1
+
+        monkeypatch.setattr(statcheck, real.__name__, spy)
+    return log
+
+
+class TestVerifySchedule:
+    """The calling thread runs the KS checks, then every pooled check no
+    helper has started; one helper runs per further core."""
+
+    def test_reports_are_the_golden_bytes_on_any_core_count(self, monkeypatch, tmp_path):
+        cfg = ExperimentConfig(task="verify", seed=7, samples=20_000)
+        reports = []
+        for cores in (1, 2, 3, 4):
+            monkeypatch.setattr(bench, "_cores", lambda: cores)
+            before = threading.active_count()
+            reports.append(_bounded(bench._verify_battery, cfg))
+            out = tmp_path / f"{cores}.csv"
+            assert _bounded(main, ["verify", "--samples", "20000", "--seed", "7", "--out", str(out)]) == 0
+            assert threading.active_count() == before
+            assert out.read_bytes() == (GOLDEN / "verify.csv").read_bytes()
+        assert all(r == reports[0] for r in reports)
+
+    @pytest.mark.parametrize("cores", [2, 3, 4])
+    def test_ks_checks_run_alone_on_the_calling_thread_and_cores_threads_work(self, monkeypatch, cores):
+        monkeypatch.setattr(bench, "_cores", lambda: cores)
+        log = _spy_checks(monkeypatch)
+        caller = []
+
+        def battery():
+            caller.append(threading.get_ident())
+            return bench._verify_battery(ExperimentConfig(task="verify", seed=4, samples=2000))
+
+        assert len(_bounded(battery)) == len(log) == 27
+        ks = [entry for entry in log if entry[0] == KS]
+        assert len(ks) == 3
+        assert all(thread == caller[0] and in_flight == 1 for _, thread, in_flight, _ in ks)
+        assert max(entry[3] for entry in log) <= cores
+        assert len({entry[1] for entry in log}) <= cores
+
+    def test_the_caller_runs_the_pooled_checks_a_held_helper_has_not_started(self, monkeypatch):
+        monkeypatch.setattr(bench, "_cores", lambda: 2)
+        cfg = ExperimentConfig(task="verify", seed=4, samples=2000)
+        unspied = _bounded(bench._verify_battery, cfg)
+        pooled = 27 - 3
+        released = threading.Event()
+        caller, taken = [], []  # the pooled checks the caller started
+
+        def hold(name):
+            if threading.get_ident() != caller[0]:
+                assert released.wait(60), "the caller never took the other checks"
+            elif name != KS:
+                taken.append(name)
+                if len(taken) == pooled - 1:  # all but the check a helper holds
+                    released.set()
+
+        log = _spy_checks(monkeypatch, hold)
+
+        def battery():
+            caller.append(threading.get_ident())
+            return bench._verify_battery(cfg)
+
+        assert _bounded(battery) == unspied
+        helper = [entry for entry in log if entry[1] != caller[0]]
+        assert len(helper) <= 1
+        # a helper takes checks from the head of the queue, the first pooled check
+        assert [name for name, *_ in helper] in ([], ["check_gp_radial_tail"])
+        assert len(taken) == pooled - len(helper)
+
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "failing", ["check_gp_radial_tail", "check_gaussian_mech_divergence"], ids=["head", "tail"]
+    )
+    def test_a_failing_pooled_check_raises_and_leaves_no_thread(self, monkeypatch, cores, failing):
+        monkeypatch.setattr(bench, "_cores", lambda: cores)
+        error = RuntimeError(failing)
+
+        def fail(name):
+            if name == failing:
+                raise error
+
+        _spy_checks(monkeypatch, fail)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            _bounded(bench._verify_battery, ExperimentConfig(task="verify", seed=4, samples=2000))
+        assert raised.value is error
+        assert threading.active_count() == before

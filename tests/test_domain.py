@@ -207,6 +207,15 @@ def test_a_quadrature_far_from_unit_sigma_passes(call):
     assert call().passed
 
 
+def test_the_renyi_closed_form_holds_wherever_the_quadrature_does():
+    # alpha * (mu1 - mu2)**2 / (2 * sigma**2) raised OverflowError at the first
+    # and ZeroDivisionError (sigma**2 underflows) at the second
+    far = statcheck.check_renyi_gaussian(0.0, 1e200, 1e100)
+    assert 0 < far.statistic < 1e-14 * 1.5e200  # rounding: FAIL only under the absolute 1e-6
+    assert not far.passed
+    assert statcheck.check_renyi_gaussian(0.0, 1e-300, 1e-200).passed
+
+
 @pytest.mark.parametrize(
     "call",
     [

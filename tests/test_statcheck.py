@@ -25,6 +25,7 @@ from helpers import (
     one_shot_cgp_radial_tail,
     one_shot_expected_draws,
     one_shot_gp_radial_tail,
+    one_shot_laplace_sum_ks,
     one_shot_laplace_sum_pdf,
     one_shot_planar_laplace_mean,
 )
@@ -228,10 +229,33 @@ class TestChunkedDraws:
         got = check_cgp_radial_tail(0.7, (0.5, 1.0, 1.5), samples, RandomStream(3, 1))
         assert got == one_shot_cgp_radial_tail(0.7, (0.5, 1.0, 1.5), samples, RandomStream(3, 1))
 
-    @pytest.mark.parametrize("samples", EDGES)
-    def test_laplace_sum_is_the_one_shot_check(self, samples):
-        got = check_laplace_sum_pdf(1.5, samples, RandomStream(3, 2))
-        assert got == one_shot_laplace_sum_pdf(1.5, samples, RandomStream(3, 2))
+    @pytest.mark.parametrize("b", [0.5, 1.5, 2.0])
+    @pytest.mark.parametrize("samples", (1, 2) + EDGES)
+    def test_laplace_sum_is_the_one_shot_check(self, samples, b):
+        got = check_laplace_sum_pdf(b, samples, RandomStream(3, 2))
+        assert got == one_shot_laplace_sum_pdf(b, samples, RandomStream(3, 2))
+
+    # where the sorted sums turn nonnegative: at 0, before, at and one past a chunk edge, at the end
+    @pytest.mark.parametrize(
+        "negatives, n",
+        [
+            (0, 2 * CHUNK + 3),
+            (CHUNK - 1, 2 * CHUNK - 2),
+            (CHUNK, 2 * CHUNK),
+            (CHUNK + 1, 2 * CHUNK + 2),
+            (CHUNK + 5, CHUNK + 5),
+        ],
+    )
+    def test_ks_of_sums_split_at_a_chunk_edge_is_the_one_shot_ks(self, negatives, n):
+        # sums far out in both tails: with half of them negative the KS maximum,
+        # just under 1/2, is met at the sign change, and one sum on the wrong
+        # side of the split would raise it by 1/n
+        gen = np.random.default_rng(negatives)
+        below, above = -40.0 - gen.exponential(1.5, negatives), 40.0 + gen.exponential(1.5, n - negatives)
+        y = np.concatenate([np.sort(below), np.sort(above)])
+        got = statcheck._laplace_sum_ks(y, 1.5)
+        assert got == one_shot_laplace_sum_ks(y, 1.5)
+        assert np.count_nonzero(y < 0) == negatives
 
     @pytest.mark.parametrize("samples", EDGES)
     def test_expected_draws_is_the_one_shot_check(self, samples):
@@ -287,8 +311,8 @@ class TestChunkedDraws:
         [
             (lambda rng: check_gp_radial_tail(1.0, (1.0, 3.0, 5.0), 10**6, rng), 8),
             (lambda rng: check_planar_laplace_mean(5, 1.0, 10**6, rng), 8),
-            # the 8 MB sorted sums and one chunk's CDF temporaries
-            (lambda rng: check_laplace_sum_pdf(1.0, 10**6, rng), 12),
+            # the 8 MB sorted sums and three 65536-row buffers: 9.1-9.9 MiB (11.4 with temporaries)
+            (lambda rng: check_laplace_sum_pdf(1.0, 10**6, rng), 10.5),
         ],
         ids=["gp_tail", "planar_mean_d5", "laplace_sum"],
     )
